@@ -44,7 +44,6 @@ class SweepSpec:
     param: str
     grid: tuple
     targets: tuple
-    fixed: dict
     out: str = None
     fmt: str = "csv"
 
@@ -130,7 +129,10 @@ TARGETS = {
 def _route_param(key, value, scenario_overrides, energy_overrides, extra):
     """Send a CLI key to the scenario, energy model or run extras."""
     if key == "psi":
-        extra["psi"] = int(float(value))
+        try:
+            extra["psi"] = int(float(value))
+        except (ValueError, OverflowError) as exc:
+            raise UsageError(f"psi must be a number, got {value!r}") from exc
         return
     from .energy import _ENERGY_FIELDS, _YEAR_KEYS  # noqa: internal tables
     if key in _ENERGY_FIELDS or key in _YEAR_KEYS:
@@ -194,7 +196,7 @@ def cmd_sweep(args):
     grid = tuple(float(v) for v in args.values.split(","))
     spec = SweepSpec(param=args.sweep_param, grid=grid,
                      targets=tuple(args.targets.split(",")),
-                     fixed=dict(args.params), out=args.out, fmt=args.format)
+                     out=args.out, fmt=args.format)
 
     def one_row(value):
         row = {spec.param: value, "error": ""}
@@ -342,6 +344,8 @@ def _validation_rows(ctx, trials, seed, jobs):
 
 
 def cmd_validate(args):
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     ctx = _build_context(args)
     rows = _validation_rows(ctx, args.trials, args.seed, args.jobs)
     columns = ["check", "analytic", "estimate", "std_error", "n_samples",

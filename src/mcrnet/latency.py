@@ -10,8 +10,14 @@ All success probabilities average a Gamma-distributed aggregate antenna
 gain over the nearest-transmitter distance of a planar Poisson field; the
 interference-limited delivery stage additionally needs a small triangular
 matrix series for aggregate gains of order above one.
+
+The three stage success probabilities do not depend on cache size or edge
+density, so each is memoised on the scalar inputs it depends on (gain
+order, threshold, path-loss exponent, density, quadrature spec): a sweep
+over cache size or edge density integrates each stage once.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,12 +70,14 @@ def _gamma_tail(order, x):
     return special.gammaincc(order, x)
 
 
+@functools.lru_cache(maxsize=128)
 def _nearest_tx_success(lam, order, threshold_scale, alpha, quad):
     """Success probability of a power-threshold link to the nearest node.
 
     Averages the Gamma(order, 1) tail at ``threshold_scale * r**alpha``
     over the nearest-node distance of a Poisson field of density ``lam``;
     the integration variable is the dimensionless ``lam * pi * r**2``.
+    Memoised: every argument is a scalar or a frozen ``QuadratureSpec``.
     """
     if threshold_scale <= 0.0:
         return 1.0
@@ -200,16 +208,14 @@ def _correction_poly(order, k):
     return a
 
 
-def deli_success_prob(s, quad=None):
-    """Probability the routing info reaches the serving edge cache.
+@functools.lru_cache(maxsize=128)
+def _deli_success(order, theta2, alpha1, quad):
+    """Routing-info success probability for one set of stage inputs.
 
-    SINR model: the nearest macro cell serves, every other macro cell
-    interferes, each link carrying an independent Gamma(order, 1)
-    aggregate gain with order nt_m * nr_e.
+    Memoised like ``_nearest_tx_success``; the coefficient array ``k``
+    lives only inside the call and is never cached.
     """
-    quad = quad or DEFAULT_QUADRATURE
-    order = s.nt_m * s.nr_e
-    k = _interference_coefficients(order, s.theta2, s.alpha1, quad)
+    k = _interference_coefficients(order, theta2, alpha1, quad)
     a = _correction_poly(order, k)
     decay = 1.0 + k[0]
 
@@ -223,6 +229,17 @@ def deli_success_prob(s, quad=None):
 
     rho = integrate_semi_infinite(integrand, 0.0, quad)
     return min(1.0, rho)
+
+
+def deli_success_prob(s, quad=None):
+    """Probability the routing info reaches the serving edge cache.
+
+    SINR model: the nearest macro cell serves, every other macro cell
+    interferes, each link carrying an independent Gamma(order, 1)
+    aggregate gain with order nt_m * nr_e.
+    """
+    quad = quad or DEFAULT_QUADRATURE
+    return _deli_success(s.nt_m * s.nr_e, s.theta2, s.alpha1, quad)
 
 
 def deli_delay(s, quad=None):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -171,6 +172,23 @@ def test_bad_param_syntax_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "sweep", "psi", "--values", "1",
                            "--targets", "p_in_edc", "--param", "psi:3")
     assert code == 1
+
+
+def test_bad_psi_value_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "optimize", "--param", "psi=abc")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "psi" in err
+
+
+def test_validate_rejects_non_positive_trials(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "validate", "--trials", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--trials" in err
+    assert caught == []
 
 
 def test_out_file_writing(tmp_path, capsys):

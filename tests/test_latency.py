@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcrnet import latency
+from mcrnet.cli import TARGETS, main
 from mcrnet.latency import (DelayBreakdown, LatencyError, access_delay,
                             access_success_prob, deli_delay,
                             deli_success_prob, fiber_delay, sinr_recursion,
                             total_latency, uplink_delay_parts,
                             uplink_request_delay, uplink_success_prob)
+from mcrnet.numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureSpec
 from mcrnet.scenario import load_scenario
 
 # frozen module outputs at the documented defaults (regression guards)
@@ -240,3 +245,96 @@ def test_deli_monotone_in_threshold():
              for th in (0.1, 0.3, 1.0, 3.0, 10.0)]
     assert all(0.0 < p <= 1.0 for p in probs)
     assert all(b < a for a, b in zip(probs, probs[1:]))
+
+
+# --- memoised stage success probabilities ---------------------------------
+
+STAGE_CACHES = (latency._nearest_tx_success, latency._deli_success)
+ANTENNAS_4 = {key: 4 for key in ("nt_u", "nr_m", "nt_m", "nr_e", "nt_s",
+                                 "nr_u")}
+
+
+def clear_stage_caches():
+    for cache in STAGE_CACHES:
+        cache.cache_clear()
+
+
+def stage_misses():
+    return sum(cache.cache_info().misses for cache in STAGE_CACHES)
+
+
+def stage_values(s):
+    return (uplink_success_prob(s), deli_success_prob(s),
+            access_success_prob(s))
+
+
+@pytest.mark.parametrize("overrides", [{}, ANTENNAS_4],
+                         ids=["default", "antennas_4"])
+def test_memoised_stages_equal_fresh_evaluation(overrides):
+    s = load_scenario(overrides=overrides)
+    before = stage_values(s)
+    clear_stage_caches()
+    fresh = stage_values(s)
+    assert stage_misses() == 3
+    again = stage_values(s)
+    assert stage_misses() == 3
+    assert before == fresh == again
+
+
+@pytest.mark.parametrize("overrides", [
+    {"theta2": 2.0}, {"alpha1": 4.5}, {"nt_m": 4}])
+def test_deli_memo_keys_on_its_inputs(overrides):
+    s = load_scenario()
+    assert (deli_success_prob(s.with_params(**overrides))
+            != deli_success_prob(s))
+
+
+def test_edge_density_adds_no_stage_miss():
+    s = load_scenario()
+    stage_values(s)
+    misses = stage_misses()
+    for lambda_e in (1.2e-5, 2e-5, 3e-5):
+        stage_values(s.with_params(lambda_e=lambda_e))
+    assert stage_misses() == misses
+
+
+def test_psi_sweep_integrates_each_stage_once(capsys):
+    clear_stage_caches()
+    values = ",".join(str(10 * i) for i in range(50))
+    code = main(["sweep", "psi", "--values", values,
+                 "--targets", ",".join(TARGETS)])
+    capsys.readouterr()
+    assert code == 0
+    assert stage_misses() <= 3
+
+
+def test_failed_quadrature_is_not_memoised():
+    s = load_scenario()
+    strict = QuadratureSpec(max_subdivisions=1, truncation="off")
+    sizes = [cache.cache_info().currsize for cache in STAGE_CACHES]
+    for prob_fn in (uplink_success_prob, deli_success_prob,
+                    access_success_prob):
+        with pytest.raises(NumericsError):
+            prob_fn(s, strict)
+    assert [cache.cache_info().currsize for cache in STAGE_CACHES] == sizes
+
+
+# alpha stays clear of 2, where the interference integrands decay like
+# v**-1 and the coefficient integrals diverge; thresholds span -20..+10 dB
+ORDERS = st.integers(min_value=1, max_value=16)
+THRESHOLDS = st.floats(min_value=1e-2, max_value=10.0)
+ALPHAS = st.floats(min_value=2.1, max_value=6.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(order=ORDERS, theta=THRESHOLDS, alpha=ALPHAS)
+def test_memoised_stage_equals_uncached_property(order, theta, alpha):
+    # unit area density, so the threshold scale is the dimensionless one
+    args = (1.0 / math.pi, order, theta, alpha, DEFAULT_QUADRATURE)
+    nearest = latency._nearest_tx_success(*args)
+    assert nearest == latency._nearest_tx_success.__wrapped__(*args)
+    assert 0.0 < nearest <= 1.0
+    deli = latency._deli_success(order, theta, alpha, DEFAULT_QUADRATURE)
+    assert deli == latency._deli_success.__wrapped__(
+        order, theta, alpha, DEFAULT_QUADRATURE)
+    assert 0.0 < deli <= 1.0
