@@ -22,8 +22,9 @@ from .montecarlo import (McEstimate, SampledTopology, estimate_access_success,
                          kth_nearest_distances, mean_distance_topology,
                          proportion_z, sample_ppp, sample_topology,
                          simulate_backhaul)
-from .multipath import (MultipathPlan, build_plan, delay_bounds,
-                        max_cooperative_paths, mean_kth_edc_distance,
+from .multipath import (MultipathPlan, build_plan, continuous_backhaul_coeff,
+                        delay_bounds, max_cooperative_paths,
+                        mean_kth_edc_distance,
                         mmwave_link_margin, mmwave_success_prob,
                         multipath_backhaul_delay, per_packet_path_delay,
                         relay_selection_prob, single_path_backhaul_delay)

@@ -26,6 +26,7 @@ from . import latency, montecarlo, multipath, optimizer
 from .energy import (load_energy_model, load_energy_model_file,
                      system_energy)
 from .multipath import MULTIPATH, SCHEMES, SINGLE_PATH
+from .numerics import NumericsError
 from .popularity import hit_probability, zipf
 from .scenario import (ScenarioError, load_scenario, load_scenario_file,
                        scenario_hash)
@@ -126,13 +127,21 @@ TARGETS = {
 }
 
 
+def _parse_psi(value):
+    """Cache size from the command line: a whole number of contents."""
+    try:
+        psi = float(value)
+    except ValueError as exc:
+        raise UsageError(f"psi must be a number, got {value!r}") from exc
+    if not psi.is_integer():
+        raise UsageError(f"psi must be a whole number, got {value!r}")
+    return int(psi)
+
+
 def _route_param(key, value, scenario_overrides, energy_overrides, extra):
     """Send a CLI key to the scenario, energy model or run extras."""
     if key == "psi":
-        try:
-            extra["psi"] = int(float(value))
-        except (ValueError, OverflowError) as exc:
-            raise UsageError(f"psi must be a number, got {value!r}") from exc
+        extra["psi"] = _parse_psi(value)
         return
     from .energy import _ENERGY_FIELDS, _YEAR_KEYS  # noqa: internal tables
     if key in _ENERGY_FIELDS or key in _YEAR_KEYS:
@@ -197,11 +206,21 @@ def cmd_sweep(args):
     spec = SweepSpec(param=args.sweep_param, grid=grid,
                      targets=tuple(args.targets.split(",")),
                      out=args.out, fmt=args.format)
+    if spec.param == "psi":
+        # the grid moves only the cache size, so every value is checked
+        # against the one scenario before any row is evaluated
+        k_total = _build_context(args).scenario.k_total
+        for value in spec.grid:
+            psi = _parse_psi(value)
+            if not 0 <= psi <= k_total:
+                raise UsageError(f"psi {psi} outside [0, {k_total}]")
 
     def one_row(value):
         row = {spec.param: value, "error": ""}
         try:
             ctx = _build_context(args, sweep_override=(spec.param, value))
+        except UsageError:
+            raise
         except Exception as exc:  # row-level failure, run continues
             row["error"] = str(exc)
             for t in spec.targets:
@@ -232,7 +251,7 @@ def cmd_optimize(args):
     meta = _metadata(ctx)
     try:
         outcome = optimizer.optimize_cache_density(
-            ctx.scenario, ctx.energy, scheme=args.scheme, jobs=args.jobs)
+            ctx.scenario, ctx.energy, scheme=args.scheme)
     except optimizer.NoFeasiblePairError as exc:
         report = {"feasible": False, "reduced_budget": exc.budget,
                   "message": str(exc), **meta}
@@ -251,9 +270,8 @@ def cmd_optimize(args):
             **meta,
         }
 
-    rows = [pair_row(p, system_energy(ctx.scenario, ctx.energy, p.psi,
-                                      lambda_e=p.lambda_e_crit).total)
-            for p in outcome.feasible_set]
+    rows = [pair_row(p, e) for p, e in zip(outcome.feasible_set,
+                                           outcome.e_sys)]
     if args.format == "json":
         payload = [{
             "best": pair_row(outcome.best_pair, outcome.e_sys_min),
@@ -410,7 +428,7 @@ def main(argv=None):
         if args.command == "optimize":
             return cmd_optimize(args)
         return cmd_validate(args)
-    except (UsageError, ScenarioError, OSError) as exc:
+    except (UsageError, ScenarioError, NumericsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

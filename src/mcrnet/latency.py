@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .numerics import DEFAULT_QUADRATURE, integrate_semi_infinite
+from .numerics import (DEFAULT_QUADRATURE, NumericsError,
+                       integrate_semi_infinite)
 
 
 class LatencyError(RuntimeError):
@@ -218,6 +219,13 @@ def _deli_success(order, theta2, alpha1, quad):
     k = _interference_coefficients(order, theta2, alpha1, quad)
     a = _correction_poly(order, k)
     decay = 1.0 + k[0]
+    # k_0 integrates a positive function, so the integrand below decays;
+    # decay <= 0 means the coefficient quadrature failed, as it does near
+    # alpha = 2 where that integrand falls off like v**(-alpha/2)
+    if not decay > 0.0:
+        raise NumericsError(
+            f"interference coefficient k_0 = {k[0]:.6g} < -1 for order "
+            f"{order}, threshold {theta2:g}, path-loss exponent {alpha1:g}")
 
     def integrand(xi):
         corr = 0.0

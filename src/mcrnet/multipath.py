@@ -143,28 +143,50 @@ def per_packet_path_delay(s, r_p, mode=CONTINUOUS, lambda_e=None):
                         + (hops - 1) / (p1 * p2_relay))
 
 
-def multipath_backhaul_delay(s, mode=CONTINUOUS, b=None, lambda_e=None):
-    """Buffer-window backhaul delay of the cooperative transfer.
+def continuous_backhaul_coeff(s, b=None):
+    """Coefficient ``A`` of the continuous-mode backhaul delay.
 
-    Continuous mode evaluates the closed form
+    The closed form
 
         ceil(buffer/packet) / sum_i (1/r_i)
             * 2 * tau * (1 + coeff * lambda_s / lambda_e)
             / (r_mmw * (1 + erf(f / (sqrt(2) * sigma))))
 
-    which equals the per-path maximum because inverse-distance shares make
-    every path's total identical.  Exact-ceil mode takes the explicit
-    maximum over paths with integer hop counts.
+    depends on the edge density only through the mean source distances,
+    which all scale as ``1/sqrt(lambda_e)``: ``sum_i 1/r_i = S_b *
+    sqrt(lambda_e)`` with ``S_b = sum_{p<=b} sqrt(pi) Gamma(p) /
+    Gamma(p + 1/2)``.  So the delay is
+    ``A * (1 + coeff * lambda_s / lambda_e) / sqrt(lambda_e)`` with
+
+        A = 2 * tau * ceil(buffer/packet)
+            / (S_b * r_mmw * (1 + erf(f / (sqrt(2) * sigma))))
+
+    for ``b`` paths (default scenario B).
+    """
+    b = s.b_paths if b is None else b
+    s_b = sum(math.sqrt(math.pi)
+              * math.exp(math.lgamma(p) - math.lgamma(p + 0.5))
+              for p in range(1, b + 1))
+    f = mmwave_link_margin(s)
+    erf_term = 1.0 + math.erf(f / (math.sqrt(2.0) * s.sigma_db))
+    return 2.0 * s.tau_mmw * buffer_packets(s) / (s_b * s.r_mmw * erf_term)
+
+
+def multipath_backhaul_delay(s, mode=CONTINUOUS, b=None, lambda_e=None):
+    """Buffer-window backhaul delay of the cooperative transfer.
+
+    Continuous mode evaluates the closed form of
+    :func:`continuous_backhaul_coeff`, which equals the per-path maximum
+    because inverse-distance shares make every path's total identical.
+    Exact-ceil mode takes the explicit maximum over paths with integer hop
+    counts.
     """
     plan = build_plan(s, mode, b, lambda_e)
     lam = s.lambda_e if lambda_e is None else lambda_e
-    packets = buffer_packets(s)
     if mode == CONTINUOUS:
-        f = mmwave_link_margin(s)
-        erf_term = 1.0 + math.erf(f / (math.sqrt(2.0) * s.sigma_db))
-        coverage = 1.0 + s.relay_coeff * s.lambda_s / lam
-        return (packets / (1.0 / plan.r).sum()
-                * 2.0 * s.tau_mmw * coverage / (s.r_mmw * erf_term))
+        return (continuous_backhaul_coeff(s, plan.b)
+                * (1.0 + s.relay_coeff * s.lambda_s / lam) / math.sqrt(lam))
+    packets = buffer_packets(s)
     per_path = np.array([
         plan.shares[p] * packets
         * per_packet_path_delay(s, plan.r[p], EXACT_CEIL, lambda_e=lam)

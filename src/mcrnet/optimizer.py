@@ -1,27 +1,32 @@
 """Two-step minimisation of service effective energy over (psi, lambda_e).
 
 Step 1 turns the delay budget into a per-cache-size critical edge
-density: cache size fixes the fiber-miss term, and the cooperative
-backhaul delay falls monotonically with density, so the tightest density
-meeting the budget is a root of a monotone equation.  Step 2 scans the
-resulting feasible pairs for the minimum areal system energy.  Interior
-densities above the critical one also meet the budget but always cost
-more energy, so only critical pairs need scoring.
+density.  Cache size fixes the fiber-miss term, and in continuous-hop
+mode the cooperative backhaul delay is ``A * (1 + c * lambda_s / lambda)
+/ sqrt(lambda)`` (mean neighbour distances scale as ``1/sqrt(lambda)``),
+so the tightest density meeting the budget is the one positive root of a
+cubic in ``sqrt(lambda)``, solved for every cache size in one vectorised
+Newton pass.  Step 2 scans the resulting feasible pairs for the minimum
+areal system energy.  Interior densities above the critical one also
+meet the budget but always cost more energy, so only critical pairs need
+scoring.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import latency, multipath
 from .energy import system_energy
 from .multipath import MULTIPATH, SCHEMES, SINGLE_PATH
-from .numerics import NumericsError, find_root_monotone
 from .popularity import zipf
 
-_SCHEMES = SCHEMES
-
-_DENSITY_TOL = 1e-16
+# status of one cache size in _critical_densities (_SKIPPED is 0: the
+# status array is built by summing the other two masks)
+_SKIPPED, _ROOTED, _CLAMPED = 0, 1, 2
+# Newton on the critical-density cubic converges quadratically: once a
+# step is below 1e-14 relative the iterate sits at rounding level.
+_NEWTON_RTOL = 1e-14
+_NEWTON_MAX_STEPS = 100
 
 
 class NoFeasiblePairError(RuntimeError):
@@ -67,6 +72,7 @@ class OptimizationOutcome:
     e_sys_min: float
     feasible_set: tuple
     skipped_psi: tuple
+    e_sys: tuple  # system energy of each feasible pair, in feasible_set order
 
 
 def reduced_delay_budget(s, quad=None):
@@ -83,15 +89,10 @@ def reduced_delay_budget(s, quad=None):
             - latency.access_delay(s, quad))
 
 
-def _backhaul_fn(s, scheme):
-    if scheme not in _SCHEMES:
+def _path_count(s, scheme):
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    b = 1 if scheme == SINGLE_PATH else s.b_paths
-
-    def fn(lam):
-        return multipath.multipath_backhaul_delay(s, b=b, lambda_e=lam)
-
-    return fn, b
+    return 1 if scheme == SINGLE_PATH else s.b_paths
 
 
 def _density_bracket(s, b):
@@ -102,7 +103,61 @@ def _density_bracket(s, b):
     return lo, s.lambda_s
 
 
-def critical_edc_density(s, psi, budget, scheme=MULTIPATH, quad=None):
+def _critical_densities(s, fiber_terms, budget, scheme):
+    """Critical density, residual and status for each fiber-miss term.
+
+    With ``x = sqrt(lambda)``, ``D(lambda) = T`` for the remaining budget
+    ``T = budget - fiber_term`` is the cubic ``T x^3 - A x^2 - K = 0``,
+    ``K = A * coeff * lambda_s``, which has one positive root.  Newton
+    steps from an upper bound on that root (the cubic is increasing and
+    convex to its right) fall monotonically onto it for all entries at
+    once.
+
+    Parameters
+    ----------
+    fiber_terms : numpy.ndarray
+        Fiber-miss delay of each cache size.
+
+    Returns
+    -------
+    (lam, residual, status) : numpy arrays shaped like ``fiber_terms``
+        ``status`` is ``_ROOTED`` where ``D(lam) + fiber_term = budget``
+        (``residual`` is the absolute mismatch), ``_CLAMPED`` where the
+        budget is slack across the whole bracket (``lam`` is its lower
+        end, ``residual`` 0) and ``_SKIPPED`` where the bracket is empty
+        or its densest end still misses the budget (``lam`` and
+        ``residual`` are 0).
+    """
+    b = _path_count(s, scheme)
+    lo, hi = _density_bracket(s, b)
+    a = multipath.continuous_backhaul_coeff(s, b)
+    coverage = s.relay_coeff * s.lambda_s
+
+    def excess(lam):
+        return (a * (1.0 + coverage / lam) / math.sqrt(lam)
+                + fiber_terms - budget)
+
+    clamped = (lo < hi) & (excess(lo) <= 0.0)
+    rooted = (lo < hi) & ~clamped & (excess(hi) <= 0.0)
+    status = _ROOTED * rooted + _CLAMPED * clamped
+
+    t = budget - fiber_terms[rooted]
+    k = a * coverage
+    x = (a / t + (k / t) ** (1.0 / 3.0)).clip(max=math.sqrt(hi))
+    for _ in range(_NEWTON_MAX_STEPS):
+        step = (x * x * (t * x - a) - k) / (x * (3.0 * t * x - 2.0 * a))
+        x -= step
+        if not (abs(step) > _NEWTON_RTOL * x).any():
+            break
+    lam = lo * clamped
+    lam[rooted] = x * x
+    residual = 0.0 * lam
+    residual[rooted] = abs(a * (1.0 + coverage / lam[rooted]) / x
+                           + fiber_terms[rooted] - budget)
+    return lam, residual, status
+
+
+def critical_edc_density(s, psi, budget, scheme=MULTIPATH):
     """Smallest edge density meeting the reduced budget at cache size psi.
 
     Returns
@@ -119,42 +174,28 @@ def critical_edc_density(s, psi, budget, scheme=MULTIPATH, quad=None):
     if not 1 <= psi <= s.k_total:
         raise ValueError(f"psi {psi} outside [1, {s.k_total}]")
     model = zipf(s.beta, s.k_total)
-    fiber_term = latency.fiber_delay(s) * (1.0 - float(model.q[:psi].sum()))
-    return _critical_density(s, psi, fiber_term, budget, scheme)
-
-
-def _critical_density(s, psi, fiber_term, budget, scheme):
-    if fiber_term > budget:
+    fiber_terms = latency.fiber_delay(s) * (
+        1.0 - model.q[:psi].sum(keepdims=True))
+    if fiber_terms[0] > budget:
         return None
-    bh, b = _backhaul_fn(s, scheme)
-    lo, hi = _density_bracket(s, b)
-    if lo >= hi:
-        raise DensityBracketError(psi, lo, hi)
-
-    def g(lam):
-        return bh(lam) + fiber_term - budget
-
-    g_lo = g(lo)
-    if g_lo <= 0.0:
-        # budget slack everywhere reachable: clamp to the lower bound
-        return FeasiblePair(psi=psi, lambda_e_crit=lo, residual=0.0,
-                            at_lower_bound=True)
-    if g(hi) > 0.0:
-        raise DensityBracketError(psi, lo, hi)
-    try:
-        root = find_root_monotone(g, lo, hi, tol=_DENSITY_TOL)
-    except NumericsError as exc:
-        raise DensityBracketError(psi, lo, hi) from exc
-    return FeasiblePair(psi=psi, lambda_e_crit=root, residual=abs(g(root)))
+    lam, residual, status = _critical_densities(s, fiber_terms, budget,
+                                                scheme)
+    if status[0] == _SKIPPED:
+        raise DensityBracketError(
+            psi, *_density_bracket(s, _path_count(s, scheme)))
+    return FeasiblePair(psi=psi, lambda_e_crit=float(lam[0]),
+                        residual=float(residual[0]),
+                        at_lower_bound=bool(status[0] == _CLAMPED))
 
 
-def optimize_cache_density(s, em, scheme=MULTIPATH, quad=None, jobs=None):
+def optimize_cache_density(s, em, scheme=MULTIPATH, quad=None):
     """Minimise areal system energy over feasible (psi, density) pairs.
 
-    Scans every cache size, solves its critical density (skipping sizes
-    whose fiber-miss term already busts the budget or that need a denser
-    deployment than allowed), then returns the energy-minimising pair.
-    Ties break towards the smaller cache size, then the smaller density.
+    Solves every cache size's critical density in one pass (skipping
+    sizes whose fiber-miss term already busts the budget or that need a
+    denser deployment than allowed), then returns the energy-minimising
+    pair.  Ties break towards the smaller cache size, then the smaller
+    density.
 
     Parameters
     ----------
@@ -162,9 +203,6 @@ def optimize_cache_density(s, em, scheme=MULTIPATH, quad=None, jobs=None):
     em : EnergyModel
     scheme : str
         ``"multipath"`` or ``"single-path"`` backhaul.
-    jobs : int, optional
-        Worker threads for the per-cache-size solves; the outcome is
-        identical for any value.
 
     Raises
     ------
@@ -172,36 +210,30 @@ def optimize_cache_density(s, em, scheme=MULTIPATH, quad=None, jobs=None):
         If no cache size is feasible (carries the reduced budget).
     """
     budget = reduced_delay_budget(s, quad)
-    model = zipf(s.beta, s.k_total)
-    fiber = latency.fiber_delay(s)
-    hit_cum = model.q.cumsum()
-
-    def solve(psi):
-        fiber_term = fiber * (1.0 - float(hit_cum[psi - 1]))
-        try:
-            return _critical_density(s, psi, fiber_term, budget, scheme)
-        except DensityBracketError:
-            return None
-
-    sizes = range(1, s.k_total + 1)
     if budget <= 0.0:
         raise NoFeasiblePairError(budget)
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            solved = list(pool.map(solve, sizes))
-    else:
-        solved = [solve(psi) for psi in sizes]
+    hit_cum = zipf(s.beta, s.k_total).q.cumsum()
+    fiber_terms = latency.fiber_delay(s) * (1.0 - hit_cum)
+    lam, residual, status = _critical_densities(s, fiber_terms, budget,
+                                                scheme)
 
-    feasible = tuple(pair for pair in solved if pair is not None)
-    skipped = tuple(psi for psi, pair in zip(sizes, solved) if pair is None)
+    feasible, skipped = [], []
+    for psi, (lam_psi, res_psi, st) in enumerate(
+            zip(lam.tolist(), residual.tolist(), status.tolist()), start=1):
+        if st == _SKIPPED:
+            skipped.append(psi)
+        else:
+            feasible.append(FeasiblePair(
+                psi=psi, lambda_e_crit=lam_psi, residual=res_psi,
+                at_lower_bound=st == _CLAMPED))
     if not feasible:
         raise NoFeasiblePairError(budget)
 
-    def score(pair):
-        e = system_energy(s, em, pair.psi, lambda_e=pair.lambda_e_crit).total
-        return (e, pair.psi, pair.lambda_e_crit)
-
-    scored = [(score(pair), pair) for pair in feasible]
-    (e_min, _, _), best = min(scored, key=lambda item: item[0])
-    return OptimizationOutcome(best_pair=best, e_sys_min=e_min,
-                               feasible_set=feasible, skipped_psi=skipped)
+    e_sys = tuple(system_energy(s, em, p.psi, lambda_e=p.lambda_e_crit).total
+                  for p in feasible)
+    best = min(range(len(feasible)),
+               key=lambda i: (e_sys[i], feasible[i].psi,
+                              feasible[i].lambda_e_crit))
+    return OptimizationOutcome(best_pair=feasible[best], e_sys_min=e_sys[best],
+                               feasible_set=tuple(feasible),
+                               skipped_psi=tuple(skipped), e_sys=e_sys)

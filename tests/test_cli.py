@@ -181,6 +181,49 @@ def test_bad_psi_value_is_usage_error(capsys):
     assert err.startswith("error:") and "psi" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("optimize", "--param", "psi=1.5"),
+    ("sweep", "beta", "--values", "0.8", "--targets", "p_in_edc",
+     "--param", "psi=1.5"),
+    ("sweep", "psi", "--values", "1,1.5", "--targets", "p_in_edc"),
+])
+def test_fractional_psi_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "psi" in err
+
+
+@pytest.mark.parametrize("values", ["400,600", "-1,0"])
+def test_psi_sweep_outside_library_is_usage_error(capsys, values):
+    code, out, err = run_cli(capsys, "sweep", "psi", f"--values={values}",
+                             "--targets", "p_in_edc")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "outside [0, 500]" in err
+
+
+def test_psi_sweep_accepts_library_ends(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "psi", "--values", "0,500",
+                           "--targets", "p_in_edc")
+    assert code == 0
+    assert [float(r["p_in_edc"]) for r in parse_csv(out)] == \
+        pytest.approx([0.0, 1.0], abs=1e-12)
+
+
+def test_alpha_near_two_is_named_error(capsys):
+    # the interference integrals diverge as alpha1 -> 2; the quadrature
+    # fails there and must end in a named error, not a traceback
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "optimize", "--param",
+                                 "alpha1=2.001")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "path-loss exponent 2.001" in err
+    assert [str(w.message) for w in caught] == []
+
+
 def test_validate_rejects_non_positive_trials(capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +318,22 @@ def test_failed_quadrature_is_not_memoised():
         with pytest.raises(NumericsError):
             prob_fn(s, strict)
     assert [cache.cache_info().currsize for cache in STAGE_CACHES] == sizes
+
+
+def test_alpha_near_two_raises_numerics_error_uncached():
+    # the coefficient quadrature loses the slowly decaying tail here and
+    # used to hand a negative coefficient to the delivery integrand
+    s = load_scenario(overrides={"alpha1": 2.001})
+    size = latency._deli_success.cache_info().currsize
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(2):
+            misses = latency._deli_success.cache_info().misses
+            with pytest.raises(NumericsError, match="path-loss exponent"):
+                deli_success_prob(s)
+            assert latency._deli_success.cache_info().misses == misses + 1
+    assert [str(w.message) for w in caught] == []
+    assert latency._deli_success.cache_info().currsize == size
 
 
 # alpha stays clear of 2, where the interference integrands decay like

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mcrnet.multipath import (CONTINUOUS, EXACT_CEIL, InfeasiblePlanError,
-                              build_plan, buffer_packets, delay_bounds,
+                              build_plan, buffer_packets,
+                              continuous_backhaul_coeff, delay_bounds,
                               max_cooperative_paths, mean_kth_edc_distance,
                               mmwave_link_margin, mmwave_success_prob,
                               multipath_backhaul_delay, per_packet_path_delay,
@@ -169,6 +170,24 @@ def test_backhaul_closed_form_value():
     expected = (1024 / inv_sum) * 2 * s.tau_mmw * (1 + 1.28 * 5.0) / (
         100.0 * (1 + math.erf(f / (math.sqrt(2) * 5.0))))
     assert multipath_backhaul_delay(s) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("b", (1, 2, 4, 9, 16))
+@pytest.mark.parametrize("lam", (5.5e-6, 1e-5, 3.3e-5))
+def test_coefficient_form_equals_per_path_sum(b, lam):
+    # the density enters only through 1/sqrt(lam): A(s, b) times that
+    # factor is the per-path form with the mean distances of build_plan
+    s = load_scenario().with_params(r_max=2000.0)
+    plan = build_plan(s, b=b, lambda_e=lam)
+    f = mmwave_link_margin(s)
+    coverage = 1.0 + s.relay_coeff * s.lambda_s / lam
+    per_path = (buffer_packets(s) / (1.0 / plan.r).sum()
+                * 2.0 * s.tau_mmw * coverage
+                / (s.r_mmw * (1.0 + math.erf(f / (math.sqrt(2.0)
+                                                  * s.sigma_db)))))
+    via_coeff = continuous_backhaul_coeff(s, b) * coverage / math.sqrt(lam)
+    assert via_coeff == pytest.approx(per_path, rel=1e-14)
+    assert multipath_backhaul_delay(s, b=b, lambda_e=lam) == via_coeff
 
 
 def test_per_path_totals_equalised_in_continuous_mode():

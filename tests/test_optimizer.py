@@ -1,8 +1,13 @@
-import pytest
+import math
 
-from mcrnet import latency, multipath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mcrnet import latency, multipath, optimizer
 from mcrnet.energy import load_energy_model, system_energy
-from mcrnet.multipath import SINGLE_PATH
+from mcrnet.multipath import MULTIPATH, SINGLE_PATH
+from mcrnet.numerics import find_root_monotone
 from mcrnet.optimizer import (DensityBracketError, NoFeasiblePairError,
                               critical_edc_density, optimize_cache_density,
                               reduced_delay_budget)
@@ -110,6 +115,7 @@ def test_optimum_matches_exhaustive_enumeration(scenario, energy):
                p.psi, p.lambda_e_crit)
               for p in outcome.feasible_set]
     best_e, best_psi, best_lam = min(scored)
+    assert outcome.e_sys == tuple(e for e, _, _ in scored)
     assert outcome.e_sys_min == best_e
     assert outcome.best_pair.psi == best_psi
     assert outcome.best_pair.lambda_e_crit == best_lam
@@ -117,11 +123,9 @@ def test_optimum_matches_exhaustive_enumeration(scenario, energy):
         scenario.k_total
 
 
-def test_optimizer_deterministic_across_jobs(scenario, energy):
-    base = optimize_cache_density(scenario, energy)
-    assert optimize_cache_density(scenario, energy) == base
-    assert optimize_cache_density(scenario, energy, jobs=4) == base
-    assert optimize_cache_density(scenario, energy, jobs=13) == base
+def test_optimizer_deterministic_across_repeats(scenario, energy):
+    assert optimize_cache_density(scenario, energy) == \
+        optimize_cache_density(scenario, energy)
 
 
 def test_feasibility_monotone_in_cache_size(scenario, energy):
@@ -179,3 +183,66 @@ def test_toy_model_brute_force(energy):
     assert best is not None
     assert outcome.e_sys_min == best[0]
     assert outcome.best_pair.psi == best[1]
+
+
+def test_pairs_hold_python_scalars(scenario, energy):
+    # rows are serialised with json/csv, which must not see numpy scalars;
+    # at this budget small caches need a root and large ones are clamped
+    s = scenario.with_params(d_max=0.07)
+    outcome = optimize_cache_density(s, energy)
+    budget = reduced_delay_budget(s)
+    single = tuple(critical_edc_density(s, psi, budget)
+                   for psi in (1, s.k_total))
+    assert [p.at_lower_bound for p in single] == [False, True]
+    for pair in outcome.feasible_set + single:
+        assert type(pair.psi) is int
+        assert type(pair.lambda_e_crit) is float
+        assert type(pair.residual) is float
+        assert type(pair.at_lower_bound) is bool
+    assert all(type(e) is float for e in outcome.e_sys)
+
+
+# g(lo) or g(hi) this close to 0 (relative to the budget) is a tie that
+# rounding may send either way
+BOUNDARY_REL = 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d_max=st.floats(4e-3, 4e-2), beta=st.floats(0.2, 1.6),
+       b_paths=st.integers(1, 16), r_max_scale=st.floats(1.001, 4.0),
+       lambda_s=st.floats(1.2e-5, 3e-4), psi=st.integers(1, 500))
+def test_cubic_root_matches_root_finder_property(d_max, beta, b_paths,
+                                                 r_max_scale, lambda_s, psi):
+    # oracle: the bracket test and brentq on D(lambda) + fiber - budget,
+    # with D evaluated through the public backhaul delay
+    base = load_scenario()
+    # just above the smallest r_max the scenario accepts for b_paths
+    r_min = math.sqrt(b_paths / (math.pi * base.lambda_e))
+    s = base.with_params(d_max=d_max, beta=beta, b_paths=b_paths,
+                         r_max=r_max_scale * r_min, lambda_s=lambda_s)
+    budget = reduced_delay_budget(s)
+    fiber_terms = latency.fiber_delay(s) * (
+        1.0 - zipf(beta, s.k_total).q.cumsum())
+    lam, residual, status = optimizer._critical_densities(
+        s, fiber_terms, budget, MULTIPATH)
+    fiber_term = fiber_terms[psi - 1]
+
+    def g(x):
+        return (multipath.multipath_backhaul_delay(s, b=b_paths, lambda_e=x)
+                + fiber_term - budget)
+
+    lo, hi = optimizer._density_bracket(s, b_paths)
+    g_lo, g_hi = g(lo), g(hi)
+    if min(abs(g_lo), abs(g_hi)) <= BOUNDARY_REL * abs(budget):
+        return
+    if g_lo <= 0.0:
+        assert status[psi - 1] == optimizer._CLAMPED
+        assert (lam[psi - 1], residual[psi - 1]) == (lo, 0.0)
+    elif g_hi > 0.0:
+        assert status[psi - 1] == optimizer._SKIPPED
+    else:
+        assert status[psi - 1] == optimizer._ROOTED
+        root = find_root_monotone(g, lo, hi, tol=1e-30)
+        assert lam[psi - 1] == pytest.approx(root, rel=1e-10)
+        assert abs(g(lam[psi - 1])) <= 1e-12 * budget
+        assert residual[psi - 1] <= 1e-12 * budget
