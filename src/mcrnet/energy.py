@@ -10,7 +10,7 @@ and must be excluded from minimisation rather than preferred.
 import warnings
 from dataclasses import dataclass, fields
 
-from .scenario import SECONDS_PER_YEAR, ScenarioError
+from .scenario import SECONDS_PER_YEAR, ScenarioError, parse_config_text
 
 
 @dataclass(frozen=True)
@@ -66,22 +66,7 @@ def normalize_energy_key(key, raw_value):
 
 def load_energy_model(text=None, overrides=None):
     """Build an energy model from flat key/value text plus overrides."""
-    si = {}
-    if text:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            for sep in ("=", ":"):
-                if sep in line:
-                    key, _, value = line.partition(sep)
-                    break
-            else:
-                raise ScenarioError(
-                    f"line {lineno}: expected 'key = value', got {raw!r}")
-            mapped = normalize_energy_key(key.strip(), value.strip())
-            if mapped is not None:
-                si[mapped[0]] = mapped[1]
+    si = parse_config_text(text, normalize_energy_key) if text else {}
     for key, value in (overrides or {}).items():
         mapped = normalize_energy_key(key, value)
         if mapped is not None:

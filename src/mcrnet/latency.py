@@ -129,20 +129,26 @@ def _interference_coefficients(order, theta, alpha, quad):
     normalised squared distance ratio of interferers.
     """
     half_alpha = alpha / 2.0
-    prefactor = theta ** (1.0 / half_alpha)
-    lower = theta ** (-1.0 / half_alpha)
     k = np.empty(order + 1)
 
-    def base(v):
-        # stable form of 1 - (1 + v^-a/2)^-order for tiny arguments
-        return -math.expm1(-order * math.log1p(v ** -half_alpha))
+    # integrated over u = v * theta**(2/alpha) on [1, inf), so the
+    # integrands start at O(1) and need no prefactor whatever theta is
+    def base(u):
+        # stable form of 1 - (1 + theta u^-a/2)^-order for tiny arguments
+        return -math.expm1(-order * math.log1p(theta * u ** -half_alpha))
 
-    k[0] = prefactor * integrate_semi_infinite(base, lower, quad)
-    for q in range(1, order + 1):
-        def deriv(v, q=q):
-            return ((1.0 + v ** half_alpha) ** (-q)
-                    * (1.0 + v ** -half_alpha) ** (-order))
-        k[q] = prefactor * integrate_semi_infinite(deriv, lower, quad)
+    try:
+        k[0] = integrate_semi_infinite(base, 1.0, quad)
+        for q in range(1, order + 1):
+            def deriv(u, q=q):
+                return ((1.0 + u ** half_alpha / theta) ** (-q)
+                        * (1.0 + theta * u ** -half_alpha) ** (-order))
+            k[q] = integrate_semi_infinite(deriv, 1.0, quad)
+    except NumericsError as err:
+        # near alpha = 2 the integrands fall off like u**(-alpha/2)
+        raise NumericsError(
+            f"interference coefficients for order {order}, threshold "
+            f"{theta:g}, path-loss exponent {alpha:g}: {err}") from err
     return k
 
 
@@ -220,8 +226,7 @@ def _deli_success(order, theta2, alpha1, quad):
     a = _correction_poly(order, k)
     decay = 1.0 + k[0]
     # k_0 integrates a positive function, so the integrand below decays;
-    # decay <= 0 means the coefficient quadrature failed, as it does near
-    # alpha = 2 where that integrand falls off like v**(-alpha/2)
+    # decay <= 0 means the coefficient quadrature returned a wrong value
     if not decay > 0.0:
         raise NumericsError(
             f"interference coefficient k_0 = {k[0]:.6g} < -1 for order "

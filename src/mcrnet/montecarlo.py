@@ -5,6 +5,14 @@ fields, Gamma aggregate gains, log-normal shadowing, slotted retries) and
 reports a mean with its standard error, so the library's quadrature-based
 results can be checked to within sampling noise.
 
+The distance-based oracles use the ordered construction of a planar
+Poisson field of density ``lam`` (mapping theorem): the values
+``pi * lam * r**2`` over its points in distance order form a unit-rate
+Poisson process on the line.  So the k-th nearest squared distance is
+``Gamma(k, 1) / (pi * lam)``, the nearest is ``Exp(1) / (pi * lam)``,
+and the ordered squared distances are cumulative sums of Exp(1) draws
+over ``pi * lam``; no trial samples a point count or a disc.
+
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream path)``: every batch owns an independent substream, so
 results are bit-reproducible and independent of execution order.
@@ -21,6 +29,9 @@ from . import multipath
 from .multipath import MULTIPATH, SCHEMES
 
 _CHUNK = 50_000
+# macro cells per delivery trial: the mean count of a disc of radius
+# 8 / sqrt(lambda_m), beyond which interference enters as its mean
+_DELI_POINTS = math.ceil(64 * math.pi)
 
 
 class TopologyError(RuntimeError):
@@ -121,87 +132,20 @@ def proportion_z(est, analytic):
     return (est.mean - analytic) / math.sqrt(var / est.n_samples)
 
 
-def _counts_and_uniform_sq_radii(rng, mean_count, chunk):
-    """Poisson point counts plus concatenated squared radii in [0, 1]."""
-    counts = rng.poisson(mean_count, size=chunk)
-    sq = rng.random(int(counts.sum()))
-    return counts, sq
-
-
-def _segment_min(values, counts):
-    """Per-segment minimum of a packed ragged array; inf for empty rows."""
-    out = np.full(len(counts), np.inf)
-    if values.size == 0:
-        return out
-    nonzero = counts > 0
-    starts = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    out[nonzero] = np.minimum.reduceat(values, starts[nonzero])
-    return out
-
-
-def _nearest_distances(rng, lam, region_radius, chunk):
-    mean_count = lam * math.pi * region_radius ** 2
-    counts, sq = _counts_and_uniform_sq_radii(rng, mean_count, chunk)
-    return region_radius * np.sqrt(_segment_min(sq, counts))
-
-
-def kth_nearest_distances(lambda_e, k, trials, seed=0, region=None):
+def kth_nearest_distances(lambda_e, k, trials, seed=0):
     """Sampled distances to the k-th nearest point of a Poisson field.
 
-    The region is sized so censoring (fewer than k points) is rare.  A
-    censored trial keeps its points and grows the region: the field on a
-    larger disc is the field on the smaller one plus an independent
-    annulus population, so the expansion is exact, not a resample.
+    ``pi * lambda_e * r_k**2`` is the k-th arrival of a unit-rate Poisson
+    process on the line, so it is drawn directly as Gamma(k, 1).
     """
     if k < 1 or lambda_e <= 0:
         raise ValueError("need k >= 1 and lambda_e > 0")
-    if region is None:
-        mean0 = max(25.0 * math.pi, k + 10.0 * math.sqrt(k) + 10.0)
-        region = math.sqrt(mean0 / (lambda_e * math.pi))
     out = np.empty(trials)
     for chunk_idx, start in enumerate(range(0, trials, _CHUNK)):
         m = min(_CHUNK, trials - start)
         rng = substream(seed, 0, chunk_idx)
-        dist, missing = _kth_in_disc(rng, lambda_e, k, region, m)
-        inner_sq = region ** 2
-        attempt = 1
-        while missing:
-            outer_sq = inner_sq * 4.0
-            rng_a = substream(seed, 0, chunk_idx, attempt)
-            mean_annulus = lambda_e * math.pi * (outer_sq - inner_sq)
-            still = {}
-            for trial, short in missing.items():
-                n_new = rng_a.poisson(mean_annulus)
-                if n_new >= short:
-                    sq = inner_sq + (outer_sq - inner_sq) * rng_a.random(n_new)
-                    dist[trial] = math.sqrt(
-                        np.partition(sq, short - 1)[short - 1])
-                else:
-                    still[trial] = short - n_new
-            missing = still
-            inner_sq = outer_sq
-            attempt += 1
-            if attempt > 40:
-                raise TopologyError(
-                    "region expansion failed to cover k points")
-        out[start:start + m] = dist
-    return out
-
-
-def _kth_in_disc(rng, lam, k, region, m):
-    """k-th nearest distance per trial; censored trials report how many
-    points they are short of k."""
-    mean_count = lam * math.pi * region ** 2
-    counts = rng.poisson(mean_count, size=m)
-    max_n = max(int(counts.max()) if m else 0, k)
-    rect = rng.random((m, max_n))
-    rect[np.arange(max_n) >= counts[:, None]] = np.inf
-    kth_sq = np.partition(rect, k - 1, axis=1)[:, k - 1]
-    dist = region * np.sqrt(kth_sq)
-    missing = {int(i): int(k - counts[i])
-               for i in np.flatnonzero(counts < k)}
-    return dist, missing
+        out[start:start + m] = rng.standard_gamma(k, m)
+    return np.sqrt(out / (math.pi * lambda_e))
 
 
 def estimate_kth_nearest(lambda_e, k, trials, seed=0):
@@ -214,16 +158,19 @@ def estimate_kth_nearest(lambda_e, k, trials, seed=0):
 
 def _nearest_threshold_successes(lam, order, threshold_scale, alpha,
                                  trials, seed):
-    """Trials where a Gamma(order, 1) gain beats a distance-based threshold."""
-    region = 5.0 / math.sqrt(lam)
+    """Trials where a Gamma(order, 1) gain beats a distance-based threshold.
+
+    The nearest squared distance is Exp(1) / (pi * lam), so the threshold
+    ``threshold_scale * r**alpha`` is taken from it without a square root.
+    """
     successes = 0
     for chunk_idx, start in enumerate(range(0, trials, _CHUNK)):
         m = min(_CHUNK, trials - start)
         rng = substream(seed, 1, chunk_idx)
-        r = _nearest_distances(rng, lam, region, m)
+        r_sq = rng.standard_exponential(m) / (math.pi * lam)
         gains = rng.gamma(order, size=m)
         with np.errstate(over="ignore"):
-            threshold = threshold_scale * r ** alpha
+            threshold = threshold_scale * r_sq ** (alpha / 2.0)
         successes += int(np.count_nonzero(gains >= threshold))
     return successes
 
@@ -249,47 +196,35 @@ def estimate_access_success(s, trials=1_000_000, seed=0):
 def estimate_deli_success(s, trials=1_000_000, seed=0, noise_power=None):
     """Oracle for the routing-info delivery success probability.
 
-    Samples the macro-cell field, serves from the nearest node and treats
-    all others as interferers, each link with an independent
-    Gamma(order, 1) aggregate gain.  Interference beyond the sampled
-    region is added as its (deterministic) expectation; its fluctuation
-    is negligible at the region size used.  ``noise_power`` overrides the
-    default receiver noise ``n0 * w_mmw`` (Watts).
+    Each trial takes the 202 (``_DELI_POINTS``) nearest macro cells,
+    serves from the nearest and treats the others as interferers, each
+    link with an independent Gamma(order, 1) aggregate gain.  In distance
+    order the values ``t = pi * lambda_m * r**2`` are the arrivals of a
+    unit-rate Poisson process, cumulative sums of Exp(1) draws, so column
+    0 is the serving cell.  The SINR test runs in these units: path loss
+    ``t**(-alpha/2)``, noise scaled by ``(pi * lambda_m)**(-alpha/2)``.
+    Interference beyond the last sampled point ``t_N`` is added as its
+    exact conditional mean ``order * 2 * t_N**(1 - alpha/2) / (alpha - 2)``;
+    its fluctuation is far below the sampling noise.  ``noise_power``
+    overrides the default receiver noise ``n0 * w_mmw`` (Watts).
     """
     order = s.nt_m * s.nr_e
-    lam = s.lambda_m
     alpha = s.alpha1
-    region = 8.0 / math.sqrt(lam)
-    mean_count = lam * math.pi * region ** 2
-    # mean far-field contribution to sum(g_l * r_l^-alpha) beyond the region;
-    # its fluctuation is O(region^(1-alpha)) and far below the sampling noise
-    far_mean = order * 2.0 * math.pi * lam * region ** (2.0 - alpha) / (alpha - 2.0)
+    half = alpha / 2.0
     sigma_z2 = s.n0 * s.w_mmw if noise_power is None else noise_power
-    noise = s.nt_m * sigma_z2 / s.p_m
+    noise = s.nt_m * sigma_z2 / s.p_m * (math.pi * s.lambda_m) ** -half
     successes = 0
-    chunk = max(1, int(_CHUNK * 100 / max(mean_count, 100)))
+    chunk = _CHUNK * 100 // _DELI_POINTS
     for chunk_idx, start in enumerate(range(0, trials, chunk)):
         m = min(chunk, trials - start)
         rng = substream(seed, 2, chunk_idx)
-        counts, sq = _counts_and_uniform_sq_radii(rng, mean_count, m)
-        gains = rng.gamma(order, size=sq.size)
-        contrib = gains * (region * np.sqrt(sq)) ** (-alpha)
-        nonzero = counts > 0
-        starts = np.zeros(m, dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        totals = np.zeros(m)
-        min_sq = np.full(m, np.inf)
-        if sq.size:
-            totals[nonzero] = np.add.reduceat(contrib, starts[nonzero])
-            min_sq[nonzero] = np.minimum.reduceat(sq, starts[nonzero])
-        # locate the serving (nearest) point to split its gain out
-        is_min = sq == np.repeat(min_sq, counts)
-        pos = np.flatnonzero(is_min)
-        seg = np.searchsorted(starts, pos, side="right") - 1
-        _, first = np.unique(seg, return_index=True)
-        serving_power = contrib[pos[first]]
-        interference = totals[nonzero] - serving_power + far_mean
-        ok = serving_power >= s.theta2 * (interference + noise)
+        t = rng.standard_exponential((m, _DELI_POINTS))
+        np.cumsum(t, axis=1, out=t)
+        far_mean = order * 2.0 * t[:, -1] ** (1.0 - half) / (alpha - 2.0)
+        power = rng.gamma(order, size=t.shape)
+        power *= np.power(t, -half, out=t)
+        interference = power[:, 1:].sum(axis=1) + far_mean
+        ok = power[:, 0] >= s.theta2 * (interference + noise)
         successes += int(np.count_nonzero(ok))
     return _proportion_estimate(successes, trials, seed)
 

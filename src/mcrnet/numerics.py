@@ -23,8 +23,8 @@ class QuadratureSpec:
 
     ``truncation`` selects the fallback used when the transformed adaptive
     rule fails to converge: ``"adaptive"`` truncates the domain where the
-    integrand has decayed below ``abs_tol`` times its peak, ``"off"``
-    raises immediately.
+    integrand has decayed below ``abs_tol`` times its peak (and raises if
+    the dropped tail exceeds the tolerance), ``"off"`` raises immediately.
     """
 
     rel_tol: float = 1e-9
@@ -81,7 +81,8 @@ def integrate_semi_infinite(f, lower=0.0, spec=None):
     ------
     NumericsError
         If the adaptive rule and the truncation fallback both fail to
-        reach the requested tolerance.
+        reach the requested tolerance, including when the fallback's
+        neglected tail, estimated as ``upper * |f(upper)|``, exceeds it.
     """
     spec = spec or DEFAULT_QUADRATURE
     with warnings.catch_warnings():
@@ -130,6 +131,13 @@ def _truncated_integral(f, lower, spec):
     if not _quad_ok(value, abserr, spec):
         raise NumericsError(
             f"quadrature failed on truncated domain [{lower}, {upper}]")
+    # upper * |f(upper)| is the order of the neglected tail when f decays
+    # like a power of x; for slow decay it dwarfs the kept integral
+    tail = upper * abs(f(upper))
+    if not _quad_ok(value, tail, spec):
+        raise NumericsError(
+            f"neglected tail beyond {upper:g} (about {tail:.3g}) exceeds "
+            f"the tolerance on the truncated integral {value:.6g}")
     return value
 
 

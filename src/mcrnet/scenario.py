@@ -204,11 +204,12 @@ def normalize_key(key, raw_value):
     return None
 
 
-def parse_config_text(text):
+def parse_config_text(text, mapper=normalize_key):
     """Parse flat ``key = value`` text into ``{field: SI value}``.
 
     Blank lines and ``#`` comments are skipped; ``key: value`` is accepted
-    too.  Unknown keys warn and are dropped.
+    too.  ``mapper(key, raw_value)`` gives ``(field, SI value)``, or None
+    for an unknown key after warning; the energy model passes its own.
     """
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -221,7 +222,7 @@ def parse_config_text(text):
                 break
         else:
             raise ScenarioError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        mapped = normalize_key(key.strip(), value.strip())
+        mapped = mapper(key.strip(), value.strip())
         if mapped is not None:
             out[mapped[0]] = mapped[1]
     return out

@@ -224,6 +224,20 @@ def test_alpha_near_two_is_named_error(capsys):
     assert [str(w.message) for w in caught] == []
 
 
+def test_alpha_barely_above_two_is_named_error(capsys):
+    # here the coefficient quadrature falls back to truncation, which
+    # drops most of the slowly decaying tail; that must be an error, not
+    # a wrong success probability
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "optimize", "--param",
+                                 "alpha1=2.00001")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "neglected tail" in err
+    assert [str(w.message) for w in caught] == []
+
+
 def test_validate_rejects_non_positive_trials(capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

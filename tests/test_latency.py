@@ -122,6 +122,16 @@ def test_sinr_recursion_k0_vanishes_with_threshold():
     assert state.k[0] < 1e-5
 
 
+def test_k0_small_threshold_limit():
+    # 1 - (1 + theta u^-a)^-order = order theta u^-a + O(theta^2), so
+    # k_0 -> order theta / (alpha / 2 - 1); the unscaled integral over
+    # [theta^(-2/alpha), inf) fell back to truncation here
+    order, theta, alpha = 2, 1e-9, 3.5
+    state = sinr_recursion(order, theta, alpha, 5e-6, 250.0)
+    assert state.k[0] == pytest.approx(
+        order * theta / (alpha / 2.0 - 1.0), rel=1e-6)
+
+
 def test_sinr_recursion_coefficients_match_fixed_grid():
     # independent oracle: trapezoid integration on a huge flat grid
     theta, alpha, order = 1.0, 4.0, 2

@@ -79,16 +79,65 @@ def test_kth_nearest_reproducible():
     assert a == b
 
 
-def test_kth_nearest_region_expansion_is_unbiased():
-    # a deliberately tiny region censors most trials; the annulus
-    # expansion must still reproduce the closed-form mean
-    lam, k = 1e-5, 3
-    ref = multipath.mean_kth_edc_distance(lam, k)
-    small = ref * 0.8  # P(kth distance > region) is large
-    samples = kth_nearest_distances(lam, k, trials=60_000, seed=SEED,
-                                    region=small)
-    se = samples.std(ddof=1) / math.sqrt(len(samples))
-    assert abs(samples.mean() - ref) <= 3.0 * se
+def _disc_sq_radii(rng, lam, radius, trials):
+    """Brute-force Poisson fields on a disc, one row per trial.
+
+    A Poisson point count and uniform positions, as in ``sample_ppp``;
+    only squared distances from the centre matter, and a uniform point
+    on the disc has a squared radius uniform on [0, radius**2].  Rows are
+    padded with inf beyond their count.
+    """
+    counts = rng.poisson(lam * math.pi * radius ** 2, size=trials)
+    width = int(counts.max())
+    sq = radius ** 2 * rng.random((trials, width))
+    sq[np.arange(width) >= counts[:, None]] = np.inf
+    return sq
+
+
+def test_kth_nearest_matches_brute_force_disc_sampling():
+    # independent oracle for the ordered (Gamma) construction; the disc
+    # holds 25 pi points on average, so fewer than 3 has probability
+    # below 1e-30
+    lam, trials = 1e-5, 20_000
+    rng = np.random.default_rng(SEED)
+    sq = np.sort(_disc_sq_radii(rng, lam, 5.0 / math.sqrt(lam), trials),
+                 axis=1)
+    for k in (1, 2, 3):
+        brute = np.sqrt(sq[:, k - 1])
+        ordered = kth_nearest_distances(lam, k, trials, seed=SEED + k)
+        assert stats.ks_2samp(brute, ordered).pvalue > 1e-3, k
+
+
+def _brute_force_deli_successes(s, trials, rng):
+    # every macro cell in a disc of radius 8 / sqrt(lambda_m), the nearest
+    # serving; interference beyond the disc enters as its mean
+    order = s.nt_m * s.nr_e
+    lam, alpha = s.lambda_m, s.alpha1
+    radius = 8.0 / math.sqrt(lam)
+    far_mean = (order * 2.0 * math.pi * lam * radius ** (2.0 - alpha)
+                / (alpha - 2.0))
+    noise = s.nt_m * s.n0 * s.w_mmw / s.p_m
+    sq = _disc_sq_radii(rng, lam, radius, trials)
+    power = rng.gamma(order, size=sq.shape) * sq ** (-alpha / 2.0)
+    serving = np.take_along_axis(power, sq.argmin(axis=1)[:, None], 1)[:, 0]
+    interference = power.sum(axis=1) - serving + far_mean
+    return int(np.count_nonzero(serving >= s.theta2 * (interference + noise)))
+
+
+# at the default noise density the delivery link is interference-limited;
+# n0 = 4e-15 W/Hz halves its success probability, which checks the noise
+@pytest.mark.parametrize("overrides",
+                         [{}, {"nt_m": 1, "nr_e": 1}, {"n0": 4e-15}],
+                         ids=["default", "rayleigh", "noisy"])
+def test_deli_oracle_matches_brute_force_disc_sampling(overrides):
+    s = load_scenario(overrides=overrides)
+    trials = 40_000
+    rng = np.random.default_rng(SEED)
+    brute = _brute_force_deli_successes(s, trials, rng) / trials
+    est = estimate_deli_success(s, trials=trials, seed=SEED)
+    combined_se = math.sqrt(brute * (1.0 - brute) / trials
+                            + est.std_error ** 2)
+    assert abs(est.mean - brute) <= 3.0 * combined_se
 
 
 def test_kth_nearest_validates_args():

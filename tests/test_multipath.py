@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcrnet.multipath import (CONTINUOUS, EXACT_CEIL, InfeasiblePlanError,
                               build_plan, buffer_packets,
@@ -273,6 +275,30 @@ def test_bounds_tighten_towards_dense_limit():
     assert all(g > 0 for g in gaps)
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 0.05 * lower
+
+
+# edge densities over two decades above the default macro density 5e-6
+LOG_LAMBDA_E = st.floats(math.log10(6e-6), math.log10(6e-4))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(b_paths=st.integers(1, 16), log_lams=st.lists(
+           LOG_LAMBDA_E, min_size=2, max_size=2, unique=True),
+       s_over_e=st.floats(1.01, 10.0), r_max_scale=st.floats(1.001, 4.0))
+def test_continuous_delay_decreasing_and_bounded_property(
+        b_paths, log_lams, s_over_e, r_max_scale):
+    lam_lo, lam_hi = sorted(10.0 ** x for x in log_lams)
+    # r_max just above the smallest the sparser density accepts for b_paths
+    s = load_scenario().with_params(
+        b_paths=b_paths, lambda_e=lam_lo, lambda_s=s_over_e * lam_hi,
+        r_max=r_max_scale * math.sqrt(b_paths / (math.pi * lam_lo)))
+    d_lo = multipath_backhaul_delay(s)
+    d_hi = multipath_backhaul_delay(s, lambda_e=lam_hi)
+    assert d_hi < d_lo
+    if b_paths > 1:  # delay_bounds needs more than one path
+        for lam, d in ((lam_lo, d_lo), (lam_hi, d_hi)):
+            lower, upper = delay_bounds(s.with_params(lambda_e=lam))
+            assert lower < d < upper
 
 
 def test_bounds_preconditions():

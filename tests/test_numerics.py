@@ -72,6 +72,13 @@ def test_integrate_rejects_nondecaying():
         integrate_semi_infinite(lambda x: math.sin(x) + 1.5)
 
 
+def test_integrate_rejects_truncation_that_drops_a_slow_tail():
+    # the fallback cuts v**-1.0005 near 1e13, where the neglected tail
+    # (about 2000 of the true 2000) dwarfs the tolerance
+    with pytest.raises(NumericsError, match="neglected tail"):
+        integrate_semi_infinite(lambda v: v ** -1.0005, 1.0)
+
+
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
