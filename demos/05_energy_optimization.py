@@ -6,7 +6,7 @@ needs sparser deployments than the single-path baseline at every cache
 size, which is where its energy advantage comes from.
 """
 
-from mcrnet.energy import load_energy_model, system_energy
+from mcrnet.energy import load_energy_model
 from mcrnet.multipath import SINGLE_PATH
 from mcrnet.optimizer import optimize_cache_density, reduced_delay_budget
 from mcrnet.scenario import load_scenario
@@ -28,7 +28,7 @@ for scheme in ("multipath", SINGLE_PATH):
     print(f"  {scheme:<12} best psi = {best.psi:3d}, critical density "
           f"{best.lambda_e_crit * 1e6:6.2f} /km^2, "
           f"E_sys = {out.e_sys_min:.4g} J/m^2 "
-          f"({len(out.feasible_set)} feasible sizes)")
+          f"({len(out.psi)} feasible sizes)")
 
 multi, single = outcomes["multipath"], outcomes[SINGLE_PATH]
 print(f"  multipath reduces the minimum SEE by "
@@ -37,15 +37,15 @@ print(f"  multipath reduces the minimum SEE by "
 print()
 print("=== the trade-off along the multipath feasible set ===")
 print(f"{'psi':>5} {'lambda_e /km^2':>15} {'E_sys J/m^2':>13}")
-by_psi = {p.psi: p for p in multi.feasible_set}
+row_of = {psi: i for i, psi in enumerate(multi.psi)}
 for psi in (1, 50, 100, 189, 300, 400, 500):
-    pair = by_psi.get(psi)
-    if pair is None:
+    if psi not in row_of:
         print(f"{psi:5d} {'infeasible':>15}")
         continue
-    e = system_energy(s, em, psi, lambda_e=pair.lambda_e_crit).total
+    lam = multi.lambda_e_crit[row_of[psi]]
+    e = multi.e_sys[row_of[psi]]
     marker = "  <- optimum" if psi == multi.best_pair.psi else ""
-    print(f"{psi:5d} {pair.lambda_e_crit * 1e6:15.3f} {e:13.4g}{marker}")
+    print(f"{psi:5d} {lam * 1e6:15.3f} {e:13.4g}{marker}")
 
 print()
 print("bigger caches cut fiber misses so sparser deployments meet the "

@@ -15,11 +15,11 @@ optimisation, 3 validation failures present.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import latency, montecarlo, multipath, optimizer
@@ -175,16 +175,23 @@ def _fmt_value(v):
     return str(v)
 
 
+def _csv_text(rows):
+    """Lines of CSV, each row's cells quoted as ``csv.writer`` needs."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _emit(rows, columns, fmt, out):
     if fmt == "json":
-        text = json.dumps(rows, indent=2) + "\n"
+        _write(json.dumps(rows, indent=2) + "\n", out)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt_value(row.get(c, "")) for c in columns])
-        text = buf.getvalue()
+        _write(_csv_text([columns] + [[_fmt_value(row.get(c, ""))
+                                       for c in columns] for row in rows]),
+               out)
+
+
+def _write(text, out):
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -235,11 +242,7 @@ def cmd_sweep(args):
                 row["error"] = str(exc)
         return row
 
-    if args.jobs and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(one_row, spec.grid))
-    else:
-        rows = [one_row(v) for v in spec.grid]
+    rows = [one_row(v) for v in spec.grid]
     columns = ([spec.param] + list(spec.targets)
                + ["scenario_hash", "assumed_defaults", "error"])
     _emit(rows, columns, spec.fmt, spec.out)
@@ -258,23 +261,20 @@ def cmd_optimize(args):
         _emit([report], list(report), args.format, args.out)
         return 2
 
-    def pair_row(pair, e_sys):
-        return {
-            "psi": pair.psi,
-            "lambda_e_crit": pair.lambda_e_crit,
-            "lambda_e_crit_per_km2": pair.lambda_e_crit * 1e6,
-            "e_sys": e_sys,
-            "residual": pair.residual,
-            "at_lower_bound": pair.at_lower_bound,
-            "is_best": pair == outcome.best_pair,
-            **meta,
-        }
-
-    rows = [pair_row(p, e) for p, e in zip(outcome.feasible_set,
-                                           outcome.e_sys)]
+    columns = {
+        "psi": outcome.psi,
+        "lambda_e_crit": outcome.lambda_e_crit,
+        "lambda_e_crit_per_km2": [v * 1e6 for v in outcome.lambda_e_crit],
+        "e_sys": outcome.e_sys,
+        "residual": outcome.residual,
+        "at_lower_bound": outcome.at_lower_bound,
+        "is_best": [psi == outcome.best_pair.psi for psi in outcome.psi],
+    }
     if args.format == "json":
+        rows = [dict(zip(columns, values), **meta)
+                for values in zip(*columns.values())]
         payload = [{
-            "best": pair_row(outcome.best_pair, outcome.e_sys_min),
+            "best": rows[outcome.psi.index(outcome.best_pair.psi)],
             "e_sys_min": outcome.e_sys_min,
             "scheme": args.scheme,
             "skipped_psi": list(outcome.skipped_psi),
@@ -282,15 +282,19 @@ def cmd_optimize(args):
             **meta,
         }]
         _emit(payload, [], "json", args.out)
-    else:
-        columns = ["psi", "lambda_e_crit", "lambda_e_crit_per_km2", "e_sys",
-                   "residual", "at_lower_bound", "is_best",
-                   "scenario_hash", "assumed_defaults"]
-        _emit(rows, columns, "csv", args.out)
+        return 0
+    # every row ends in the same metadata cells and every cell of a
+    # column has one type, so each column is formatted once
+    tail = _csv_text([list(meta.values())])
+    cells = [[format(v, ".17g") for v in col] if isinstance(col[0], float)
+             else [str(v) for v in col] for col in columns.values()]
+    _write(_csv_text([list(columns) + list(meta)])
+           + "".join(f"{','.join(row)},{tail}" for row in zip(*cells)),
+           args.out)
     return 0
 
 
-def _validation_rows(ctx, trials, seed, jobs):
+def _validation_rows(ctx, trials, seed):
     s = ctx.scenario
 
     def geometry(p):
@@ -333,11 +337,7 @@ def _validation_rows(ctx, trials, seed, jobs):
                        passed=False, error=str(exc))
         return row
 
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(evaluate, checks))
-    else:
-        rows = [evaluate(c) for c in checks]
+    rows = [evaluate(c) for c in checks]
 
     # packet simulator against the integer-hop closed form (5% relative)
     row = {"check": "backhaul_simulator", "criterion": "rel <= 5%",
@@ -365,7 +365,7 @@ def cmd_validate(args):
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     ctx = _build_context(args)
-    rows = _validation_rows(ctx, args.trials, args.seed, args.jobs)
+    rows = _validation_rows(ctx, args.trials, args.seed)
     columns = ["check", "analytic", "estimate", "std_error", "n_samples",
                "criterion", "deviation", "passed", "error",
                "scenario_hash", "assumed_defaults"]
@@ -396,7 +396,6 @@ def build_parser():
     common.add_argument("--out", help="output path (default stdout)")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--trials", type=int, default=100_000)
-    common.add_argument("--jobs", type=int, default=1)
 
     parser = _Parser(prog="mcrnet", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -419,10 +418,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # parsing leaves the parser unchanged (an appended --param list starts
+    # from a copy of its default), so one per process serves every call
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "sweep":
             return cmd_sweep(args)
         if args.command == "optimize":

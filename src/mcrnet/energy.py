@@ -10,6 +10,8 @@ and must be excluded from minimisation rather than preferred.
 import warnings
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .scenario import SECONDS_PER_YEAR, ScenarioError, parse_config_text
 
 
@@ -102,9 +104,12 @@ def system_energy(s, em, psi, lambda_e=None):
     """Areal lifecycle energy with ``psi`` contents cached per edge node.
 
     ``lambda_e`` overrides the scenario's edge density (the optimiser
-    evaluates candidate densities without rebuilding scenarios).
+    evaluates candidate densities without rebuilding scenarios).  ``psi``
+    and ``lambda_e`` may be equal-length arrays, one operating point per
+    entry; the fields that depend on them are then arrays too, each entry
+    bitwise equal to the scalar call at that point.
     """
-    if not 0 <= psi <= s.k_total:
+    if not np.all((0 <= psi) & (psi <= s.k_total)):
         raise ValueError(f"psi {psi} outside [0, {s.k_total}]")
     lam_e = s.lambda_e if lambda_e is None else lambda_e
     mbs = s.lambda_m * ((em.a_m * s.p_m + em.b_m) * em.t_life_m + em.e_em_m)

@@ -6,14 +6,16 @@ mode the cooperative backhaul delay is ``A * (1 + c * lambda_s / lambda)
 / sqrt(lambda)`` (mean neighbour distances scale as ``1/sqrt(lambda)``),
 so the tightest density meeting the budget is the one positive root of a
 cubic in ``sqrt(lambda)``, solved for every cache size in one vectorised
-Newton pass.  Step 2 scans the resulting feasible pairs for the minimum
-areal system energy.  Interior densities above the critical one also
-meet the budget but always cost more energy, so only critical pairs need
-scoring.
+Newton pass.  Step 2 scores all resulting feasible pairs in one array
+evaluation of the areal system energy and takes its minimum.  Interior
+densities above the critical one also meet the budget but always cost
+more energy, so only critical pairs need scoring.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import latency, multipath
 from .energy import system_energy
@@ -66,13 +68,23 @@ class FeasiblePair:
 
 @dataclass(frozen=True)
 class OptimizationOutcome:
-    """Result of the two-step search."""
+    """Result of the two-step search, one column entry per feasible size.
 
+    ``psi``, ``lambda_e_crit``, ``residual``, ``at_lower_bound`` and
+    ``e_sys`` are equal-length tuples of Python scalars, in increasing
+    ``psi``; entry ``i`` is the feasible pair of cache size ``psi[i]``
+    (fields as in ``FeasiblePair``) and its areal system energy.  The
+    cache sizes in ``psi`` and ``skipped_psi`` cover ``1..k_total`` once.
+    """
+
+    psi: tuple
+    lambda_e_crit: tuple
+    residual: tuple
+    at_lower_bound: tuple
+    e_sys: tuple
+    skipped_psi: tuple
     best_pair: FeasiblePair
     e_sys_min: float
-    feasible_set: tuple
-    skipped_psi: tuple
-    e_sys: tuple  # system energy of each feasible pair, in feasible_set order
 
 
 def reduced_delay_budget(s, quad=None):
@@ -193,9 +205,9 @@ def optimize_cache_density(s, em, scheme=MULTIPATH, quad=None):
 
     Solves every cache size's critical density in one pass (skipping
     sizes whose fiber-miss term already busts the budget or that need a
-    denser deployment than allowed), then returns the energy-minimising
-    pair.  Ties break towards the smaller cache size, then the smaller
-    density.
+    denser deployment than allowed), scores the feasible pairs in one
+    ``system_energy`` evaluation and returns the energy-minimising pair.
+    Ties break towards the smaller cache size.
 
     Parameters
     ----------
@@ -216,24 +228,24 @@ def optimize_cache_density(s, em, scheme=MULTIPATH, quad=None):
     fiber_terms = latency.fiber_delay(s) * (1.0 - hit_cum)
     lam, residual, status = _critical_densities(s, fiber_terms, budget,
                                                 scheme)
-
-    feasible, skipped = [], []
-    for psi, (lam_psi, res_psi, st) in enumerate(
-            zip(lam.tolist(), residual.tolist(), status.tolist()), start=1):
-        if st == _SKIPPED:
-            skipped.append(psi)
-        else:
-            feasible.append(FeasiblePair(
-                psi=psi, lambda_e_crit=lam_psi, residual=res_psi,
-                at_lower_bound=st == _CLAMPED))
-    if not feasible:
+    feasible = status != _SKIPPED
+    if not feasible.any():
         raise NoFeasiblePairError(budget)
-
-    e_sys = tuple(system_energy(s, em, p.psi, lambda_e=p.lambda_e_crit).total
-                  for p in feasible)
-    best = min(range(len(feasible)),
-               key=lambda i: (e_sys[i], feasible[i].psi,
-                              feasible[i].lambda_e_crit))
-    return OptimizationOutcome(best_pair=feasible[best], e_sys_min=e_sys[best],
-                               feasible_set=tuple(feasible),
-                               skipped_psi=tuple(skipped), e_sys=e_sys)
+    psi = np.flatnonzero(feasible) + 1
+    lam, residual = lam[feasible], residual[feasible]
+    at_lower_bound = status[feasible] == _CLAMPED
+    e_sys = system_energy(s, em, psi, lambda_e=lam).total
+    # psi increases along the columns, so the first minimum is the
+    # smallest cache size among equal energies
+    best = int(e_sys.argmin())
+    return OptimizationOutcome(
+        psi=tuple(psi.tolist()), lambda_e_crit=tuple(lam.tolist()),
+        residual=tuple(residual.tolist()),
+        at_lower_bound=tuple(at_lower_bound.tolist()),
+        e_sys=tuple(e_sys.tolist()),
+        skipped_psi=tuple((np.flatnonzero(~feasible) + 1).tolist()),
+        best_pair=FeasiblePair(psi=int(psi[best]),
+                               lambda_e_crit=float(lam[best]),
+                               residual=float(residual[best]),
+                               at_lower_bound=bool(at_lower_bound[best])),
+        e_sys_min=float(e_sys[best]))

@@ -229,8 +229,8 @@ def test_criterion_6_optimizer_equals_enumeration():
     s = load_scenario()
     em = load_energy_model()
     outcome = optimize_cache_density(s, em)
-    scored = [(system_energy(s, em, p.psi, lambda_e=p.lambda_e_crit).total,
-               p.psi, p.lambda_e_crit) for p in outcome.feasible_set]
+    scored = [(system_energy(s, em, psi, lambda_e=lam).total, psi, lam)
+              for psi, lam in zip(outcome.psi, outcome.lambda_e_crit)]
     e_best, psi_best, lam_best = min(scored)
     same = (outcome.e_sys_min == e_best
             and outcome.best_pair.psi == psi_best
@@ -268,11 +268,9 @@ def test_criterion_7_service_energy_best_effort():
     strictly_better = multi.e_sys_min < single.e_sys_min
     curves_ok = {}
     for name, outcome in (("multipath", multi), ("single-path", single)):
-        sizes = sorted(p.psi for p in outcome.feasible_set)
-        by_psi = {p.psi: p for p in outcome.feasible_set}
-        curve = [system_energy(s, em, psi,
-                               lambda_e=by_psi[psi].lambda_e_crit).total
-                 for psi in sizes]
+        lam = dict(zip(outcome.psi, outcome.lambda_e_crit))
+        curve = [system_energy(s, em, psi, lambda_e=lam[psi]).total
+                 for psi in sorted(lam)]
         curves_ok[name] = _unimodal(curve)
     reduction = 1.0 - multi.e_sys_min / single.e_sys_min
     print(f"    calibration note: optimum (psi={multi.best_pair.psi}, "

@@ -6,7 +6,13 @@ import warnings
 
 import pytest
 
+from mcrnet import cli, latency, optimizer
 from mcrnet.cli import main
+from mcrnet.energy import load_energy_model, system_energy
+from mcrnet.multipath import SCHEMES
+from mcrnet.optimizer import FeasiblePair
+from mcrnet.popularity import zipf
+from mcrnet.scenario import load_scenario, scenario_hash
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -86,12 +92,13 @@ def test_sweep_rejects_non_monotone_grid(capsys):
     assert "monotone" in err
 
 
-def test_sweep_jobs_do_not_change_output(capsys):
-    argv = ["sweep", "psi", "--values", "10,100,400", "--targets",
-            "fiber_link_delay,e_sys"]
-    _, serial, _ = run_cli(capsys, *argv)
-    _, threaded, _ = run_cli(capsys, *argv, "--jobs", "4")
-    assert serial == threaded
+def test_jobs_flag_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "sweep", "psi", "--values", "10,100",
+                             "--targets", "fiber_link_delay", "--jobs", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--jobs" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_see_targets_trace_feasible_curve(capsys):
@@ -126,6 +133,98 @@ def test_optimize_csv_has_single_best(capsys):
     assert code == 0
     rows = parse_csv(out)
     assert sum(r["is_best"] == "True" for r in rows) == 1
+
+
+def _reference_text(rows, columns, fmt):
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v)
+                         for v in (row.get(c, "") for c in columns)])
+    return buf.getvalue()
+
+
+def _reference_optimize(d_max_ms, scheme, fmt):
+    """Exit code and output of ``mcrnet optimize`` as the row-wise writer
+    produced them: one FeasiblePair per feasible cache size from the shared
+    critical-density solve, one scalar system_energy call each, one dict
+    per row and csv.writer over per-cell formatting."""
+    s = load_scenario(overrides={"d_max_ms": d_max_ms})
+    em = load_energy_model()
+    meta = {"scenario_hash": scenario_hash(s),
+            "assumed_defaults": ";".join(s.assumed_defaults
+                                         + em.assumed_defaults)}
+    budget = optimizer.reduced_delay_budget(s)
+    feasible = []
+    if budget > 0.0:
+        fiber_terms = latency.fiber_delay(s) * (
+            1.0 - zipf(s.beta, s.k_total).q.cumsum())
+        lam, residual, status = optimizer._critical_densities(
+            s, fiber_terms, budget, scheme)
+        feasible = [
+            FeasiblePair(psi=psi, lambda_e_crit=lam_psi, residual=res_psi,
+                         at_lower_bound=st == optimizer._CLAMPED)
+            for psi, (lam_psi, res_psi, st) in enumerate(
+                zip(lam.tolist(), residual.tolist(), status.tolist()),
+                start=1)
+            if st != optimizer._SKIPPED]
+    if not feasible:
+        report = {"feasible": False, "reduced_budget": budget,
+                  "message": str(optimizer.NoFeasiblePairError(budget)),
+                  **meta}
+        return 2, _reference_text([report], list(report), fmt)
+    e_sys = [system_energy(s, em, p.psi, lambda_e=p.lambda_e_crit).total
+             for p in feasible]
+    best = min(range(len(feasible)),
+               key=lambda i: (e_sys[i], feasible[i].psi,
+                              feasible[i].lambda_e_crit))
+
+    def pair_row(pair, e):
+        return {"psi": pair.psi, "lambda_e_crit": pair.lambda_e_crit,
+                "lambda_e_crit_per_km2": pair.lambda_e_crit * 1e6,
+                "e_sys": e, "residual": pair.residual,
+                "at_lower_bound": pair.at_lower_bound,
+                "is_best": pair == feasible[best], **meta}
+
+    rows = [pair_row(p, e) for p, e in zip(feasible, e_sys)]
+    if fmt == "json":
+        return 0, _reference_text([{
+            "best": pair_row(feasible[best], e_sys[best]),
+            "e_sys_min": e_sys[best], "scheme": scheme,
+            "skipped_psi": sorted(set(range(1, s.k_total + 1))
+                                  - {p.psi for p in feasible}),
+            "feasible_set": rows, **meta}], [], "json")
+    return 0, _reference_text(rows, list(rows[0]), "csv")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("d_max_ms", ["1", "4.5", "12", "20", "100"])
+def test_optimize_output_matches_row_wise_reference(capsys, d_max_ms,
+                                                    scheme, fmt):
+    # d_max_ms 1 leaves a negative budget and 4.5 a positive one that no
+    # cache size can meet: both end in the infeasible report
+    code, out, _ = run_cli(capsys, "optimize", "--scheme", scheme,
+                           "--param", f"d_max_ms={d_max_ms}",
+                           "--format", fmt)
+    expected_code, expected = _reference_optimize(d_max_ms, scheme, fmt)
+    assert code == expected_code == (2 if float(d_max_ms) < 5 else 0)
+    # line lists keep pytest's report of a mismatch short
+    assert out.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+def test_reused_parser_starts_each_call_fresh(capsys):
+    cli.cmd_optimize(cli.build_parser().parse_args(["optimize"]))
+    first_call = capsys.readouterr().out
+    _, with_param, _ = run_cli(capsys, "optimize", "--param", "beta=0.4")
+    code, out, _ = run_cli(capsys, "optimize")
+    assert code == 0
+    assert with_param != first_call
+    assert out.splitlines(keepends=True) == \
+        first_call.splitlines(keepends=True)
 
 
 def test_optimize_infeasible_exit_code(capsys):

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from mcrnet import latency, multipath, optimizer
 from mcrnet.energy import load_energy_model, system_energy
-from mcrnet.multipath import MULTIPATH, SINGLE_PATH
+from mcrnet.multipath import MULTIPATH, SCHEMES, SINGLE_PATH
 from mcrnet.numerics import find_root_monotone
-from mcrnet.optimizer import (DensityBracketError, NoFeasiblePairError,
-                              critical_edc_density, optimize_cache_density,
-                              reduced_delay_budget)
+from mcrnet.optimizer import (DensityBracketError, FeasiblePair,
+                              NoFeasiblePairError, critical_edc_density,
+                              optimize_cache_density, reduced_delay_budget)
 from mcrnet.popularity import hit_probability, zipf
 from mcrnet.scenario import load_scenario
 
@@ -110,17 +110,15 @@ def test_critical_density_validates_psi(scenario):
 
 def test_optimum_matches_exhaustive_enumeration(scenario, energy):
     outcome = optimize_cache_density(scenario, energy)
-    scored = [(system_energy(scenario, energy, p.psi,
-                             lambda_e=p.lambda_e_crit).total,
-               p.psi, p.lambda_e_crit)
-              for p in outcome.feasible_set]
+    scored = [(system_energy(scenario, energy, psi, lambda_e=lam).total,
+               psi, lam)
+              for psi, lam in zip(outcome.psi, outcome.lambda_e_crit)]
     best_e, best_psi, best_lam = min(scored)
     assert outcome.e_sys == tuple(e for e, _, _ in scored)
     assert outcome.e_sys_min == best_e
     assert outcome.best_pair.psi == best_psi
     assert outcome.best_pair.lambda_e_crit == best_lam
-    assert len(outcome.feasible_set) + len(outcome.skipped_psi) == \
-        scenario.k_total
+    assert len(outcome.psi) + len(outcome.skipped_psi) == scenario.k_total
 
 
 def test_optimizer_deterministic_across_repeats(scenario, energy):
@@ -130,11 +128,10 @@ def test_optimizer_deterministic_across_repeats(scenario, energy):
 
 def test_feasibility_monotone_in_cache_size(scenario, energy):
     outcome = optimize_cache_density(scenario, energy)
-    pairs = {p.psi: p for p in outcome.feasible_set}
+    lam = dict(zip(outcome.psi, outcome.lambda_e_crit))
     for psi in range(1, scenario.k_total):
-        if psi in pairs and psi + 1 in pairs:
-            assert pairs[psi + 1].lambda_e_crit <= \
-                pairs[psi].lambda_e_crit * (1.0 + 1e-12)
+        if psi in lam and psi + 1 in lam:
+            assert lam[psi + 1] <= lam[psi] * (1.0 + 1e-12)
 
 
 def test_multipath_beats_single_path(scenario, energy):
@@ -142,12 +139,11 @@ def test_multipath_beats_single_path(scenario, energy):
     single = optimize_cache_density(scenario, energy, scheme=SINGLE_PATH)
     assert multi.e_sys_min < single.e_sys_min
     # single path needs a denser deployment at the same cache size
-    multi_pairs = {p.psi: p for p in multi.feasible_set}
-    single_pairs = {p.psi: p for p in single.feasible_set}
+    multi_lam = dict(zip(multi.psi, multi.lambda_e_crit))
+    single_lam = dict(zip(single.psi, single.lambda_e_crit))
     for psi in (50, 144, 300, 500):
-        if psi in multi_pairs and psi in single_pairs:
-            assert single_pairs[psi].lambda_e_crit >= \
-                multi_pairs[psi].lambda_e_crit
+        if psi in multi_lam and psi in single_lam:
+            assert single_lam[psi] >= multi_lam[psi]
 
 
 def test_infeasible_budget_raises_with_budget(scenario, energy):
@@ -194,12 +190,22 @@ def test_pairs_hold_python_scalars(scenario, energy):
     single = tuple(critical_edc_density(s, psi, budget)
                    for psi in (1, s.k_total))
     assert [p.at_lower_bound for p in single] == [False, True]
-    for pair in outcome.feasible_set + single:
+    assert outcome.at_lower_bound[0] is False
+    assert outcome.at_lower_bound[-1] is True
+    column_types = {"psi": int, "lambda_e_crit": float, "residual": float,
+                    "at_lower_bound": bool, "e_sys": float}
+    for name, kind in column_types.items():
+        column = getattr(outcome, name)
+        assert type(column) is tuple
+        assert len(column) == len(outcome.psi)
+        assert all(type(v) is kind for v in column), name
+    assert all(type(psi) is int for psi in outcome.skipped_psi)
+    assert type(outcome.e_sys_min) is float
+    for pair in (outcome.best_pair,) + single:
         assert type(pair.psi) is int
         assert type(pair.lambda_e_crit) is float
         assert type(pair.residual) is float
         assert type(pair.at_lower_bound) is bool
-    assert all(type(e) is float for e in outcome.e_sys)
 
 
 # g(lo) or g(hi) this close to 0 (relative to the budget) is a tie that
@@ -246,3 +252,43 @@ def test_cubic_root_matches_root_finder_property(d_max, beta, b_paths,
         assert lam[psi - 1] == pytest.approx(root, rel=1e-10)
         assert abs(g(lam[psi - 1])) <= 1e-12 * budget
         assert residual[psi - 1] <= 1e-12 * budget
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(d_max=st.floats(4e-3, 0.1), beta=st.floats(0.2, 1.6),
+       b_paths=st.integers(1, 16), scheme=st.sampled_from(SCHEMES))
+def test_outcome_columns_match_scalar_api_property(energy, d_max, beta,
+                                                   b_paths, scheme):
+    # oracle: one critical_edc_density and one scalar system_energy call
+    # per cache size, the per-pair path the columns replace
+    base = load_scenario()
+    r_min = math.sqrt(b_paths / (math.pi * base.lambda_e))
+    s = base.with_params(d_max=d_max, beta=beta, b_paths=b_paths,
+                         r_max=max(base.r_max, 1.001 * r_min))
+    try:
+        outcome = optimize_cache_density(s, energy, scheme=scheme)
+    except NoFeasiblePairError:
+        return
+    budget = reduced_delay_budget(s)
+    assert sorted(outcome.psi + outcome.skipped_psi) == \
+        list(range(1, s.k_total + 1))
+    for psi, lam, residual, at_lower_bound, e_sys in zip(
+            outcome.psi, outcome.lambda_e_crit, outcome.residual,
+            outcome.at_lower_bound, outcome.e_sys):
+        assert e_sys == system_energy(s, energy, psi, lambda_e=lam).total
+        # the batched Newton loop runs until its slowest entry converges,
+        # so a lone solve may stop one rounding-level step earlier
+        pair = critical_edc_density(s, psi, budget, scheme)
+        assert pair.at_lower_bound == at_lower_bound
+        assert lam == pytest.approx(pair.lambda_e_crit, rel=1e-12, abs=0.0)
+    for psi in outcome.skipped_psi:
+        try:
+            assert critical_edc_density(s, psi, budget, scheme) is None
+        except DensityBracketError:
+            pass
+    best = outcome.e_sys.index(min(outcome.e_sys))
+    assert outcome.e_sys_min == outcome.e_sys[best]
+    assert outcome.best_pair == FeasiblePair(
+        psi=outcome.psi[best], lambda_e_crit=outcome.lambda_e_crit[best],
+        residual=outcome.residual[best],
+        at_lower_bound=outcome.at_lower_bound[best])
