@@ -20,8 +20,7 @@ from .montecarlo import (McEstimate, SampledTopology, estimate_access_success,
                          estimate_deli_success, estimate_kth_nearest,
                          estimate_shadowing_success, estimate_uplink_success,
                          kth_nearest_distances, mean_distance_topology,
-                         proportion_z, sample_ppp, sample_topology,
-                         simulate_backhaul)
+                         proportion_z, simulate_backhaul)
 from .multipath import (MultipathPlan, build_plan, continuous_backhaul_coeff,
                         delay_bounds, max_cooperative_paths,
                         mean_kth_edc_distance,

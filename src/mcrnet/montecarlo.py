@@ -14,13 +14,20 @@ and the ordered squared distances are cumulative sums of Exp(1) draws
 over ``pi * lam``; no trial samples a point count or a disc.
 
 Randomness comes from counter-based Philox streams keyed by
-``(seed, stream path)``: every batch owns an independent substream, so
-results are bit-reproducible and independent of execution order.
+``(seed, stream path)``: every chunk of trials (and every simulator path)
+owns an independent substream.  The chunks run on a process-wide thread
+pool, one worker per available CPU (numpy's draws and array operations
+release the interpreter lock), and their results are combined in chunk
+order, so every estimate is bit-reproducible and does not depend on the
+worker count or on the order the chunks finish in.
 """
 
+import functools
 import hashlib
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +39,15 @@ _CHUNK = 50_000
 # macro cells per delivery trial: the mean count of a disc of radius
 # 8 / sqrt(lambda_m), beyond which interference enters as its mean
 _DELI_POINTS = math.ceil(64 * math.pi)
+# delivery trials per chunk, _CHUNK * 100 cells in all
+_DELI_CHUNK = _CHUNK * 100 // _DELI_POINTS
+# delivery trials per row block: a block of distances and one of gains
+# (0.8 MB each) stay in cache and are reused across a chunk
+_DELI_BLOCK = 512
+# CPUs this process may run on
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_POOL_LOCK = threading.Lock()
 
 
 class TopologyError(RuntimeError):
@@ -83,34 +99,38 @@ def substream(seed, *path):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_ppp(lam, region_radius, seed=0, rng=None):
-    """Sample a planar Poisson field on a disc centred at the origin.
+def _pool():
+    """The process-wide worker pool, created on first use."""
+    with _POOL_LOCK:
+        return _pool_of(os.getpid())
 
-    Returns an (N, 2) coordinate array with N ~ Poisson(lam * pi * R^2)
-    and positions uniform on the disc.
+
+@functools.cache
+def _pool_of(pid):
+    # keyed by process: a forked child has none of its parent's workers.
+    # The local import keeps concurrent.futures, and the logging it
+    # imports, off the package's own import path.
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=_WORKERS,
+                              thread_name_prefix="mcrnet-montecarlo")
+
+
+def _pool_map(fn, tasks):
+    """``[fn(*args) for args in tasks]``, spread over the worker pool.
+
+    Each task draws from its own substream and writes nothing another
+    task reads, so the results equal the serial ones, in task order.
     """
-    if lam < 0 or region_radius <= 0:
-        raise ValueError("need lam >= 0 and region_radius > 0")
-    rng = rng if rng is not None else substream(seed)
-    n = rng.poisson(lam * math.pi * region_radius ** 2)
-    radii = region_radius * np.sqrt(rng.random(n))
-    angles = rng.random(n) * 2.0 * math.pi
-    return np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    if _WORKERS == 1 or len(tasks) < 2:
+        return [fn(*args) for args in tasks]
+    return list(_pool().map(lambda args: fn(*args), tasks))
 
 
-def sample_topology(s, region_radius=None, seed=0):
-    """Sample all four tiers; region covers 5 / sqrt(sparsest density)."""
-    if region_radius is None:
-        region_radius = 5.0 / math.sqrt(
-            min(s.lambda_m, s.lambda_s, s.lambda_e, s.lambda_u))
-    tiers = []
-    for i, lam in enumerate((s.lambda_m, s.lambda_s, s.lambda_e, s.lambda_u)):
-        tiers.append(sample_ppp(lam, region_radius, rng=substream(seed, i)))
-    return SampledTopology(
-        region_radius=region_radius, mbs=tiers[0], sbs=tiers[1],
-        edc=tiers[2], users=tiers[3],
-        densities=(s.lambda_m, s.lambda_s, s.lambda_e, s.lambda_u),
-        seed=seed)
+def _map_chunks(fn, trials, chunk):
+    """``fn(chunk_idx, m)`` over the ``chunk``-sized pieces of ``trials``."""
+    return _pool_map(fn, [(chunk_idx, min(chunk, trials - start))
+                          for chunk_idx, start
+                          in enumerate(range(0, trials, chunk))])
 
 
 def _proportion_estimate(successes, trials, seed):
@@ -141,10 +161,13 @@ def kth_nearest_distances(lambda_e, k, trials, seed=0):
     if k < 1 or lambda_e <= 0:
         raise ValueError("need k >= 1 and lambda_e > 0")
     out = np.empty(trials)
-    for chunk_idx, start in enumerate(range(0, trials, _CHUNK)):
-        m = min(_CHUNK, trials - start)
-        rng = substream(seed, 0, chunk_idx)
-        out[start:start + m] = rng.standard_gamma(k, m)
+
+    def draw(chunk_idx, m):
+        start = chunk_idx * _CHUNK
+        substream(seed, 0, chunk_idx).standard_gamma(
+            k, out=out[start:start + m])
+
+    _map_chunks(draw, trials, _CHUNK)
     return np.sqrt(out / (math.pi * lambda_e))
 
 
@@ -163,16 +186,15 @@ def _nearest_threshold_successes(lam, order, threshold_scale, alpha,
     The nearest squared distance is Exp(1) / (pi * lam), so the threshold
     ``threshold_scale * r**alpha`` is taken from it without a square root.
     """
-    successes = 0
-    for chunk_idx, start in enumerate(range(0, trials, _CHUNK)):
-        m = min(_CHUNK, trials - start)
+    def count(chunk_idx, m):
         rng = substream(seed, 1, chunk_idx)
         r_sq = rng.standard_exponential(m) / (math.pi * lam)
         gains = rng.gamma(order, size=m)
         with np.errstate(over="ignore"):
             threshold = threshold_scale * r_sq ** (alpha / 2.0)
-        successes += int(np.count_nonzero(gains >= threshold))
-    return successes
+        return int(np.count_nonzero(gains >= threshold))
+
+    return sum(_map_chunks(count, trials, _CHUNK))
 
 
 def estimate_uplink_success(s, trials=1_000_000, seed=0):
@@ -207,37 +229,54 @@ def estimate_deli_success(s, trials=1_000_000, seed=0, noise_power=None):
     exact conditional mean ``order * 2 * t_N**(1 - alpha/2) / (alpha - 2)``;
     its fluctuation is far below the sampling noise.  ``noise_power``
     overrides the default receiver noise ``n0 * w_mmw`` (Watts).
+
+    A chunk's substream holds all its ``(m, 202)`` Exp(1) draws, then all
+    its ``(m, 202)`` gain draws.  The chunk walks its stream once past the
+    distances, then replays them from a twin stream beside the gains, in
+    blocks of ``_DELI_BLOCK`` trials: the draws are those of one
+    ``(m, 202)`` array each, with no chunk-sized array held.
     """
     order = s.nt_m * s.nr_e
     alpha = s.alpha1
     half = alpha / 2.0
     sigma_z2 = s.n0 * s.w_mmw if noise_power is None else noise_power
     noise = s.nt_m * sigma_z2 / s.p_m * (math.pi * s.lambda_m) ** -half
-    successes = 0
-    chunk = _CHUNK * 100 // _DELI_POINTS
-    for chunk_idx, start in enumerate(range(0, trials, chunk)):
-        m = min(chunk, trials - start)
-        rng = substream(seed, 2, chunk_idx)
-        t = rng.standard_exponential((m, _DELI_POINTS))
-        np.cumsum(t, axis=1, out=t)
-        far_mean = order * 2.0 * t[:, -1] ** (1.0 - half) / (alpha - 2.0)
-        power = rng.gamma(order, size=t.shape)
-        power *= np.power(t, -half, out=t)
-        interference = power[:, 1:].sum(axis=1) + far_mean
-        ok = power[:, 0] >= s.theta2 * (interference + noise)
-        successes += int(np.count_nonzero(ok))
+
+    def count(chunk_idx, m):
+        gains_rng = substream(seed, 2, chunk_idx)
+        dist_rng = substream(seed, 2, chunk_idx)
+        blocks = [min(_DELI_BLOCK, m - start)
+                  for start in range(0, m, _DELI_BLOCK)]
+        t = np.empty((blocks[0], _DELI_POINTS))
+        power = np.empty_like(t)
+        for n in blocks:  # skip the distances; dist_rng replays them
+            gains_rng.standard_exponential(out=t[:n])
+        successes = 0
+        for n in blocks:
+            tb, pb = t[:n], power[:n]
+            dist_rng.standard_exponential(out=tb)
+            np.cumsum(tb, axis=1, out=tb)
+            far_mean = order * 2.0 * tb[:, -1] ** (1.0 - half) / (alpha - 2.0)
+            gains_rng.standard_gamma(order, out=pb)
+            pb *= np.power(tb, -half, out=tb)
+            interference = pb[:, 1:].sum(axis=1) + far_mean
+            ok = pb[:, 0] >= s.theta2 * (interference + noise)
+            successes += int(np.count_nonzero(ok))
+        return successes
+
+    successes = sum(_map_chunks(count, trials, _DELI_CHUNK))
     return _proportion_estimate(successes, trials, seed)
 
 
 def estimate_shadowing_success(s, trials=1_000_000, seed=0):
     """Oracle for the per-slot mmWave link success under shadowing."""
     f = multipath.mmwave_link_margin(s)
-    successes = 0
-    for chunk_idx, start in enumerate(range(0, trials, _CHUNK)):
-        m = min(_CHUNK, trials - start)
-        rng = substream(seed, 3, chunk_idx)
-        zeta = rng.normal(0.0, s.sigma_db, size=m)
-        successes += int(np.count_nonzero(zeta <= f))
+
+    def count(chunk_idx, m):
+        zeta = substream(seed, 3, chunk_idx).normal(0.0, s.sigma_db, size=m)
+        return int(np.count_nonzero(zeta <= f))
+
+    successes = sum(_map_chunks(count, trials, _CHUNK))
     return _proportion_estimate(successes, trials, seed)
 
 
@@ -338,7 +377,8 @@ def simulate_backhaul(s, topology, scheme=MULTIPATH, trials=1000, seed=0,
             "complete")
 
     slots = np.zeros((trials, len(dists)), dtype=np.int64)
-    for path in range(len(dists)):
+
+    def draw(path):
         rng = substream(seed, 4, path)
         n_first = int(packets[path])
         n_rest = int(packets[path]) * (int(hops[path]) - 1)
@@ -348,6 +388,8 @@ def simulate_backhaul(s, topology, scheme=MULTIPATH, trials=1000, seed=0,
         if n_rest:
             slots[:, path] += rng.geometric(p_relay, size=(trials, n_rest)
                                             ).sum(axis=1)
+
+    _pool_map(draw, [(path,) for path in range(len(dists))])
     delays = slots.max(axis=1) * s.tau_mmw
 
     if trace_path is not None:

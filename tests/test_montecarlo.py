@@ -1,23 +1,60 @@
 import json
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
-from mcrnet import latency, multipath
-from mcrnet.montecarlo import (ChainDisconnectedError, SampledTopology,
-                               TopologyError, estimate_access_success,
+from mcrnet import latency, montecarlo, multipath
+from mcrnet.montecarlo import (ChainDisconnectedError, McEstimate,
+                               SampledTopology, TopologyError,
+                               estimate_access_success,
                                estimate_deli_success, estimate_kth_nearest,
                                estimate_shadowing_success,
                                estimate_uplink_success,
                                kth_nearest_distances, mean_distance_topology,
-                               proportion_z, sample_ppp, sample_topology,
-                               simulate_backhaul, substream)
-from mcrnet.multipath import EXACT_CEIL, SINGLE_PATH
+                               proportion_z, simulate_backhaul, substream)
+from mcrnet.multipath import EXACT_CEIL, SCHEMES, SINGLE_PATH
 from mcrnet.scenario import load_scenario
 
 SEED = 1234
+DELI_CHUNK = montecarlo._DELI_CHUNK
+
+
+def sample_ppp(lam, region_radius, seed=0, rng=None):
+    """Sample a planar Poisson field on a disc centred at the origin.
+
+    Returns an (N, 2) coordinate array with N ~ Poisson(lam * pi * R^2)
+    and positions uniform on the disc.
+    """
+    if lam < 0 or region_radius <= 0:
+        raise ValueError("need lam >= 0 and region_radius > 0")
+    rng = rng if rng is not None else substream(seed)
+    n = rng.poisson(lam * math.pi * region_radius ** 2)
+    radii = region_radius * np.sqrt(rng.random(n))
+    angles = rng.random(n) * 2.0 * math.pi
+    return np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+
+
+def sample_topology(s, region_radius=None, seed=0):
+    """Sample all four tiers; region covers 5 / sqrt(sparsest density)."""
+    if region_radius is None:
+        region_radius = 5.0 / math.sqrt(
+            min(s.lambda_m, s.lambda_s, s.lambda_e, s.lambda_u))
+    tiers = []
+    for i, lam in enumerate((s.lambda_m, s.lambda_s, s.lambda_e, s.lambda_u)):
+        tiers.append(sample_ppp(lam, region_radius, rng=substream(seed, i)))
+    return SampledTopology(
+        region_radius=region_radius, mbs=tiers[0], sbs=tiers[1],
+        edc=tiers[2], users=tiers[3],
+        densities=(s.lambda_m, s.lambda_s, s.lambda_e, s.lambda_u),
+        seed=seed)
 
 
 def test_sample_ppp_empty_for_zero_density():
@@ -313,3 +350,195 @@ def test_simulator_requires_enough_sources():
     topo = _single_hop_topology(s, 80.0)
     with pytest.raises(TopologyError):
         simulate_backhaul(s, topo, trials=10, seed=SEED)  # b_paths = 4
+
+
+# serial references: each chunk (or path) in turn, in the calling thread,
+# with one whole-chunk array per draw
+
+
+def _serial_deli_success(s, trials, seed, noise_power=None):
+    order = s.nt_m * s.nr_e
+    alpha = s.alpha1
+    half = alpha / 2.0
+    sigma_z2 = s.n0 * s.w_mmw if noise_power is None else noise_power
+    noise = s.nt_m * sigma_z2 / s.p_m * (math.pi * s.lambda_m) ** -half
+    successes = 0
+    chunk = montecarlo._DELI_CHUNK
+    for chunk_idx, start in enumerate(range(0, trials, chunk)):
+        m = min(chunk, trials - start)
+        rng = substream(seed, 2, chunk_idx)
+        t = rng.standard_exponential((m, montecarlo._DELI_POINTS))
+        np.cumsum(t, axis=1, out=t)
+        far_mean = order * 2.0 * t[:, -1] ** (1.0 - half) / (alpha - 2.0)
+        power = rng.gamma(order, size=t.shape)
+        power *= np.power(t, -half, out=t)
+        interference = power[:, 1:].sum(axis=1) + far_mean
+        ok = power[:, 0] >= s.theta2 * (interference + noise)
+        successes += int(np.count_nonzero(ok))
+    return montecarlo._proportion_estimate(successes, trials, seed)
+
+
+def _serial_simulate_backhaul(s, topology, scheme, trials, seed):
+    _, dists, hops = montecarlo._resolve_transfer(s, topology, scheme)
+    shares = (1.0 / dists) / (1.0 / dists).sum()
+    packets = montecarlo._split_packets(shares, multipath.buffer_packets(s))
+    p1 = multipath.relay_selection_prob(s.lambda_s, s.lambda_e, s.relay_coeff)
+    p_first = p1 * multipath.mmwave_success_prob(s, tx_power_w=s.p_e)
+    p_relay = p1 * multipath.mmwave_success_prob(s)
+    slots = np.zeros((trials, len(dists)), dtype=np.int64)
+    for path in range(len(dists)):
+        rng = substream(seed, 4, path)
+        n_first = int(packets[path])
+        n_rest = int(packets[path]) * (int(hops[path]) - 1)
+        if n_first:
+            slots[:, path] += rng.geometric(p_first, size=(trials, n_first)
+                                            ).sum(axis=1)
+        if n_rest:
+            slots[:, path] += rng.geometric(p_relay, size=(trials, n_rest)
+                                            ).sum(axis=1)
+    delays = slots.max(axis=1) * s.tau_mmw
+    se = float(delays.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return McEstimate(mean=float(delays.mean()), std_error=se,
+                      n_samples=trials, seed=seed)
+
+
+def _without_warnings(fn, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args, **kwargs)
+    assert not caught, [str(w.message) for w in caught]
+    return result
+
+
+def _chunk_edges(chunk):
+    return [1, 2, chunk - 1, chunk, chunk + 1, 3 * chunk + 17]
+
+
+@pytest.mark.parametrize("trials", _chunk_edges(DELI_CHUNK))
+def test_deli_oracle_equals_serial_reference(trials):
+    s = load_scenario()
+    est = _without_warnings(estimate_deli_success, s, trials, SEED)
+    assert est == _serial_deli_success(s, trials, SEED)
+
+
+# (overrides, noise_power): gain orders 1, 4 (default) and 16, alpha1 at
+# both ends of its range, and a noise-limited link
+DELI_MODELS = {
+    "order1": ({"nt_m": 1, "nr_e": 1}, None),
+    "order4": ({}, None),
+    "order16": ({"nt_m": 4, "nr_e": 4}, None),
+    "alpha2.001": ({"alpha1": 2.001}, None),
+    "alpha6": ({"alpha1": 6.0}, None),
+    "noisy": ({}, 4e-15),
+}
+SMALL_DELI_CHUNK = 990  # two row blocks: 512 + 478
+
+
+@pytest.mark.parametrize("trials", _chunk_edges(SMALL_DELI_CHUNK))
+@pytest.mark.parametrize("model", DELI_MODELS)
+def test_deli_oracle_equals_serial_reference_per_model(monkeypatch, model,
+                                                       trials):
+    # a small chunk puts every chunk edge within a few thousand trials
+    monkeypatch.setattr(montecarlo, "_DELI_CHUNK", SMALL_DELI_CHUNK)
+    overrides, noise_power = DELI_MODELS[model]
+    s = load_scenario(overrides=overrides)
+    est = _without_warnings(estimate_deli_success, s, trials, SEED,
+                            noise_power=noise_power)
+    assert est == _serial_deli_success(s, trials, SEED, noise_power)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_simulator_equals_serial_reference(scheme):
+    s = load_scenario()
+    topo = mean_distance_topology(s)
+    est = _without_warnings(simulate_backhaul, s, topo, scheme, 500, SEED)
+    assert est == _serial_simulate_backhaul(s, topo, scheme, 500, SEED)
+
+
+def _every_oracle(s, topo):
+    trials = 2 * montecarlo._CHUNK + 3
+    return (kth_nearest_distances(s.lambda_e, 2, trials, SEED).tolist(),
+            estimate_uplink_success(s, trials, SEED),
+            estimate_access_success(s, trials, SEED),
+            estimate_shadowing_success(s, trials, SEED),
+            estimate_deli_success(s, 2 * DELI_CHUNK + 5, SEED),
+            simulate_backhaul(s, topo, trials=300, seed=SEED))
+
+
+def test_one_worker_equals_pool(monkeypatch):
+    s = load_scenario()
+    topo = mean_distance_topology(s)
+    threads = set()
+
+    def recording_substream(*key):
+        threads.add(threading.current_thread().name)
+        return substream(*key)
+
+    monkeypatch.setattr(montecarlo, "substream", recording_substream)
+    monkeypatch.setattr(montecarlo, "_WORKERS", max(2, montecarlo._WORKERS))
+    pooled = _without_warnings(_every_oracle, s, topo)
+    assert any(name.startswith("mcrnet-montecarlo") for name in threads)
+
+    threads.clear()
+    monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+    monkeypatch.setattr(montecarlo, "_pool", lambda: pytest.fail(
+        "the pool was used with one worker"))
+    assert _without_warnings(_every_oracle, s, topo) == pooled
+    assert threads == {threading.current_thread().name}
+
+
+def test_oversubscribed_pool_equals_serial(monkeypatch):
+    # far more workers than cores and a short switch interval, so tasks
+    # interleave as much as they can; each writes only its own slice of
+    # the distances or its own column of the simulator's slot counts
+    s = load_scenario(overrides={"b_paths": 7})
+    topo = mean_distance_topology(s)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+    monkeypatch.setattr(montecarlo, "_DELI_CHUNK", 495)
+
+    def run():
+        return (kth_nearest_distances(s.lambda_e, 3, 30_017, SEED).tolist(),
+                estimate_deli_success(s, 3000, SEED),
+                simulate_backhaul(s, topo, trials=200, seed=SEED))
+
+    monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+    serial = run()
+    workers = 4 * (os.cpu_count() or 1)
+    result = {}
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        monkeypatch.setattr(montecarlo, "_pool", lambda: pool)
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(
+                target=lambda: result.update(value=run()))
+            caller.start()
+            caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+    assert result["value"] == serial
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_forked_child_builds_its_own_pool(monkeypatch):
+    # a child forked while the parent's pool runs has none of its workers
+    monkeypatch.setattr(montecarlo, "_WORKERS", max(2, montecarlo._WORKERS))
+    s = load_scenario()
+    trials = 2 * montecarlo._CHUNK + 3
+    expected = estimate_uplink_success(s, trials, SEED)
+
+    def check():
+        assert estimate_uplink_success(s, trials, SEED) == expected
+
+    child = multiprocessing.get_context("fork").Process(target=check)
+    child.start()
+    child.join(timeout=60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung
+    assert child.exitcode == 0

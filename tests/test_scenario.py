@@ -2,6 +2,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mcrnet.scenario import (MEGABYTE, NetworkScenario, ScenarioError,
                              db_to_linear, dbm_to_watt, linear_to_db,
@@ -108,6 +110,51 @@ def test_config_round_trip_is_identical():
     for name in cfg:
         assert getattr(s2, name) == getattr(s, name)
     assert scenario_hash(s2) == scenario_hash(s)
+
+
+POSITIVE = st.floats(min_value=0.0, max_value=1e30, exclude_min=True)
+RATIO = st.floats(1.01, 1e3)
+COUNT = st.integers(1, 64)
+
+
+@st.composite
+def scenarios(draw):
+    """Valid scenarios, each constraint met by construction or assumed."""
+    lambda_m = draw(st.floats(1e-9, 1e-3))
+    lambda_e = lambda_m * draw(RATIO)
+    p_u = draw(st.floats(1e-6, 10.0))
+    p_s = p_u * draw(RATIO)
+    lambda_u = draw(st.floats(1e-9, 1e-2))
+    chi = draw(st.floats(1.0, 1e9))
+    r_max = draw(st.floats(1.0, 1e5))
+    values = dict(
+        lambda_m=lambda_m, lambda_e=lambda_e, lambda_s=lambda_e * draw(RATIO),
+        lambda_u=lambda_u, p_u=p_u, p_s=p_s, p_m=p_s * draw(RATIO),
+        chi=chi, mu=chi * lambda_u * draw(RATIO), r_max=r_max,
+        l_fiber=draw(st.floats(0.0, 1e9)),
+        alpha1=draw(st.floats(2.0, 8.0, exclude_min=True)),
+        alpha2=draw(st.floats(2.0, 8.0)),
+        beta=draw(st.floats(0.0, 5.0)),
+        **{name: draw(POSITIVE) for name in (
+            "p_e", "theta1", "theta2", "theta3", "theta4", "n0", "w_mmw",
+            "tau_mmw", "r_mmw", "sigma_db", "packet_l", "buffer_omega",
+            "v_fiber", "relay_coeff", "t_ul_req", "t_dl_deli", "t_dl_as",
+            "d_max")},
+        **{name: draw(COUNT) for name in (
+            "nt_u", "nr_m", "nt_m", "nr_e", "nt_s", "nr_u", "k_total")})
+    capacity = lambda_e * math.pi * r_max ** 2
+    assume(capacity >= 1.0)
+    values["b_paths"] = draw(st.integers(1, int(min(capacity, 64))))
+    return NetworkScenario(**values)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(s=scenarios())
+def test_config_round_trip_property(s):
+    cfg = scenario_to_config(s)
+    assert load_scenario(overrides=cfg) == s
+    text = "\n".join(f"{k} = {v!r}" for k, v in cfg.items())
+    assert load_scenario(text) == s
 
 
 @pytest.mark.parametrize("db", [-174.0, -90.0, -37.7, 0.0, 23.0, 43.0])
