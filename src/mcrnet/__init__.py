@@ -14,7 +14,7 @@ from .energy import (EnergyModel, SeeResult, SystemEnergy, load_energy_model,
                      system_energy)
 from .latency import (DelayBreakdown, access_delay, access_success_prob,
                       deli_delay, deli_success_prob, fiber_delay,
-                      sinr_recursion, total_latency, uplink_request_delay,
+                      total_latency, uplink_request_delay,
                       uplink_success_prob)
 from .montecarlo import (McEstimate, SampledTopology, estimate_access_success,
                          estimate_deli_success, estimate_kth_nearest,
@@ -27,8 +27,7 @@ from .multipath import (MultipathPlan, build_plan, continuous_backhaul_coeff,
                         mmwave_link_margin, mmwave_success_prob,
                         multipath_backhaul_delay, per_packet_path_delay,
                         relay_selection_prob, single_path_backhaul_delay)
-from .numerics import (QuadratureSpec, erf_fn, find_root_monotone, gamma_fn,
-                       integrate_semi_infinite)
+from .numerics import QuadratureSpec, integrate_semi_infinite
 from .optimizer import (FeasiblePair, NoFeasiblePairError,
                         OptimizationOutcome, critical_edc_density,
                         optimize_cache_density, reduced_delay_budget)

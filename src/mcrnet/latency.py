@@ -7,14 +7,16 @@ cooperative backhaul stage lives in :mod:`mcrnet.multipath`; this module
 combines it into the end-to-end total.
 
 All success probabilities average a Gamma-distributed aggregate antenna
-gain over the nearest-transmitter distance of a planar Poisson field; the
-interference-limited delivery stage additionally needs a small triangular
-matrix series for aggregate gains of order above one.
+gain over the nearest-transmitter distance of a planar Poisson field.
+The uplink and access stages integrate that average numerically; the
+interference-limited delivery stage has it in closed form, a positive
+series over incomplete Beta functions with no quadrature at all.
 
 The three stage success probabilities do not depend on cache size or edge
 density, so each is memoised on the scalar inputs it depends on (gain
-order, threshold, path-loss exponent, density, quadrature spec): a sweep
-over cache size or edge density integrates each stage once.
+order, threshold, path-loss exponent, and for the integrated stages the
+density and quadrature spec): a sweep over cache size or edge density
+evaluates each stage once.
 """
 
 import functools
@@ -24,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .numerics import (DEFAULT_QUADRATURE, NumericsError,
-                       integrate_semi_infinite)
+from .numerics import DEFAULT_QUADRATURE, integrate_semi_infinite
 
 
 class LatencyError(RuntimeError):
@@ -43,27 +44,6 @@ class DelayBreakdown:
     d_dl_as: float
     d_fiber_term: float
     total: float
-
-
-@dataclass(frozen=True)
-class SinrRecursionState:
-    """Ingredients of the interference coverage series at one distance.
-
-    ``order`` is the aggregate-gain shape (transmit times receive antenna
-    count); ``k`` holds the order+1 interference coefficients, ``y`` the
-    binomially weighted source vector, ``g`` the strictly lower triangular
-    propagation matrix and ``x`` the assembled series terms.
-    """
-
-    order: int
-    k: np.ndarray
-    y: np.ndarray
-    g: np.ndarray
-    x: np.ndarray
-
-    def correction_sum(self):
-        """Sum of the first ``order - 1`` series terms (0 for order 1)."""
-        return float(self.x[: self.order - 1].sum())
 
 
 def _gamma_tail(order, x):
@@ -121,143 +101,76 @@ def uplink_request_delay(s, quad=None):
     return tx + queue
 
 
-def _interference_coefficients(order, theta, alpha, quad):
-    """Coefficients k_0..k_order of the interference Laplace expansion.
+def _interference_series(order, theta, alpha):
+    """``k_0`` and the weights ``p_1..p_{order-1}`` of the coverage series.
 
-    k_0 scales the exponent of the Laplace functional itself; k_q for
-    q >= 1 scales its q-th derivative.  All are integrals over the
-    normalised squared distance ratio of interferers.
+    The interference Laplace coefficients integrate over the normalised
+    squared distance ratio ``u`` of an interferer, on ``[1, inf)``::
+
+        k_0 = int 1 - (1 + theta u^(-alpha/2))^(-order) du
+        k_q = int (1 + u^(alpha/2) / theta)^(-q)
+                  * (1 + theta u^(-alpha/2))^(-order) du,   q >= 1
+
+    With ``w = theta u^(-alpha/2)`` and then ``t = w / (1 + w)`` they are
+    incomplete Beta integrals (``s = 2/alpha``, ``x = theta/(1+theta)``,
+    ``G`` the Gamma function, ``I_x`` the regularised incomplete Beta)::
+
+        p_q = C(order+q-1, q) k_q
+            = s theta^s G(q-s) G(order+s) / (G(q+1) G(order)) I_x(q-s, order+s)
+        k_0 = order theta^s G(1-s) G(order+s) / G(order+1) I_x(1-s, order+s)
+              - (1 - (1+theta)^(-order))
+
+    where ``k_0`` is integrated by parts first.  The Gamma ratios go
+    through ``gammaln``, so nothing overflows at any order.  The series is
+    the lower-triangular Toeplitz form of Li, Zhang, Andrews and Letaief,
+    "A general framework for SIR/SINR analysis in MIMO HetNets" (IEEE TWC
+    2014).
     """
-    half_alpha = alpha / 2.0
-    k = np.empty(order + 1)
-
-    # integrated over u = v * theta**(2/alpha) on [1, inf), so the
-    # integrands start at O(1) and need no prefactor whatever theta is
-    def base(u):
-        # stable form of 1 - (1 + theta u^-a/2)^-order for tiny arguments
-        return -math.expm1(-order * math.log1p(theta * u ** -half_alpha))
-
-    try:
-        k[0] = integrate_semi_infinite(base, 1.0, quad)
-        for q in range(1, order + 1):
-            def deriv(u, q=q):
-                return ((1.0 + u ** half_alpha / theta) ** (-q)
-                        * (1.0 + theta * u ** -half_alpha) ** (-order))
-            k[q] = integrate_semi_infinite(deriv, 1.0, quad)
-    except NumericsError as err:
-        # near alpha = 2 the integrands fall off like u**(-alpha/2)
-        raise NumericsError(
-            f"interference coefficients for order {order}, threshold "
-            f"{theta:g}, path-loss exponent {alpha:g}: {err}") from err
-    return k
-
-
-def _series_weights(order, k):
-    """Source vector ``y`` and triangular matrix ``g`` from coefficients."""
-    y = np.zeros(order)
-    for j in range(1, order + 1):
-        y[j - 1] = math.comb(order + j - 1, j) * k[j]
-    g = np.zeros((order, order))
-    for i in range(2, order + 1):
-        for j in range(1, i):
-            d = i - j
-            g[i - 1, j - 1] = (d / i) * math.comb(order + d - 1, d) * k[d]
-    return y, g
-
-
-def sinr_recursion(order, theta2, alpha1, lambda_m, r, quad=None):
-    """Assemble the coverage series state at serving distance ``r``.
-
-    Parameters
-    ----------
-    order : int
-        Aggregate gain shape, >= 1.
-    theta2 : float
-        SINR threshold (linear ratio).
-    alpha1 : float
-        Path-loss exponent, > 2.
-    lambda_m : float
-        Interferer density per m^2.
-    r : float
-        Serving-node distance in metres.
-
-    Returns
-    -------
-    SinrRecursionState
-    """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    quad = quad or DEFAULT_QUADRATURE
-    k = _interference_coefficients(order, theta2, alpha1, quad)
-    y, g = _series_weights(order, k)
-    xi = lambda_m * math.pi * r * r
-    x0 = math.exp(-k[0] * xi)
-    x = np.zeros(order)
-    term = y.copy()
-    for t in range(1, order + 1):
-        x += xi ** t * x0 * term
-        term = g @ term
-    return SinrRecursionState(order=order, k=k, y=y, g=g, x=x)
-
-
-def _correction_poly(order, k):
-    """Coefficients a_1..a_{order-1} of the coverage correction polynomial.
-
-    The conditional coverage at normalised distance xi factors as
-    ``exp(-(k_0) * xi) * (1 + sum_t a_t xi^t)``.
-    """
-    y, g = _series_weights(order, k)
-    a = np.zeros(order)  # a[0] unused
-    term = y
-    for t in range(1, order):
-        a[t] = term[: order - 1].sum()
-        term = g @ term
-    return a
+    s = 2.0 / alpha
+    x = theta / (1.0 + theta)
+    log_front = s * math.log(theta) + special.gammaln(order + s)
+    k0 = (order * math.exp(log_front + special.gammaln(1.0 - s)
+                           - special.gammaln(order + 1.0))
+          * special.betainc(1.0 - s, order + s, x)
+          + math.expm1(-order * math.log1p(theta)))
+    q = np.arange(1, order)
+    p = (s * np.exp(log_front + special.gammaln(q - s)
+                    - special.gammaln(q + 1.0) - special.gammaln(order))
+         * special.betainc(q - s, order + s, x))
+    return k0, p
 
 
 @functools.lru_cache(maxsize=128)
-def _deli_success(order, theta2, alpha1, quad):
+def _deli_success(order, theta2, alpha1):
     """Routing-info success probability for one set of stage inputs.
 
-    Memoised like ``_nearest_tx_success``; the coefficient array ``k``
-    lives only inside the call and is never cached.
+    Averaged over the serving distance, the coverage series is
+    ``sum_{n<order} [z^n] 1 / (d - sum_j p_j z^j)`` with ``d = 1 + k_0``:
+    the terms ``c_n`` below.  Every term is positive, so the sum has no
+    cancellation.  Memoised like ``_nearest_tx_success``.
     """
-    k = _interference_coefficients(order, theta2, alpha1, quad)
-    a = _correction_poly(order, k)
-    decay = 1.0 + k[0]
-    # k_0 integrates a positive function, so the integrand below decays;
-    # decay <= 0 means the coefficient quadrature returned a wrong value
-    if not decay > 0.0:
-        raise NumericsError(
-            f"interference coefficient k_0 = {k[0]:.6g} < -1 for order "
-            f"{order}, threshold {theta2:g}, path-loss exponent {alpha1:g}")
-
-    def integrand(xi):
-        corr = 0.0
-        p = 1.0
-        for t in range(1, order):
-            p *= xi
-            corr += a[t] * p
-        return math.exp(-decay * xi) * (1.0 + corr)
-
-    rho = integrate_semi_infinite(integrand, 0.0, quad)
-    return min(1.0, rho)
+    k0, p = _interference_series(order, theta2, alpha1)
+    d = 1.0 + k0
+    c = np.empty(order)
+    c[0] = 1.0 / d
+    for n in range(1, order):
+        c[n] = p[:n] @ c[n - 1::-1] / d
+    return min(1.0, float(c.sum()))
 
 
-def deli_success_prob(s, quad=None):
+def deli_success_prob(s):
     """Probability the routing info reaches the serving edge cache.
 
     SINR model: the nearest macro cell serves, every other macro cell
     interferes, each link carrying an independent Gamma(order, 1)
     aggregate gain with order nt_m * nr_e.
     """
-    quad = quad or DEFAULT_QUADRATURE
-    return _deli_success(s.nt_m * s.nr_e, s.theta2, s.alpha1, quad)
+    return _deli_success(s.nt_m * s.nr_e, s.theta2, s.alpha1)
 
 
-def deli_delay(s, quad=None):
+def deli_delay(s):
     """Mean routing-info delivery delay (retransmission scaling)."""
-    return s.t_dl_deli / deli_success_prob(s, quad)
+    return s.t_dl_deli / deli_success_prob(s)
 
 
 def access_success_prob(s, quad=None):
@@ -298,7 +211,7 @@ def total_latency(s, p_hit, d_bh, quad=None):
     if d_bh < 0.0:
         raise ValueError(f"d_bh must be >= 0, got {d_bh}")
     tx, queue = uplink_delay_parts(s, quad)
-    deli = deli_delay(s, quad)
+    deli = deli_delay(s)
     access = access_delay(s, quad)
     fiber_term = fiber_delay(s) * (1.0 - p_hit)
     total = tx + queue + deli + d_bh + access + fiber_term

@@ -2,7 +2,7 @@
 
 Each estimator samples the underlying random model directly (Poisson
 fields, Gamma aggregate gains, log-normal shadowing, slotted retries) and
-reports a mean with its standard error, so the library's quadrature-based
+reports a mean with its standard error, so the library's analytical
 results can be checked to within sampling noise.
 
 The distance-based oracles use the ordered construction of a planar
@@ -14,8 +14,9 @@ and the ordered squared distances are cumulative sums of Exp(1) draws
 over ``pi * lam``; no trial samples a point count or a disc.
 
 Randomness comes from counter-based Philox streams keyed by
-``(seed, stream path)``: every chunk of trials (and every simulator path)
-owns an independent substream.  The chunks run on a process-wide thread
+``(seed, stream path)``: each oracle draws from its own stream family,
+and every chunk of trials (and every simulator path) owns an independent
+substream within it.  The chunks run on a process-wide thread
 pool, one worker per available CPU (numpy's draws and array operations
 release the interpreter lock), and their results are combined in chunk
 order, so every estimate is bit-reproducible and does not depend on the
@@ -180,14 +181,16 @@ def estimate_kth_nearest(lambda_e, k, trials, seed=0):
 
 
 def _nearest_threshold_successes(lam, order, threshold_scale, alpha,
-                                 trials, seed):
+                                 trials, seed, family):
     """Trials where a Gamma(order, 1) gain beats a distance-based threshold.
 
     The nearest squared distance is Exp(1) / (pi * lam), so the threshold
     ``threshold_scale * r**alpha`` is taken from it without a square root.
+    ``family`` names the substreams, one per oracle, so that two oracles
+    with the same seed draw independent samples.
     """
     def count(chunk_idx, m):
-        rng = substream(seed, 1, chunk_idx)
+        rng = substream(seed, family, chunk_idx)
         r_sq = rng.standard_exponential(m) / (math.pi * lam)
         gains = rng.gamma(order, size=m)
         with np.errstate(over="ignore"):
@@ -202,7 +205,7 @@ def estimate_uplink_success(s, trials=1_000_000, seed=0):
     order = s.nt_u * s.nr_m
     scale = s.theta1 * s.nt_u / s.p_u
     n = _nearest_threshold_successes(
-        s.lambda_m, order, scale, s.alpha1, trials, seed)
+        s.lambda_m, order, scale, s.alpha1, trials, seed, 1)
     return _proportion_estimate(n, trials, seed)
 
 
@@ -211,7 +214,7 @@ def estimate_access_success(s, trials=1_000_000, seed=0):
     order = s.nt_s * s.nr_u
     scale = s.theta3 * s.nt_s / s.p_s
     n = _nearest_threshold_successes(
-        s.lambda_s, order, scale, s.alpha2, trials, seed)
+        s.lambda_s, order, scale, s.alpha2, trials, seed, 6)
     return _proportion_estimate(n, trials, seed)
 
 

@@ -97,7 +97,7 @@ def reduced_delay_budget(s, quad=None):
     """
     return (s.d_max
             - latency.uplink_request_delay(s, quad)
-            - latency.deli_delay(s, quad)
+            - latency.deli_delay(s)
             - latency.access_delay(s, quad))
 
 

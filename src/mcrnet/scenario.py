@@ -142,6 +142,8 @@ def _validate(s):
                  "packet_l", "buffer_omega", "v_fiber", "mu", "chi", "r_max",
                  "relay_coeff", "t_ul_req", "t_dl_deli", "t_dl_as", "d_max"):
         _check(getattr(s, name) > 0, f"{name} > 0")
+    # the delivery closed form reads theta2 / (1 + theta2), NaN at inf
+    _check(math.isfinite(s.theta2), "theta2 finite")
     _check(s.l_fiber >= 0, "l_fiber >= 0")
     _check(s.mu > s.chi * s.lambda_u,
            f"mu > chi * lambda_u (queue stability; arrival rate "
@@ -149,9 +151,12 @@ def _validate(s):
     for name in _INT_FIELDS:
         value = getattr(s, name)
         _check(isinstance(value, int) and value >= 1, f"{name} integer >= 1")
-    _check(s.b_paths <= s.lambda_e * math.pi * s.r_max ** 2,
-           f"b_paths <= lambda_e * pi * r_max^2 "
-           f"(got {s.b_paths} > {s.lambda_e * math.pi * s.r_max ** 2:g})")
+    # r_max * r_max overflows to inf where r_max ** 2 would raise
+    disc = s.lambda_e * math.pi * s.r_max * s.r_max
+    _check(math.isfinite(disc),
+           f"lambda_e * pi * r_max^2 finite (got r_max = {s.r_max:g} m)")
+    _check(s.b_paths <= disc, f"b_paths <= lambda_e * pi * r_max^2 "
+           f"(got {s.b_paths} > {disc:g})")
     _check(s.alpha1 > 2, "alpha1 > 2")
     # free-space alpha2 == 2 is the line-of-sight default for the access hop
     _check(s.alpha2 >= 2, "alpha2 >= 2")

@@ -310,31 +310,58 @@ def test_psi_sweep_accepts_library_ends(capsys):
         pytest.approx([0.0, 1.0], abs=1e-12)
 
 
-def test_alpha_near_two_is_named_error(capsys):
-    # the interference integrals diverge as alpha1 -> 2; the quadrature
-    # fails there and must end in a named error, not a traceback
+def run_cli_without_warnings(capsys, *argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run_cli(capsys, "optimize", "--param",
-                                 "alpha1=2.001")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and "path-loss exponent 2.001" in err
+        result = run_cli(capsys, *argv)
     assert [str(w.message) for w in caught] == []
+    return result
 
 
-def test_alpha_barely_above_two_is_named_error(capsys):
-    # here the coefficient quadrature falls back to truncation, which
-    # drops most of the slowly decaying tail; that must be an error, not
-    # a wrong success probability
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, err = run_cli(capsys, "optimize", "--param",
-                                 "alpha1=2.00001")
+@pytest.mark.parametrize("alpha1", ["2.001", "2.00001"])
+def test_alpha_near_two_is_infeasible(capsys, alpha1):
+    # the delivery coverage tends to (alpha1 - 2) / (alpha1 theta2), so
+    # its delay alone exceeds the budget: no feasible pair, and no error
+    code, out, err = run_cli_without_warnings(
+        capsys, "optimize", "--param", f"alpha1={alpha1}")
+    assert code == 2
+    assert err == ""
+    (report,) = parse_csv(out)
+    assert report["feasible"] == "False"
+    assert float(report["reduced_budget"]) < 0.0
+
+
+def test_large_gain_order_optimizes(capsys):
+    # order nt_m * nr_e = 1024 overflowed the coefficient series
+    code, out, err = run_cli_without_warnings(
+        capsys, "optimize", "--param", "nt_m=32", "--param", "nr_e=32")
+    assert code == 0
+    assert err == ""
+    assert parse_csv(out)
+
+
+def test_large_gain_order_validates_delivery(capsys):
+    # at order 256 a 1.4 % error in the delivery probability shows as
+    # |z| > 4 at 1e5 trials
+    code, out, err = run_cli_without_warnings(
+        capsys, "validate", "--trials", "100000", "--param", "nt_m=16",
+        "--param", "nr_e=16")
+    rows = {r["check"]: r for r in parse_csv(out)}
+    assert rows["deli_success"]["passed"] == "True"
+    assert abs(float(rows["deli_success"]["deviation"])) <= 3.0
+    assert code == 0
+    assert err == ""
+
+
+@pytest.mark.parametrize("param,field", [
+    ("r_max=1e200", "r_max"), ("theta2=inf", "theta2"),
+    ("theta2_db=inf", "theta2")])
+def test_out_of_range_scenario_value_is_scenario_error(capsys, param, field):
+    code, out, err = run_cli_without_warnings(
+        capsys, "optimize", "--param", param)
     assert code == 1
     assert out == ""
-    assert err.startswith("error:") and "neglected tail" in err
-    assert [str(w.message) for w in caught] == []
+    assert err.startswith("error:") and field in err
 
 
 def test_validate_rejects_non_positive_trials(capsys):

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,15 +11,104 @@ from mcrnet import latency
 from mcrnet.cli import TARGETS, main
 from mcrnet.latency import (DelayBreakdown, LatencyError, access_delay,
                             access_success_prob, deli_delay,
-                            deli_success_prob, fiber_delay, sinr_recursion,
-                            total_latency, uplink_delay_parts,
-                            uplink_request_delay, uplink_success_prob)
-from mcrnet.numerics import DEFAULT_QUADRATURE, NumericsError, QuadratureSpec
+                            deli_success_prob, fiber_delay, total_latency,
+                            uplink_delay_parts, uplink_request_delay,
+                            uplink_success_prob)
+from mcrnet.numerics import (DEFAULT_QUADRATURE, NumericsError,
+                             QuadratureSpec, integrate_semi_infinite)
 from mcrnet.scenario import load_scenario
 
 # frozen module outputs at the documented defaults (regression guards)
 DELI_RHO_DEFAULT = 0.5282701969743324
 UPLINK_RHO_60DBM = 0.6957995583777764
+
+
+# --- delivery-stage oracles -------------------------------------------------
+# The library sums the delivery coverage series in closed form.  The
+# quadrature oracle integrates the interference coefficients
+#   k_0 = int_1^inf 1 - (1 + theta u^(-alpha/2))^(-order) du
+#   k_q = int_1^inf (1 + u^(alpha/2) / theta)^(-q)
+#                   * (1 + theta u^(-alpha/2))^(-order) du
+# and then the distance average of the conditional coverage
+# exp(-k_0 xi) * (1 + sum_t a_t xi^t) directly.
+
+def quad_interference_coefficients(order, theta, alpha):
+    """k_0..k_order by quadrature."""
+    half_alpha = alpha / 2.0
+    k = np.empty(order + 1)
+
+    def base(u):
+        # stable form of 1 - (1 + theta u^-a/2)^-order for tiny arguments
+        return -math.expm1(-order * math.log1p(theta * u ** -half_alpha))
+
+    k[0] = integrate_semi_infinite(base, 1.0)
+    for q in range(1, order + 1):
+        def deriv(u, q=q):
+            return ((1.0 + u ** half_alpha / theta) ** (-q)
+                    * (1.0 + theta * u ** -half_alpha) ** (-order))
+        k[q] = integrate_semi_infinite(deriv, 1.0)
+    return k
+
+
+def correction_poly(order, k):
+    """a_1..a_{order-1} of the conditional coverage correction polynomial.
+
+    Built from the binomially weighted source vector ``y`` and the
+    strictly lower triangular propagation matrix ``g``.
+    """
+    y = np.array([math.comb(order + j - 1, j) * k[j]
+                  for j in range(1, order + 1)])
+    g = np.zeros((order, order))
+    for i in range(2, order + 1):
+        for j in range(1, i):
+            d = i - j
+            g[i - 1, j - 1] = (d / i) * math.comb(order + d - 1, d) * k[d]
+    a = np.zeros(order)  # a[0] unused
+    term = y
+    for t in range(1, order):
+        a[t] = term[: order - 1].sum()
+        term = g @ term
+    return a
+
+
+def quad_deli_success(order, theta, alpha):
+    """Delivery success probability with every integral done numerically."""
+    k = quad_interference_coefficients(order, theta, alpha)
+    a = correction_poly(order, k)
+
+    def integrand(xi):
+        corr = sum(a[t] * xi ** t for t in range(1, order))
+        return math.exp(-(1.0 + k[0]) * xi) * (1.0 + corr)
+
+    return min(1.0, integrate_semi_infinite(integrand, 0.0))
+
+
+def mpmath_deli_success(order, theta, alpha):
+    """50-digit reference for large orders.
+
+    ``k_0`` is integrated from its definition (with ``w = theta
+    u^(-alpha/2)`` and ``w = t^(1/(1-s))``, which leaves a smooth
+    integrand on a finite interval), the weights ``p_q`` come from
+    mpmath's own Gamma and incomplete Beta functions, and the series
+    recursion is summed in 50-digit arithmetic.
+    """
+    with mpmath.workdps(50):
+        theta = mpmath.mpf(theta)
+        s = 2 / mpmath.mpf(alpha)
+        e = 1 / (1 - s)
+        k0 = s * theta ** s * e * mpmath.quad(
+            lambda t: -mpmath.expm1(-order * mpmath.log1p(t ** e)) / t ** e,
+            [0, theta ** (1 - s)])
+        x = theta / (1 + theta)
+        p = [s * theta ** s * mpmath.gamma(q - s) * mpmath.gamma(order + s)
+             / (mpmath.gamma(q + 1) * mpmath.gamma(order))
+             * mpmath.betainc(q - s, order + s, 0, x, regularized=True)
+             for q in range(1, order)]
+        c = [1 / (1 + k0)]
+        for n in range(1, order):
+            c.append(mpmath.fsum(p[j - 1] * c[n - j]
+                                 for j in range(1, n + 1)) / (1 + k0))
+        return float(mpmath.fsum(c))
 
 
 def gamma_tail_sum(order, x):
@@ -111,50 +201,55 @@ def test_retransmission_scaling():
 
 
 def test_sinr_recursion_order_one_has_empty_correction():
-    state = sinr_recursion(1, 1.0, 3.5, 5e-6, 250.0)
-    assert state.x.shape == (1,)
-    assert state.correction_sum() == 0.0
-    assert state.g.shape == (1, 1) and state.g[0, 0] == 0.0
+    k0, p = latency._interference_series(1, 1.0, 3.5)
+    assert p.shape == (0,)
+    assert latency._deli_success(1, 1.0, 3.5) == 1.0 / (1.0 + k0)
 
 
 def test_sinr_recursion_k0_vanishes_with_threshold():
-    state = sinr_recursion(2, 1e-9, 3.5, 5e-6, 250.0)
-    assert state.k[0] < 1e-5
+    k0, _ = latency._interference_series(2, 1e-9, 3.5)
+    assert 0.0 < k0 < 1e-5
 
 
 def test_k0_small_threshold_limit():
     # 1 - (1 + theta u^-a)^-order = order theta u^-a + O(theta^2), so
-    # k_0 -> order theta / (alpha / 2 - 1); the unscaled integral over
-    # [theta^(-2/alpha), inf) fell back to truncation here
+    # k_0 -> order theta / (alpha / 2 - 1)
     order, theta, alpha = 2, 1e-9, 3.5
-    state = sinr_recursion(order, theta, alpha, 5e-6, 250.0)
-    assert state.k[0] == pytest.approx(
-        order * theta / (alpha / 2.0 - 1.0), rel=1e-6)
+    k0, _ = latency._interference_series(order, theta, alpha)
+    assert k0 == pytest.approx(order * theta / (alpha / 2.0 - 1.0), rel=1e-6)
 
 
 def test_sinr_recursion_coefficients_match_fixed_grid():
     # independent oracle: trapezoid integration on a huge flat grid
     theta, alpha, order = 1.0, 4.0, 2
-    state = sinr_recursion(order, theta, alpha, 5e-6, 250.0)
+    k0, p = latency._interference_series(order, theta, alpha)
     v = np.linspace(1.0, 4000.0, 4_000_000)
     base = 1.0 - (1.0 + v ** -2.0) ** -order
     k0_grid = float(np.trapezoid(base, v))
     # analytic tail beyond the grid: integrand ~ order * v^-2
     k0_tail = order / v[-1]
-    assert state.k[0] == pytest.approx(k0_grid + k0_tail, rel=1e-5)
+    assert k0 == pytest.approx(k0_grid + k0_tail, rel=1e-5)
     k1_int = (1.0 + v ** 2.0) ** -1.0 * (1.0 + v ** -2.0) ** -order
     k1_grid = float(np.trapezoid(k1_int, v))
     k1_tail = 1.0 / v[-1]
-    assert state.k[1] == pytest.approx(k1_grid + k1_tail, rel=1e-5)
+    # p_1 = C(order, 1) k_1
+    assert p[0] / order == pytest.approx(k1_grid + k1_tail, rel=1e-5)
 
 
 def test_sinr_recursion_matrix_shape_and_triangularity():
-    state = sinr_recursion(4, 1.0, 3.5, 5e-6, 300.0)
-    assert state.k.shape == (5,)
-    assert state.y.shape == (4,)
-    assert state.g.shape == (4, 4)
-    assert np.allclose(np.triu(state.g), 0.0)
-    assert np.isfinite(state.x).all()
+    # the series terms are the first column of the inverse of the lower
+    # triangular Toeplitz matrix with d = 1 + k_0 on the diagonal and
+    # -p_j on the j-th subdiagonal
+    order, theta, alpha = 4, 1.0, 3.5
+    k0, p = latency._interference_series(order, theta, alpha)
+    assert p.shape == (order - 1,)
+    assert (p > 0.0).all()
+    toeplitz = (1.0 + k0) * np.eye(order) - sum(
+        p[j - 1] * np.eye(order, k=-j) for j in range(1, order))
+    terms = np.linalg.solve(toeplitz, np.eye(order)[:, 0])
+    assert (terms > 0.0).all()
+    assert latency._deli_success(order, theta, alpha) == pytest.approx(
+        terms.sum(), rel=1e-13)
 
 
 def test_deli_trivial_threshold():
@@ -164,28 +259,49 @@ def test_deli_trivial_threshold():
 
 def test_deli_rayleigh_case_closed_form():
     s = load_scenario(overrides={"nt_m": 1, "nr_e": 1})
-    state = sinr_recursion(1, s.theta2, s.alpha1, s.lambda_m, 1.0)
+    k = quad_interference_coefficients(1, s.theta2, s.alpha1)
     assert deli_success_prob(s) == pytest.approx(
-        1.0 / (1.0 + state.k[0]), rel=1e-9)
+        1.0 / (1.0 + k[0]), rel=1e-9)
 
 
 def test_deli_quadrature_matches_moment_closed_form():
-    # the outer integral has an exact factorial-moment evaluation; the
-    # quadrature path must reproduce it
-    from mcrnet.latency import _correction_poly, _interference_coefficients
-    from mcrnet.numerics import DEFAULT_QUADRATURE
-
+    # with the quadrature coefficients the outer integral has an exact
+    # factorial-moment evaluation; the oracle's quadrature of that
+    # integral and the library's closed form must both reproduce it
     s = load_scenario()
     order = s.nt_m * s.nr_e
-    k = _interference_coefficients(order, s.theta2, s.alpha1,
-                                   DEFAULT_QUADRATURE)
-    a = _correction_poly(order, k)
+    k = quad_interference_coefficients(order, s.theta2, s.alpha1)
+    a = correction_poly(order, k)
     closed = 1.0 / (1.0 + k[0])
     for t in range(1, order):
         closed += a[t] * math.factorial(t) / (1.0 + k[0]) ** (t + 1)
+    assert quad_deli_success(order, s.theta2, s.alpha1) == pytest.approx(
+        closed, rel=1e-9)
     rho = deli_success_prob(s)
     assert rho == pytest.approx(closed, rel=1e-9)
     assert rho == pytest.approx(DELI_RHO_DEFAULT, rel=1e-10)
+
+
+@pytest.mark.parametrize("order,theta,alpha", [
+    (32, 0.1, 6.0), (64, 10.0, 2.1), (256, 1.0, 3.5)])
+def test_deli_matches_mpmath_reference_at_large_order(order, theta, alpha):
+    rho = latency._deli_success.__wrapped__(order, theta, alpha)
+    assert rho == pytest.approx(mpmath_deli_success(order, theta, alpha),
+                                rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha1", [2.001, 2.00001])
+def test_deli_alpha_near_two_limit(alpha1):
+    # as alpha1 -> 2, k_0 grows like order theta2 / (1 - 2 / alpha1) and
+    # the coverage tends to (alpha1 - 2) / (alpha1 theta2)
+    s = load_scenario(overrides={"alpha1": alpha1})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rho = latency._deli_success.__wrapped__(
+            s.nt_m * s.nr_e, s.theta2, s.alpha1)
+    assert [str(w.message) for w in caught] == []
+    assert rho * alpha1 * s.theta2 / (alpha1 - 2.0) == pytest.approx(
+        1.0, rel=alpha1 - 2.0)
 
 
 def test_access_trivial_threshold():
@@ -321,35 +437,20 @@ def test_psi_sweep_integrates_each_stage_once(capsys):
 
 def test_failed_quadrature_is_not_memoised():
     s = load_scenario()
-    strict = QuadratureSpec(max_subdivisions=1, truncation="off")
+    strict = QuadratureSpec(max_subdivisions=1)
     sizes = [cache.cache_info().currsize for cache in STAGE_CACHES]
-    for prob_fn in (uplink_success_prob, deli_success_prob,
-                    access_success_prob):
+    for prob_fn in (uplink_success_prob, access_success_prob):
         with pytest.raises(NumericsError):
             prob_fn(s, strict)
     assert [cache.cache_info().currsize for cache in STAGE_CACHES] == sizes
 
 
-def test_alpha_near_two_raises_numerics_error_uncached():
-    # the coefficient quadrature loses the slowly decaying tail here and
-    # used to hand a negative coefficient to the delivery integrand
-    s = load_scenario(overrides={"alpha1": 2.001})
-    size = latency._deli_success.cache_info().currsize
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for _ in range(2):
-            misses = latency._deli_success.cache_info().misses
-            with pytest.raises(NumericsError, match="path-loss exponent"):
-                deli_success_prob(s)
-            assert latency._deli_success.cache_info().misses == misses + 1
-    assert [str(w.message) for w in caught] == []
-    assert latency._deli_success.cache_info().currsize == size
-
-
-# alpha stays clear of 2, where the interference integrands decay like
-# v**-1 and the coefficient integrals diverge; thresholds span -20..+10 dB
+# alpha stays clear of 2, where the quadrature oracle's coefficient
+# integrands decay like u**(-alpha/2), too slowly to converge; thresholds
+# span -20..+10 dB
 ORDERS = st.integers(min_value=1, max_value=16)
 THRESHOLDS = st.floats(min_value=1e-2, max_value=10.0)
+THRESHOLDS_DB = st.floats(min_value=-20.0, max_value=10.0)
 ALPHAS = st.floats(min_value=2.1, max_value=6.0)
 
 
@@ -361,7 +462,16 @@ def test_memoised_stage_equals_uncached_property(order, theta, alpha):
     nearest = latency._nearest_tx_success(*args)
     assert nearest == latency._nearest_tx_success.__wrapped__(*args)
     assert 0.0 < nearest <= 1.0
-    deli = latency._deli_success(order, theta, alpha, DEFAULT_QUADRATURE)
-    assert deli == latency._deli_success.__wrapped__(
-        order, theta, alpha, DEFAULT_QUADRATURE)
+    deli = latency._deli_success(order, theta, alpha)
+    assert deli == latency._deli_success.__wrapped__(order, theta, alpha)
     assert 0.0 < deli <= 1.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(order=ORDERS, theta_db=THRESHOLDS_DB, alpha=ALPHAS)
+def test_deli_closed_form_matches_quadrature_property(order, theta_db, alpha):
+    theta = 10.0 ** (theta_db / 10.0)
+    rho = latency._deli_success.__wrapped__(order, theta, alpha)
+    assert 0.0 < rho <= 1.0
+    assert rho == pytest.approx(quad_deli_success(order, theta, alpha),
+                                rel=1e-8)

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from mcrnet import latency, multipath, optimizer
 from mcrnet.energy import load_energy_model, system_energy
 from mcrnet.multipath import MULTIPATH, SCHEMES, SINGLE_PATH
-from mcrnet.numerics import find_root_monotone
 from mcrnet.optimizer import (DensityBracketError, FeasiblePair,
                               NoFeasiblePairError, critical_edc_density,
                               optimize_cache_density, reduced_delay_budget)
 from mcrnet.popularity import hit_probability, zipf
 from mcrnet.scenario import load_scenario
+from oracles import find_root_monotone
 
 # frozen root for psi = 144 at the documented defaults
 CRIT_DENSITY_PSI144 = 1.3727228646865123e-05
