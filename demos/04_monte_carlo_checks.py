@@ -43,11 +43,10 @@ for label, overrides, analytic_fn, oracle_fn in cases:
 print()
 print("=== packet-level backhaul simulation ===")
 s = load_scenario()
-topo = montecarlo.mean_distance_topology(s)
-est = montecarlo.simulate_backhaul(s, topo, trials=1000, seed=SEED)
+est = montecarlo.simulate_backhaul(s, trials=1000, seed=SEED)
 analytic = multipath.multipath_backhaul_delay(s, EXACT_CEIL)
 rel = abs(est.mean - analytic) / analytic
 print(f"  stop-and-wait simulator {est.mean * 1e3:.3f} ms vs integer-hop "
       f"closed form {analytic * 1e3:.3f} ms  ({rel:.1%} apart)")
 print(f"  rerunning with the same seed reproduces the estimate exactly: "
-      f"{montecarlo.simulate_backhaul(s, topo, trials=1000, seed=SEED) == est}")
+      f"{montecarlo.simulate_backhaul(s, trials=1000, seed=SEED) == est}")

@@ -8,26 +8,25 @@ two-step cache-size / edge-density optimiser, and stochastic oracles
 validating every closed form.
 """
 
-from .energy import (EnergyModel, SeeResult, SystemEnergy, load_energy_model,
-                     load_energy_model_file,
-                     qos_indicator, see_result, service_effective_energy,
-                     system_energy)
+from .energy import (EnergyModel, SystemEnergy, load_energy_model,
+                     load_energy_model_file, qos_indicator,
+                     service_effective_energy, system_energy)
 from .latency import (DelayBreakdown, access_delay, access_success_prob,
                       deli_delay, deli_success_prob, fiber_delay,
                       total_latency, uplink_request_delay,
                       uplink_success_prob)
-from .montecarlo import (McEstimate, SampledTopology, estimate_access_success,
+from .montecarlo import (McEstimate, estimate_access_success,
                          estimate_deli_success, estimate_kth_nearest,
                          estimate_shadowing_success, estimate_uplink_success,
-                         kth_nearest_distances, mean_distance_topology,
-                         proportion_z, simulate_backhaul)
+                         kth_nearest_distances, proportion_z,
+                         simulate_backhaul)
 from .multipath import (MultipathPlan, build_plan, continuous_backhaul_coeff,
                         delay_bounds, max_cooperative_paths,
                         mean_kth_edc_distance,
                         mmwave_link_margin, mmwave_success_prob,
                         multipath_backhaul_delay, per_packet_path_delay,
                         relay_selection_prob, single_path_backhaul_delay)
-from .numerics import QuadratureSpec, integrate_semi_infinite
+from .numerics import integrate_semi_infinite
 from .optimizer import (FeasiblePair, NoFeasiblePairError,
                         OptimizationOutcome, critical_edc_density,
                         optimize_cache_density, reduced_delay_budget)

@@ -303,14 +303,21 @@ def _validation_rows(ctx, trials, seed):
             est = montecarlo.estimate_kth_nearest(
                 s.lambda_e, p, min(trials, 200_000), seed)
             return ref, est, est.z_score(ref)
-        return f"kth_nearest_distance_p{p}", run
+        return f"kth_nearest_distance_p{p}", "|z| <= 3", 3.0, run
 
     def success(name, analytic_fn, oracle_fn):
         def run():
             analytic = analytic_fn(s)
             est = oracle_fn(s, trials, seed)
             return analytic, est, montecarlo.proportion_z(est, analytic)
-        return name, run
+        return name, "|z| <= 3", 3.0, run
+
+    def simulator():
+        # packet simulator against the integer-hop closed form
+        est = montecarlo.simulate_backhaul(s, MULTIPATH,
+                                           trials=min(trials, 2000), seed=seed)
+        analytic = multipath.multipath_backhaul_delay(s, multipath.EXACT_CEIL)
+        return analytic, est, abs(est.mean - analytic) / analytic
 
     checks = [geometry(p) for p in (1, 2, 3)] + [
         success("uplink_success", latency.uplink_success_prob,
@@ -321,44 +328,25 @@ def _validation_rows(ctx, trials, seed):
                 montecarlo.estimate_access_success),
         success("shadowing_success", multipath.mmwave_success_prob,
                 montecarlo.estimate_shadowing_success),
+        ("backhaul_simulator", "rel <= 5%", 0.05, simulator),
     ]
+    meta = _metadata(ctx)
 
-    def evaluate(check):
-        name, run = check
-        row = {"check": name, "criterion": "|z| <= 3", "error": ""}
+    def evaluate(name, criterion, bound, run):
+        row = {"check": name, "criterion": criterion, "error": ""}
         try:
-            analytic, est, z = run()
+            analytic, est, deviation = run()
             row.update(analytic=analytic, estimate=est.mean,
                        std_error=est.std_error, n_samples=est.n_samples,
-                       deviation=z, passed=abs(z) <= 3.0)
+                       deviation=deviation, passed=abs(deviation) <= bound)
         except Exception as exc:
             row.update(analytic=math.nan, estimate=math.nan,
                        std_error=math.nan, n_samples=0, deviation=math.nan,
                        passed=False, error=str(exc))
+        row.update(meta)
         return row
 
-    rows = [evaluate(c) for c in checks]
-
-    # packet simulator against the integer-hop closed form (5% relative)
-    row = {"check": "backhaul_simulator", "criterion": "rel <= 5%",
-           "error": ""}
-    try:
-        topo = montecarlo.mean_distance_topology(s)
-        est = montecarlo.simulate_backhaul(
-            s, topo, MULTIPATH, trials=min(trials, 2000), seed=seed)
-        analytic = multipath.multipath_backhaul_delay(s, multipath.EXACT_CEIL)
-        rel = abs(est.mean - analytic) / analytic
-        row.update(analytic=analytic, estimate=est.mean,
-                   std_error=est.std_error, n_samples=est.n_samples,
-                   deviation=rel, passed=rel <= 0.05)
-    except Exception as exc:
-        row.update(analytic=math.nan, estimate=math.nan, std_error=math.nan,
-                   n_samples=0, deviation=math.nan, passed=False,
-                   error=str(exc))
-    rows.append(row)
-    for r in rows:
-        r.update(_metadata(ctx))
-    return rows
+    return [evaluate(*check) for check in checks]
 
 
 def cmd_validate(args):

@@ -126,21 +126,3 @@ def service_effective_energy(e_sys, qos):
         raise ValueError(f"qos must be 0 or 1, got {qos!r}")
     return e_sys * qos
 
-
-@dataclass(frozen=True)
-class SeeResult:
-    """Service-effective-energy evaluation at one operating point."""
-
-    e_sys: float
-    qos: int
-    e_see: float
-    breakdown: SystemEnergy
-
-
-def see_result(s, em, psi, d_total, lambda_e=None):
-    """Convenience composition of the three energy operations."""
-    breakdown = system_energy(s, em, psi, lambda_e)
-    qos = qos_indicator(d_total, s.d_max)
-    return SeeResult(e_sys=breakdown.total, qos=qos,
-                     e_see=service_effective_energy(breakdown.total, qos),
-                     breakdown=breakdown)

@@ -15,8 +15,10 @@ series over incomplete Beta functions with no quadrature at all.
 The three stage success probabilities do not depend on cache size or edge
 density, so each is memoised on the scalar inputs it depends on (gain
 order, threshold, path-loss exponent, and for the integrated stages the
-density and quadrature spec): a sweep over cache size or edge density
-evaluates each stage once.
+density): a sweep over cache size or edge density evaluates each stage
+once.  A stage whose threshold overflows a float, or whose success
+probability is 0 so that its delay is unbounded, raises
+``ScenarioError`` naming the stage.
 """
 
 import functools
@@ -26,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .numerics import DEFAULT_QUADRATURE, integrate_semi_infinite
+from .numerics import integrate_semi_infinite
+from .scenario import ScenarioError
 
 
 class LatencyError(RuntimeError):
@@ -52,13 +55,13 @@ def _gamma_tail(order, x):
 
 
 @functools.lru_cache(maxsize=128)
-def _nearest_tx_success(lam, order, threshold_scale, alpha, quad):
+def _nearest_tx_success(lam, order, threshold_scale, alpha):
     """Success probability of a power-threshold link to the nearest node.
 
     Averages the Gamma(order, 1) tail at ``threshold_scale * r**alpha``
     over the nearest-node distance of a Poisson field of density ``lam``;
     the integration variable is the dimensionless ``lam * pi * r**2``.
-    Memoised: every argument is a scalar or a frozen ``QuadratureSpec``.
+    Memoised: every argument is a scalar.
     """
     if threshold_scale <= 0.0:
         return 1.0
@@ -69,35 +72,57 @@ def _nearest_tx_success(lam, order, threshold_scale, alpha, quad):
         return math.exp(-xi) * _gamma_tail(
             order, threshold_scale * (xi / area_scale) ** half_alpha)
 
-    return min(1.0, integrate_semi_infinite(integrand, 0.0, quad))
+    return min(1.0, integrate_semi_infinite(integrand))
 
 
-def uplink_success_prob(s, quad=None):
+def _stage_success(stage, prob_fn, *args):
+    """``prob_fn(*args)``, the success probability of the named stage.
+
+    At extreme thresholds and path-loss exponents its arithmetic
+    overflows a float; that is a ``ScenarioError`` naming the stage.
+    """
+    try:
+        return prob_fn(*args)
+    except (OverflowError, FloatingPointError):
+        raise ScenarioError(
+            f"{stage} stage: its success probability overflows a float at "
+            f"this threshold and path-loss exponent") from None
+
+
+def _retry_delay(stage, t_attempt, rho):
+    """Mean delay ``t_attempt / rho`` of a stage retried until it succeeds."""
+    if rho == 0.0:
+        raise ScenarioError(
+            f"{stage} stage never succeeds: its success probability is 0, "
+            f"so its delay is unbounded")
+    return t_attempt / rho
+
+
+def uplink_success_prob(s):
     """Probability an uplink request reaches the macro cell in one attempt.
 
     Received-power threshold model: no interference, aggregate channel
     gain Gamma(nt_u * nr_m, 1) scaled by 1/nt_u, nearest-MBS association.
     """
-    quad = quad or DEFAULT_QUADRATURE
-    order = s.nt_u * s.nr_m
-    return _nearest_tx_success(
-        s.lambda_m, order, s.theta1 * s.nt_u / s.p_u, s.alpha1, quad)
+    return _stage_success("uplink", _nearest_tx_success, s.lambda_m,
+                          s.nt_u * s.nr_m, s.theta1 * s.nt_u / s.p_u,
+                          s.alpha1)
 
 
-def uplink_delay_parts(s, quad=None):
+def uplink_delay_parts(s):
     """(retransmission delay, queueing delay) of the uplink request stage."""
     arrival = s.chi * s.lambda_u
     if arrival >= s.mu:
         raise LatencyError(
             f"request queue unstable: arrival rate {arrival:g} >= "
             f"service rate {s.mu:g}")
-    rho = uplink_success_prob(s, quad)
-    return s.t_ul_req / rho, 1.0 / (s.mu - arrival)
+    return (_retry_delay("uplink", s.t_ul_req, uplink_success_prob(s)),
+            1.0 / (s.mu - arrival))
 
 
-def uplink_request_delay(s, quad=None):
+def uplink_request_delay(s):
     """Mean uplink request delay: retransmissions plus M/M/1 queueing."""
-    tx, queue = uplink_delay_parts(s, quad)
+    tx, queue = uplink_delay_parts(s)
     return tx + queue
 
 
@@ -134,9 +159,10 @@ def _interference_series(order, theta, alpha):
           * special.betainc(1.0 - s, order + s, x)
           + math.expm1(-order * math.log1p(theta)))
     q = np.arange(1, order)
-    p = (s * np.exp(log_front + special.gammaln(q - s)
-                    - special.gammaln(q + 1.0) - special.gammaln(order))
-         * special.betainc(q - s, order + s, x))
+    with np.errstate(over="raise"):
+        p = (s * np.exp(log_front + special.gammaln(q - s)
+                        - special.gammaln(q + 1.0) - special.gammaln(order))
+             * special.betainc(q - s, order + s, x))
     return k0, p
 
 
@@ -165,25 +191,25 @@ def deli_success_prob(s):
     interferes, each link carrying an independent Gamma(order, 1)
     aggregate gain with order nt_m * nr_e.
     """
-    return _deli_success(s.nt_m * s.nr_e, s.theta2, s.alpha1)
+    return _stage_success("delivery", _deli_success, s.nt_m * s.nr_e,
+                          s.theta2, s.alpha1)
 
 
 def deli_delay(s):
     """Mean routing-info delivery delay (retransmission scaling)."""
-    return s.t_dl_deli / deli_success_prob(s)
+    return _retry_delay("delivery", s.t_dl_deli, deli_success_prob(s))
 
 
-def access_success_prob(s, quad=None):
+def access_success_prob(s):
     """Probability the access hop to the user succeeds in one attempt."""
-    quad = quad or DEFAULT_QUADRATURE
-    order = s.nt_s * s.nr_u
-    return _nearest_tx_success(
-        s.lambda_s, order, s.theta3 * s.nt_s / s.p_s, s.alpha2, quad)
+    return _stage_success("access", _nearest_tx_success, s.lambda_s,
+                          s.nt_s * s.nr_u, s.theta3 * s.nt_s / s.p_s,
+                          s.alpha2)
 
 
-def access_delay(s, quad=None):
+def access_delay(s):
     """Mean access-hop delay (retransmission scaling)."""
-    return s.t_dl_as / access_success_prob(s, quad)
+    return _retry_delay("access", s.t_dl_as, access_success_prob(s))
 
 
 def fiber_delay(s):
@@ -191,7 +217,7 @@ def fiber_delay(s):
     return 2.0 * s.l_fiber / s.v_fiber
 
 
-def total_latency(s, p_hit, d_bh, quad=None):
+def total_latency(s, p_hit, d_bh):
     """End-to-end delay breakdown given hit probability and backhaul delay.
 
     Parameters
@@ -210,9 +236,9 @@ def total_latency(s, p_hit, d_bh, quad=None):
         raise ValueError(f"p_hit must be in [0, 1], got {p_hit}")
     if d_bh < 0.0:
         raise ValueError(f"d_bh must be >= 0, got {d_bh}")
-    tx, queue = uplink_delay_parts(s, quad)
+    tx, queue = uplink_delay_parts(s)
     deli = deli_delay(s)
-    access = access_delay(s, quad)
+    access = access_delay(s)
     fiber_term = fiber_delay(s) * (1.0 - p_hit)
     total = tx + queue + deli + d_bh + access + fiber_term
     return DelayBreakdown(

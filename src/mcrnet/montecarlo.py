@@ -13,6 +13,11 @@ Poisson process on the line.  So the k-th nearest squared distance is
 and the ordered squared distances are cumulative sums of Exp(1) draws
 over ``pi * lam``; no trial samples a point count or a disc.
 
+The packet-level backhaul simulator is the oracle for the integer-hop
+(``EXACT_CEIL``) backhaul delay.  It takes its paths from
+``multipath.build_plan``, each source at its mean distance, and samples
+only the slotted retries along them.
+
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream path)``: each oracle draws from its own stream family,
 and every chunk of trials (and every simulator path) owns an independent
@@ -24,8 +29,6 @@ worker count or on the order the chunks finish in.
 """
 
 import functools
-import hashlib
-import json
 import math
 import os
 import threading
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multipath
-from .multipath import MULTIPATH, SCHEMES
+from .multipath import EXACT_CEIL, MULTIPATH, SCHEMES
 
 _CHUNK = 50_000
 # macro cells per delivery trial: the mean count of a disc of radius
@@ -51,14 +54,6 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 _POOL_LOCK = threading.Lock()
 
 
-class TopologyError(RuntimeError):
-    """A sampled topology cannot support the requested transfer."""
-
-
-class ChainDisconnectedError(TopologyError):
-    """No relay chain with hops within range exists for some path."""
-
-
 @dataclass(frozen=True)
 class McEstimate:
     """Monte-Carlo mean with its standard error."""
@@ -73,25 +68,6 @@ class McEstimate:
         if self.std_error == 0.0:
             return 0.0 if self.mean == reference else math.inf
         return (self.mean - reference) / self.std_error
-
-
-@dataclass(frozen=True)
-class SampledTopology:
-    """One realisation of the four planar Poisson fields."""
-
-    region_radius: float
-    mbs: np.ndarray
-    sbs: np.ndarray
-    edc: np.ndarray
-    users: np.ndarray
-    densities: tuple  # (lambda_m, lambda_s, lambda_e, lambda_u)
-    seed: int
-
-    def content_hash(self):
-        digest = hashlib.sha256()
-        for pts in (self.mbs, self.sbs, self.edc, self.users):
-            digest.update(np.ascontiguousarray(pts, dtype=float).tobytes())
-        return digest.hexdigest()[:12]
 
 
 def substream(seed, *path):
@@ -294,97 +270,52 @@ def _split_packets(shares, total):
     return base
 
 
-def _resolve_transfer(s, topology, scheme):
-    """Destination, per-path distances/hops and a connectivity check."""
-    if topology.users.size == 0:
-        raise TopologyError("topology contains no users")
-    if topology.sbs.size == 0:
-        raise TopologyError("topology contains no small cells")
-    user = topology.users[
-        np.argmin((topology.users ** 2).sum(axis=1))]
-    sbs_d = np.linalg.norm(topology.sbs - user, axis=1)
-    dest = topology.sbs[np.argmin(sbs_d)]
-    b = 1 if scheme != MULTIPATH else s.b_paths
-    if len(topology.edc) < b:
-        raise TopologyError(
-            f"topology has {len(topology.edc)} edge nodes, need {b}")
-    edc_d = np.linalg.norm(topology.edc - dest, axis=1)
-    nearest = np.argsort(edc_d, kind="stable")[:b]
-    dists = edc_d[nearest]
-    hops = np.maximum(1, np.ceil(dists / s.r_mmw)).astype(int)
-    for path, idx in enumerate(nearest):
-        _check_chain(s, topology, topology.edc[idx], dest, int(hops[path]),
-                     path)
-    return dest, dists, hops
-
-
-def _check_chain(s, topology, src, dest, hops, path):
-    """Verify a minimum-hop relay chain exists along the path."""
-    if hops == 1:
-        if np.linalg.norm(dest - src) > s.r_mmw * (1.0 + 1e-9):
-            raise ChainDisconnectedError(
-                f"path {path}: single hop longer than r_mmw")
-        return
-    waypoints = np.linspace(src, dest, hops + 1)
-    nodes = [src]
-    for j in range(1, hops):
-        d = np.linalg.norm(topology.sbs - waypoints[j], axis=1)
-        nodes.append(topology.sbs[np.argmin(d)])
-    nodes.append(dest)
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        if np.linalg.norm(b - a) > s.r_mmw * (1.0 + 1e-9):
-            raise ChainDisconnectedError(
-                f"path {path}: no relay within r_mmw of a waypoint")
-
-
-def simulate_backhaul(s, topology, scheme=MULTIPATH, trials=1000, seed=0,
-                      trace_path=None):
+def simulate_backhaul(s, scheme=MULTIPATH, trials=1000, seed=0):
     """Packet-level slotted stop-and-wait simulation of a buffer transfer.
 
-    Every packet crosses its relay chain hop by hop; a hop repeats slots
-    until relay selection and the shadowing-limited link both succeed in
-    the same slot (slot counts are drawn from the equivalent geometric
-    law).  A packet enters the chain only after the previous one reached
-    the destination; the trial delay is the slowest path's total.
+    The paths are those of ``multipath.build_plan(s, EXACT_CEIL, b)``:
+    each source at its mean distance, its share of the buffer apportioned
+    in whole packets, its relay chain ``ceil(r / r_mmw)`` hops long.
+    Every packet crosses its chain hop by hop; a hop repeats slots until
+    relay selection and the shadowing-limited link both succeed in the
+    same slot (slot counts are drawn from the equivalent geometric law),
+    and the first hop leaves the edge node at its transmit power.  A
+    packet enters the chain only after the previous one reached the
+    destination; the trial delay is the slowest path's total.
 
     Parameters
     ----------
     s : NetworkScenario
-    topology : SampledTopology
-        Fixed geometry; the destination is the small cell nearest the
-        most central user, sources are its nearest edge nodes.
     scheme : str
         ``"multipath"`` (share across b_paths sources) or
         ``"single-path"`` (everything over the nearest source).
-    trace_path : str, optional
-        Write one JSON record per trial (hops, slots, delay).
 
     Raises
     ------
-    ChainDisconnectedError
-        If a path has no relay chain with hops within range.
+    ValueError
+        For an unknown scheme, fewer than one trial, or a hop that can
+        never succeed.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    dest, dists, hops = _resolve_transfer(s, topology, scheme)
-    shares = (1.0 / dists) / (1.0 / dists).sum()
-    packets = _split_packets(shares, multipath.buffer_packets(s))
-    p1 = multipath.relay_selection_prob(s.lambda_s, s.lambda_e, s.relay_coeff)
-    p_first = p1 * multipath.mmwave_success_prob(s, tx_power_w=s.p_e)
-    p_relay = p1 * multipath.mmwave_success_prob(s)
+    plan = multipath.build_plan(s, EXACT_CEIL,
+                                s.b_paths if scheme == MULTIPATH else 1)
+    packets = _split_packets(plan.shares, multipath.buffer_packets(s))
+    p_first = plan.p1 * multipath.mmwave_success_prob(s, tx_power_w=s.p_e)
+    p_relay = plan.p1 * plan.p2
     if p_first <= 0.0 or p_relay <= 0.0:
-        raise TopologyError(
+        raise ValueError(
             "per-slot success probability is zero; the transfer can never "
             "complete")
 
-    slots = np.zeros((trials, len(dists)), dtype=np.int64)
+    slots = np.zeros((trials, plan.b), dtype=np.int64)
 
     def draw(path):
         rng = substream(seed, 4, path)
         n_first = int(packets[path])
-        n_rest = int(packets[path]) * (int(hops[path]) - 1)
+        n_rest = int(packets[path]) * (int(plan.hops[path]) - 1)
         if n_first:
             slots[:, path] += rng.geometric(p_first, size=(trials, n_first)
                                             ).sum(axis=1)
@@ -392,55 +323,8 @@ def simulate_backhaul(s, topology, scheme=MULTIPATH, trials=1000, seed=0,
             slots[:, path] += rng.geometric(p_relay, size=(trials, n_rest)
                                             ).sum(axis=1)
 
-    _pool_map(draw, [(path,) for path in range(len(dists))])
+    _pool_map(draw, [(path,) for path in range(plan.b)])
     delays = slots.max(axis=1) * s.tau_mmw
-
-    if trace_path is not None:
-        _write_trace(trace_path, s, topology, seed, hops, slots, delays)
     se = float(delays.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return McEstimate(mean=float(delays.mean()), std_error=se,
                       n_samples=trials, seed=seed)
-
-
-def _write_trace(path, s, topology, seed, hops, slots, delays):
-    topo_hash = topology.content_hash()
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(len(delays)):
-            fh.write(json.dumps({
-                "trial": i,
-                "seed": seed,
-                "topology": topo_hash,
-                "hops": [int(h) for h in hops],
-                "slots": [int(v) for v in slots[i]],
-                "delay": delays[i],
-            }) + "\n")
-
-
-def mean_distance_topology(s, b=None, relay_jitter=0.0, seed=0):
-    """Topology whose b nearest sources sit exactly at their mean distances.
-
-    Destination small cell at the origin, one user beside it, sources on
-    evenly spread bearings at the closed-form mean distances, and relay
-    small cells placed at the chain waypoints so every chain is
-    connected.  Useful for comparing the packet simulator against the
-    integer-hop closed form without geometric sampling noise.
-    """
-    b = s.b_paths if b is None else b
-    dists = np.array([multipath.mean_kth_edc_distance(s.lambda_e, p)
-                      for p in range(1, b + 1)])
-    angles = 2.0 * math.pi * np.arange(b) / b
-    edc = np.column_stack([dists * np.cos(angles), dists * np.sin(angles)])
-    sbs = [np.zeros(2)]
-    rng = substream(seed, 5)
-    for p in range(b):
-        hops = max(1, math.ceil(dists[p] / s.r_mmw))
-        waypoints = np.linspace(edc[p], np.zeros(2), hops + 1)
-        for j in range(1, hops):
-            sbs.append(waypoints[j]
-                       + relay_jitter * rng.standard_normal(2))
-    return SampledTopology(
-        region_radius=float(max(s.r_max, dists.max()) * 1.2),
-        mbs=np.empty((0, 2)), sbs=np.array(sbs), edc=edc,
-        users=np.array([[1.0, 0.0]]),
-        densities=(s.lambda_m, s.lambda_s, s.lambda_e, s.lambda_u),
-        seed=seed)

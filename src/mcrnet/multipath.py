@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import watt_to_dbm
+from .scenario import ScenarioError, watt_to_dbm
 
 CONTINUOUS = "continuous"
 EXACT_CEIL = "exact-ceil"
@@ -89,6 +89,21 @@ def mmwave_success_prob(s, tx_power_w=None):
     return 0.5 * (1.0 + math.erf(f / (math.sqrt(2.0) * s.sigma_db)))
 
 
+def _link_success(s, tx_power_w=None):
+    """``mmwave_success_prob`` for a backhaul delay, which divides by it.
+
+    A hop that never succeeds leaves the delay unbounded: that is a
+    ``ScenarioError`` naming the stage.
+    """
+    p2 = mmwave_success_prob(s, tx_power_w)
+    if p2 == 0.0:
+        raise ScenarioError(
+            f"backhaul stage never succeeds: the mmWave link margin "
+            f"{mmwave_link_margin(s, tx_power_w):.6g} dB leaves a success "
+            f"probability of 0")
+    return p2
+
+
 def buffer_packets(s):
     """Packets per buffered transfer window (ceiling of buffer / packet)."""
     return math.ceil(s.buffer_omega / s.packet_l)
@@ -134,11 +149,11 @@ def per_packet_path_delay(s, r_p, mode=CONTINUOUS, lambda_e=None):
         raise ValueError(f"path distance must be positive, got {r_p}")
     lam = s.lambda_e if lambda_e is None else lambda_e
     p1 = relay_selection_prob(s.lambda_s, lam, s.relay_coeff)
-    p2_relay = mmwave_success_prob(s)
+    p2_relay = _link_success(s)
     if mode == CONTINUOUS:
         return (r_p / s.r_mmw) * s.tau_mmw / (p1 * p2_relay)
     hops = math.ceil(r_p / s.r_mmw)
-    p2_first = mmwave_success_prob(s, tx_power_w=s.p_e)
+    p2_first = _link_success(s, tx_power_w=s.p_e)
     return s.tau_mmw * (1.0 / (p1 * p2_first)
                         + (hops - 1) / (p1 * p2_relay))
 
@@ -167,8 +182,8 @@ def continuous_backhaul_coeff(s, b=None):
     s_b = sum(math.sqrt(math.pi)
               * math.exp(math.lgamma(p) - math.lgamma(p + 0.5))
               for p in range(1, b + 1))
-    f = mmwave_link_margin(s)
-    erf_term = 1.0 + math.erf(f / (math.sqrt(2.0) * s.sigma_db))
+    # 1 + erf(f / (sqrt(2) * sigma)) is twice the link success, exactly
+    erf_term = 2.0 * _link_success(s)
     return 2.0 * s.tau_mmw * buffer_packets(s) / (s_b * s.r_mmw * erf_term)
 
 
@@ -222,8 +237,8 @@ def delay_bounds(s):
             "bounds need 1 < b_paths <= lambda_e * pi * r_max^2 "
             f"(got b_paths={s.b_paths})")
     packets = buffer_packets(s)
-    f = mmwave_link_margin(s)
-    erf_term = 1.0 + math.erf(f / (math.sqrt(2.0) * s.sigma_db))
+    # 1 + erf(f / (sqrt(2) * sigma)), as in continuous_backhaul_coeff
+    erf_term = 2.0 * _link_success(s)
     denom_common = s.r_mmw * erf_term
     lower = ((1.0 + s.relay_coeff) * packets * s.tau_mmw
              / (math.pi * s.r_max ** 2 * s.lambda_s ** 1.5 * denom_common))

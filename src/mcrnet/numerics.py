@@ -8,7 +8,6 @@ purpose.  Every other stage has a closed form.
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from scipy import integrate
 
@@ -17,29 +16,14 @@ class NumericsError(RuntimeError):
     """Raised when a quadrature routine cannot converge."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and limits for semi-infinite quadrature.
-
-    A quadrature that does not reach ``abs_tol + rel_tol * |value|``
-    within ``max_subdivisions`` intervals raises ``NumericsError``.
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+# a quadrature that does not reach _ABS_TOL + _REL_TOL * |value| within
+# _MAX_SUBDIVISIONS intervals raises NumericsError
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-12
+_MAX_SUBDIVISIONS = 2000
 
 
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-def integrate_semi_infinite(f, lower=0.0, spec=None):
+def integrate_semi_infinite(f, lower=0.0):
     """Integrate ``f`` over ``[lower, inf)``.
 
     Parameters
@@ -49,8 +33,6 @@ def integrate_semi_infinite(f, lower=0.0, spec=None):
     lower : float
         Lower limit, >= 0 for the integrals appearing in this library
         (negative values are accepted; the routine does not care).
-    spec : QuadratureSpec, optional
-        Tolerances; defaults to ``DEFAULT_QUADRATURE``.
 
     Returns
     -------
@@ -62,15 +44,14 @@ def integrate_semi_infinite(f, lower=0.0, spec=None):
     NumericsError
         If the adaptive rule does not reach the requested tolerance.
     """
-    spec = spec or DEFAULT_QUADRATURE
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         value, abserr, info, *rest = integrate.quad(
             f, lower, math.inf,
-            epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions, full_output=1,
+            epsabs=_ABS_TOL, epsrel=_REL_TOL, limit=_MAX_SUBDIVISIONS,
+            full_output=1,
         )
-    if rest or abserr > spec.abs_tol + spec.rel_tol * abs(value):
+    if rest or abserr > _ABS_TOL + _REL_TOL * abs(value):
         raise NumericsError(
             f"semi-infinite quadrature did not converge (estimate {value!r}, "
             f"error {abserr!r})")

@@ -87,7 +87,7 @@ class OptimizationOutcome:
     e_sys_min: float
 
 
-def reduced_delay_budget(s, quad=None):
+def reduced_delay_budget(s):
     """Delay budget left for backhaul + fiber after the fixed stages.
 
     The uplink, routing-delivery and access delays do not depend on the
@@ -96,9 +96,9 @@ def reduced_delay_budget(s, quad=None):
     feasible downstream.
     """
     return (s.d_max
-            - latency.uplink_request_delay(s, quad)
+            - latency.uplink_request_delay(s)
             - latency.deli_delay(s)
-            - latency.access_delay(s, quad))
+            - latency.access_delay(s))
 
 
 def _path_count(s, scheme):
@@ -200,7 +200,7 @@ def critical_edc_density(s, psi, budget, scheme=MULTIPATH):
                         at_lower_bound=bool(status[0] == _CLAMPED))
 
 
-def optimize_cache_density(s, em, scheme=MULTIPATH, quad=None):
+def optimize_cache_density(s, em, scheme=MULTIPATH):
     """Minimise areal system energy over feasible (psi, density) pairs.
 
     Solves every cache size's critical density in one pass (skipping
@@ -221,7 +221,7 @@ def optimize_cache_density(s, em, scheme=MULTIPATH, quad=None):
     NoFeasiblePairError
         If no cache size is feasible (carries the reduced budget).
     """
-    budget = reduced_delay_budget(s, quad)
+    budget = reduced_delay_budget(s)
     if budget <= 0.0:
         raise NoFeasiblePairError(budget)
     hit_cum = zipf(s.beta, s.k_total).q.cumsum()

@@ -111,6 +111,9 @@ class NetworkScenario:
 
 _INT_FIELDS = frozenset(
     ["nt_u", "nr_m", "nt_m", "nr_e", "nt_s", "nr_u", "b_paths", "k_total"])
+_FLOAT_FIELDS = tuple(
+    f.name for f in fields(NetworkScenario)
+    if f.name not in _INT_FIELDS and f.name != "assumed_defaults")
 
 # Defaults with no citable source; flagged in output metadata when used.
 ASSUMED_DEFAULT_FIELDS = frozenset([
@@ -130,6 +133,9 @@ def _check(ok, message):
 
 
 def _validate(s):
+    # an infinite or NaN value overflows or divides by zero downstream
+    for name in _FLOAT_FIELDS:
+        _check(math.isfinite(getattr(s, name)), f"{name} finite")
     for name in ("lambda_m", "lambda_s", "lambda_u", "lambda_e"):
         _check(getattr(s, name) > 0, f"{name} > 0")
     _check(s.lambda_m < s.lambda_e < s.lambda_s,
@@ -142,8 +148,6 @@ def _validate(s):
                  "packet_l", "buffer_omega", "v_fiber", "mu", "chi", "r_max",
                  "relay_coeff", "t_ul_req", "t_dl_deli", "t_dl_as", "d_max"):
         _check(getattr(s, name) > 0, f"{name} > 0")
-    # the delivery closed form reads theta2 / (1 + theta2), NaN at inf
-    _check(math.isfinite(s.theta2), "theta2 finite")
     _check(s.l_fiber >= 0, "l_fiber >= 0")
     _check(s.mu > s.chi * s.lambda_u,
            f"mu > chi * lambda_u (queue stability; arrival rate "

@@ -126,8 +126,7 @@ def test_criterion_3_delay_theorem_consistency():
     rels = {}
     for b in (2, 4):
         sb = s.with_params(b_paths=b)
-        topo = montecarlo.mean_distance_topology(sb)
-        est = montecarlo.simulate_backhaul(sb, topo, trials=1500, seed=SEED)
+        est = montecarlo.simulate_backhaul(sb, trials=1500, seed=SEED)
         analytic = multipath.multipath_backhaul_delay(sb, EXACT_CEIL)
         rels[b] = abs(est.mean - analytic) / analytic
     _report(3, worst_spread <= 1e-12 and max(rels.values()) <= 0.05,

@@ -355,13 +355,28 @@ def test_large_gain_order_validates_delivery(capsys):
 
 @pytest.mark.parametrize("param,field", [
     ("r_max=1e200", "r_max"), ("theta2=inf", "theta2"),
-    ("theta2_db=inf", "theta2")])
+    ("theta2_db=inf", "theta2"), ("theta1=inf", "theta1"),
+    ("alpha2=inf", "alpha2"), ("n0=inf", "n0")])
 def test_out_of_range_scenario_value_is_scenario_error(capsys, param, field):
     code, out, err = run_cli_without_warnings(
         capsys, "optimize", "--param", param)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and field in err
+
+
+# finite values at which a stage never succeeds, or its threshold
+# overflows a float
+@pytest.mark.parametrize("param,stage", [
+    ("theta1=1e300", "uplink"), ("theta3=1e300", "access"),
+    ("n0=1e300", "backhaul"), ("alpha1=400", "uplink"),
+    ("alpha2=400", "access"), ("alpha1=1e300", "uplink")])
+def test_unreachable_stage_is_named_error(capsys, param, stage):
+    code, out, err = run_cli_without_warnings(
+        capsys, "optimize", "--param", param)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and f"{stage} stage" in err
 
 
 def test_validate_rejects_non_positive_trials(capsys):

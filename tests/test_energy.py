@@ -1,8 +1,7 @@
 import pytest
 
 from mcrnet.energy import (EnergyModel, load_energy_model, qos_indicator,
-                           see_result, service_effective_energy,
-                           system_energy)
+                           service_effective_energy, system_energy)
 from mcrnet.scenario import SECONDS_PER_YEAR, ScenarioError, load_scenario
 
 
@@ -102,12 +101,3 @@ def test_service_effective_energy_gate():
     with pytest.raises(ValueError):
         service_effective_energy(1.0, 0.5)
 
-
-def test_see_result_composition():
-    s = load_scenario()
-    em = load_energy_model()
-    ok = see_result(s, em, 144, d_total=0.01)
-    assert ok.qos == 1 and ok.e_see == ok.e_sys
-    late = see_result(s, em, 144, d_total=0.05)
-    assert late.qos == 0 and late.e_see == 0.0
-    assert late.e_sys == ok.e_sys

@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcrnet import latency
+from mcrnet import latency, numerics
 from mcrnet.cli import TARGETS, main
 from mcrnet.latency import (DelayBreakdown, LatencyError, access_delay,
                             access_success_prob, deli_delay,
                             deli_success_prob, fiber_delay, total_latency,
                             uplink_delay_parts, uplink_request_delay,
                             uplink_success_prob)
-from mcrnet.numerics import (DEFAULT_QUADRATURE, NumericsError,
-                             QuadratureSpec, integrate_semi_infinite)
-from mcrnet.scenario import load_scenario
+from mcrnet.numerics import NumericsError, integrate_semi_infinite
+from mcrnet.scenario import ScenarioError, load_scenario
 
 # frozen module outputs at the documented defaults (regression guards)
 DELI_RHO_DEFAULT = 0.5282701969743324
@@ -304,6 +303,17 @@ def test_deli_alpha_near_two_limit(alpha1):
         1.0, rel=alpha1 - 2.0)
 
 
+# thresholds near the largest float with alpha1 near 2: k_0 itself
+# overflows, or only the weights p_q do
+@pytest.mark.parametrize("theta2,alpha1", [(1e308, 2.0001), (1e305, 2.001)])
+def test_deli_overflow_is_named_error(theta2, alpha1):
+    s = load_scenario(overrides={"theta2": theta2, "alpha1": alpha1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match="delivery stage"):
+            deli_success_prob(s)
+
+
 def test_access_trivial_threshold():
     s = load_scenario(overrides={"theta3": 1e-30})
     assert access_success_prob(s) == pytest.approx(1.0, abs=1e-9)
@@ -435,13 +445,14 @@ def test_psi_sweep_integrates_each_stage_once(capsys):
     assert stage_misses() <= 3
 
 
-def test_failed_quadrature_is_not_memoised():
+def test_failed_quadrature_is_not_memoised(monkeypatch):
     s = load_scenario()
-    strict = QuadratureSpec(max_subdivisions=1)
+    clear_stage_caches()
+    monkeypatch.setattr(numerics, "_MAX_SUBDIVISIONS", 1)
     sizes = [cache.cache_info().currsize for cache in STAGE_CACHES]
     for prob_fn in (uplink_success_prob, access_success_prob):
         with pytest.raises(NumericsError):
-            prob_fn(s, strict)
+            prob_fn(s)
     assert [cache.cache_info().currsize for cache in STAGE_CACHES] == sizes
 
 
@@ -458,7 +469,7 @@ ALPHAS = st.floats(min_value=2.1, max_value=6.0)
 @given(order=ORDERS, theta=THRESHOLDS, alpha=ALPHAS)
 def test_memoised_stage_equals_uncached_property(order, theta, alpha):
     # unit area density, so the threshold scale is the dimensionless one
-    args = (1.0 / math.pi, order, theta, alpha, DEFAULT_QUADRATURE)
+    args = (1.0 / math.pi, order, theta, alpha)
     nearest = latency._nearest_tx_success(*args)
     assert nearest == latency._nearest_tx_success.__wrapped__(*args)
     assert 0.0 < nearest <= 1.0

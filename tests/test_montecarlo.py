@@ -1,4 +1,3 @@
-import json
 import math
 import multiprocessing
 import os
@@ -12,84 +11,17 @@ import pytest
 from scipy import special, stats
 
 from mcrnet import latency, montecarlo, multipath
-from mcrnet.montecarlo import (ChainDisconnectedError, McEstimate,
-                               SampledTopology, TopologyError,
-                               estimate_access_success,
+from mcrnet.montecarlo import (McEstimate, estimate_access_success,
                                estimate_deli_success, estimate_kth_nearest,
                                estimate_shadowing_success,
                                estimate_uplink_success,
-                               kth_nearest_distances, mean_distance_topology,
-                               proportion_z, simulate_backhaul, substream)
-from mcrnet.multipath import EXACT_CEIL, SCHEMES, SINGLE_PATH
+                               kth_nearest_distances, proportion_z,
+                               simulate_backhaul, substream)
+from mcrnet.multipath import EXACT_CEIL, MULTIPATH, SCHEMES, SINGLE_PATH
 from mcrnet.scenario import load_scenario
 
 SEED = 1234
 DELI_CHUNK = montecarlo._DELI_CHUNK
-
-
-def sample_ppp(lam, region_radius, seed=0, rng=None):
-    """Sample a planar Poisson field on a disc centred at the origin.
-
-    Returns an (N, 2) coordinate array with N ~ Poisson(lam * pi * R^2)
-    and positions uniform on the disc.
-    """
-    if lam < 0 or region_radius <= 0:
-        raise ValueError("need lam >= 0 and region_radius > 0")
-    rng = rng if rng is not None else substream(seed)
-    n = rng.poisson(lam * math.pi * region_radius ** 2)
-    radii = region_radius * np.sqrt(rng.random(n))
-    angles = rng.random(n) * 2.0 * math.pi
-    return np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-
-
-def sample_topology(s, region_radius=None, seed=0):
-    """Sample all four tiers; region covers 5 / sqrt(sparsest density)."""
-    if region_radius is None:
-        region_radius = 5.0 / math.sqrt(
-            min(s.lambda_m, s.lambda_s, s.lambda_e, s.lambda_u))
-    tiers = []
-    for i, lam in enumerate((s.lambda_m, s.lambda_s, s.lambda_e, s.lambda_u)):
-        tiers.append(sample_ppp(lam, region_radius, rng=substream(seed, i)))
-    return SampledTopology(
-        region_radius=region_radius, mbs=tiers[0], sbs=tiers[1],
-        edc=tiers[2], users=tiers[3],
-        densities=(s.lambda_m, s.lambda_s, s.lambda_e, s.lambda_u),
-        seed=seed)
-
-
-def test_sample_ppp_empty_for_zero_density():
-    assert sample_ppp(0.0, 100.0, seed=SEED).shape == (0, 2)
-
-
-def test_sample_ppp_deterministic():
-    a = sample_ppp(1e-4, 500.0, seed=SEED)
-    b = sample_ppp(1e-4, 500.0, seed=SEED)
-    assert np.array_equal(a, b)
-    c = sample_ppp(1e-4, 500.0, seed=SEED + 1)
-    assert not np.array_equal(a, c)
-
-
-def test_sample_ppp_mean_count():
-    lam, radius, trials = 2e-4, 300.0, 2000
-    counts = [len(sample_ppp(lam, radius, seed=SEED + i))
-              for i in range(trials)]
-    expected = lam * math.pi * radius ** 2
-    se = math.sqrt(expected / trials)
-    assert abs(np.mean(counts) - expected) <= 3 * se
-
-
-def test_sample_ppp_positions_inside_region():
-    pts = sample_ppp(1e-4, 250.0, seed=SEED)
-    assert (np.linalg.norm(pts, axis=1) <= 250.0).all()
-
-
-def test_sample_topology_tiers():
-    s = load_scenario()
-    topo = sample_topology(s, seed=SEED)
-    assert topo.region_radius == pytest.approx(5.0 / math.sqrt(s.lambda_m))
-    assert topo.users.shape[1] == 2
-    assert len(topo.sbs) > len(topo.mbs)
-    assert topo.content_hash() == sample_topology(s, seed=SEED).content_hash()
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -119,8 +51,8 @@ def test_kth_nearest_reproducible():
 def _disc_sq_radii(rng, lam, radius, trials):
     """Brute-force Poisson fields on a disc, one row per trial.
 
-    A Poisson point count and uniform positions, as in ``sample_ppp``;
-    only squared distances from the centre matter, and a uniform point
+    A Poisson point count and uniform positions on the disc; only
+    squared distances from the centre matter, and a uniform point
     on the disc has a squared radius uniform on [0, radius**2].  Rows are
     padded with inf beyond their count.
     """
@@ -263,37 +195,24 @@ def test_substream_independence():
     assert np.array_equal(a, substream(SEED, 0).random(5))
 
 
-def _single_hop_topology(s, distance):
-    return SampledTopology(
-        region_radius=1000.0,
-        mbs=np.empty((0, 2)),
-        sbs=np.array([[0.0, 0.0]]),
-        edc=np.array([[distance, 0.0]]),
-        users=np.array([[0.0, 1.0]]),
-        densities=(s.lambda_m, s.lambda_s, s.lambda_e, s.lambda_u),
-        seed=SEED)
-
-
 def test_simulator_deterministic_unit_case():
-    # certain per-slot success, one packet, one hop: exactly one slot
+    # certain per-slot success, one packet, one hop: exactly one slot.
+    # At 4e-5 per m^2 the nearest source is 79 m out, within one hop.
     s = load_scenario(overrides={
-        "relay_coeff": 1e-18, "theta4_dbm": -110,
-        "packet_l": 4096, "buffer_omega": 4096})
-    topo = _single_hop_topology(s, 80.0)
-    est = simulate_backhaul(s, topo, SINGLE_PATH, trials=50, seed=SEED)
+        "lambda_e": 4e-5, "relay_coeff": 1e-18,
+        "theta4_dbm": -110, "packet_l": 4096, "buffer_omega": 4096})
+    assert multipath.build_plan(s, EXACT_CEIL, 1).hops.tolist() == [1.0]
+    est = simulate_backhaul(s, SINGLE_PATH, trials=50, seed=SEED)
     assert est.mean == s.tau_mmw
     assert est.std_error == 0.0
 
 
 def test_simulator_single_path_geometric_mean():
-    s = load_scenario(overrides={"buffer_omega": 102400})  # 100 packets
-    topo = _single_hop_topology(s, 250.0)  # 3 hops
-    topo = SampledTopology(  # place relays on the chain waypoints
-        region_radius=topo.region_radius, mbs=topo.mbs,
-        sbs=np.array([[0.0, 0.0], [250.0 / 3, 0.0], [500.0 / 3, 0.0]]),
-        edc=topo.edc, users=topo.users, densities=topo.densities,
-        seed=topo.seed)
-    est = simulate_backhaul(s, topo, SINGLE_PATH, trials=3000, seed=SEED)
+    # at 6e-6 per m^2 the nearest source is 204 m out: 3 hops
+    s = load_scenario(overrides={"buffer_omega": 102400,  # 100 packets
+                                 "lambda_e": 6e-6})
+    assert multipath.build_plan(s, EXACT_CEIL, 1).hops.tolist() == [3.0]
+    est = simulate_backhaul(s, SINGLE_PATH, trials=3000, seed=SEED)
     p = (multipath.relay_selection_prob(s.lambda_s, s.lambda_e)
          * multipath.mmwave_success_prob(s))
     expected = 100 * 3 * s.tau_mmw / p
@@ -302,54 +221,28 @@ def test_simulator_single_path_geometric_mean():
 
 def test_simulator_matches_integer_hop_closed_form():
     s = load_scenario()
-    topo = mean_distance_topology(s)
-    est = simulate_backhaul(s, topo, trials=1200, seed=SEED)
+    est = simulate_backhaul(s, trials=1200, seed=SEED)
     analytic = multipath.multipath_backhaul_delay(s, EXACT_CEIL)
     assert abs(est.mean - analytic) / analytic <= 0.05
 
 
+def test_simulator_rejects_transfer_that_never_completes():
+    # an edge node too weak for any first hop to succeed
+    with pytest.raises(ValueError, match="never"):
+        simulate_backhaul(load_scenario(overrides={"p_e": 1e-300}),
+                          trials=10, seed=SEED)
+    s = load_scenario()
+    with pytest.raises(ValueError, match="scheme"):
+        simulate_backhaul(s, "two-path", trials=10, seed=SEED)
+    with pytest.raises(ValueError, match="trial"):
+        simulate_backhaul(s, trials=0, seed=SEED)
+
+
 def test_simulator_reproducible():
     s = load_scenario()
-    topo = mean_distance_topology(s)
-    a = simulate_backhaul(s, topo, trials=200, seed=SEED)
-    b = simulate_backhaul(s, topo, trials=200, seed=SEED)
+    a = simulate_backhaul(s, trials=200, seed=SEED)
+    b = simulate_backhaul(s, trials=200, seed=SEED)
     assert a == b
-
-
-def test_simulator_trace_output(tmp_path):
-    s = load_scenario()
-    topo = mean_distance_topology(s)
-    trace = tmp_path / "trace.jsonl"
-    est = simulate_backhaul(s, topo, trials=10, seed=SEED,
-                            trace_path=str(trace))
-    records = [json.loads(line) for line in trace.read_text().splitlines()]
-    assert len(records) == 10
-    assert records[0]["topology"] == topo.content_hash()
-    assert records[0]["seed"] == SEED
-    assert len(records[0]["slots"]) == s.b_paths
-    assert max(r["delay"] for r in records) >= est.mean
-
-
-def test_simulator_disconnected_chain():
-    s = load_scenario()
-    # a source two hops out but no relay anywhere near the midpoint
-    topo = SampledTopology(
-        region_radius=1000.0,
-        mbs=np.empty((0, 2)),
-        sbs=np.array([[0.0, 0.0]]),
-        edc=np.array([[190.0, 0.0]]),
-        users=np.array([[0.0, 1.0]]),
-        densities=(s.lambda_m, s.lambda_s, s.lambda_e, s.lambda_u),
-        seed=SEED)
-    with pytest.raises(ChainDisconnectedError):
-        simulate_backhaul(s, topo, SINGLE_PATH, trials=10, seed=SEED)
-
-
-def test_simulator_requires_enough_sources():
-    s = load_scenario()
-    topo = _single_hop_topology(s, 80.0)
-    with pytest.raises(TopologyError):
-        simulate_backhaul(s, topo, trials=10, seed=SEED)  # b_paths = 4
 
 
 # serial references: each chunk (or path) in turn, in the calling thread,
@@ -378,15 +271,17 @@ def _serial_deli_success(s, trials, seed, noise_power=None):
     return montecarlo._proportion_estimate(successes, trials, seed)
 
 
-def _serial_simulate_backhaul(s, topology, scheme, trials, seed):
-    _, dists, hops = montecarlo._resolve_transfer(s, topology, scheme)
-    shares = (1.0 / dists) / (1.0 / dists).sum()
-    packets = montecarlo._split_packets(shares, multipath.buffer_packets(s))
+def _serial_simulate_backhaul(s, scheme, trials, seed):
+    plan = multipath.build_plan(s, EXACT_CEIL,
+                                s.b_paths if scheme == MULTIPATH else 1)
+    hops = plan.hops.astype(int)
+    packets = montecarlo._split_packets(plan.shares,
+                                        multipath.buffer_packets(s))
     p1 = multipath.relay_selection_prob(s.lambda_s, s.lambda_e, s.relay_coeff)
     p_first = p1 * multipath.mmwave_success_prob(s, tx_power_w=s.p_e)
     p_relay = p1 * multipath.mmwave_success_prob(s)
-    slots = np.zeros((trials, len(dists)), dtype=np.int64)
-    for path in range(len(dists)):
+    slots = np.zeros((trials, plan.b), dtype=np.int64)
+    for path in range(plan.b):
         rng = substream(seed, 4, path)
         n_first = int(packets[path])
         n_rest = int(packets[path]) * (int(hops[path]) - 1)
@@ -450,24 +345,22 @@ def test_deli_oracle_equals_serial_reference_per_model(monkeypatch, model,
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_simulator_equals_serial_reference(scheme):
     s = load_scenario()
-    topo = mean_distance_topology(s)
-    est = _without_warnings(simulate_backhaul, s, topo, scheme, 500, SEED)
-    assert est == _serial_simulate_backhaul(s, topo, scheme, 500, SEED)
+    est = _without_warnings(simulate_backhaul, s, scheme, 500, SEED)
+    assert est == _serial_simulate_backhaul(s, scheme, 500, SEED)
 
 
-def _every_oracle(s, topo):
+def _every_oracle(s):
     trials = 2 * montecarlo._CHUNK + 3
     return (kth_nearest_distances(s.lambda_e, 2, trials, SEED).tolist(),
             estimate_uplink_success(s, trials, SEED),
             estimate_access_success(s, trials, SEED),
             estimate_shadowing_success(s, trials, SEED),
             estimate_deli_success(s, 2 * DELI_CHUNK + 5, SEED),
-            simulate_backhaul(s, topo, trials=300, seed=SEED))
+            simulate_backhaul(s, trials=300, seed=SEED))
 
 
 def test_one_worker_equals_pool(monkeypatch):
     s = load_scenario()
-    topo = mean_distance_topology(s)
     threads = set()
 
     def recording_substream(*key):
@@ -476,14 +369,14 @@ def test_one_worker_equals_pool(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "substream", recording_substream)
     monkeypatch.setattr(montecarlo, "_WORKERS", max(2, montecarlo._WORKERS))
-    pooled = _without_warnings(_every_oracle, s, topo)
+    pooled = _without_warnings(_every_oracle, s)
     assert any(name.startswith("mcrnet-montecarlo") for name in threads)
 
     threads.clear()
     monkeypatch.setattr(montecarlo, "_WORKERS", 1)
     monkeypatch.setattr(montecarlo, "_pool", lambda: pytest.fail(
         "the pool was used with one worker"))
-    assert _without_warnings(_every_oracle, s, topo) == pooled
+    assert _without_warnings(_every_oracle, s) == pooled
     assert threads == {threading.current_thread().name}
 
 
@@ -492,14 +385,13 @@ def test_oversubscribed_pool_equals_serial(monkeypatch):
     # interleave as much as they can; each writes only its own slice of
     # the distances or its own column of the simulator's slot counts
     s = load_scenario(overrides={"b_paths": 7})
-    topo = mean_distance_topology(s)
     monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
     monkeypatch.setattr(montecarlo, "_DELI_CHUNK", 495)
 
     def run():
         return (kth_nearest_distances(s.lambda_e, 3, 30_017, SEED).tolist(),
                 estimate_deli_success(s, 3000, SEED),
-                simulate_backhaul(s, topo, trials=200, seed=SEED))
+                simulate_backhaul(s, trials=200, seed=SEED))
 
     monkeypatch.setattr(montecarlo, "_WORKERS", 1)
     serial = run()

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mcrnet.numerics import (NumericsError, QuadratureSpec,
-                             integrate_semi_infinite)
+from mcrnet.numerics import NumericsError, integrate_semi_infinite
 from oracles import erf_fn, find_root_monotone, gamma_fn
 
 # 30-digit reference values (independent high-precision computation)
@@ -77,13 +76,6 @@ def test_integrate_rejects_truncation_that_drops_a_slow_tail():
     # truncation could keep; the quadrature must raise, not cut it off
     with pytest.raises(NumericsError, match="did not converge"):
         integrate_semi_infinite(lambda v: v ** -1.0005, 1.0)
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=0)
 
 
 def test_root_linear():
