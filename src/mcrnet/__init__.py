@@ -21,9 +21,10 @@ from .montecarlo import (McEstimate, estimate_access_success,
                          kth_nearest_distances, proportion_z,
                          simulate_backhaul)
 from .multipath import (MultipathPlan, build_plan, continuous_backhaul_coeff,
+                        continuous_backhaul_delay, continuous_backhaul_density,
                         delay_bounds, max_cooperative_paths,
-                        mean_kth_edc_distance,
-                        mmwave_link_margin, mmwave_success_prob,
+                        mean_kth_edc_distance, mmwave_link_margin,
+                        mmwave_success_prob,
                         multipath_backhaul_delay, per_packet_path_delay,
                         relay_selection_prob, single_path_backhaul_delay)
 from .numerics import integrate_semi_infinite

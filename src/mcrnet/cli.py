@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from . import latency, montecarlo, multipath, optimizer
-from .energy import (load_energy_model, load_energy_model_file,
+from .energy import (ENERGY_KEYS, load_energy_model, load_energy_model_file,
                      system_energy)
 from .multipath import MULTIPATH, SCHEMES, SINGLE_PATH
 from .numerics import NumericsError
@@ -80,10 +80,7 @@ def _see(ctx, scheme):
     value is the system energy of the cheapest feasible deployment."""
     s = ctx.scenario
     budget = optimizer.reduced_delay_budget(s)
-    try:
-        pair = optimizer.critical_edc_density(s, ctx.psi, budget, scheme)
-    except optimizer.DensityBracketError as exc:
-        raise RuntimeError(str(exc)) from exc
+    pair = optimizer.critical_edc_density(s, ctx.psi, budget, scheme)
     if pair is None:
         raise RuntimeError(
             f"no feasible density for psi={ctx.psi}: the cache-miss fiber "
@@ -143,8 +140,7 @@ def _route_param(key, value, scenario_overrides, energy_overrides, extra):
     if key == "psi":
         extra["psi"] = _parse_psi(value)
         return
-    from .energy import _ENERGY_FIELDS, _YEAR_KEYS  # noqa: internal tables
-    if key in _ENERGY_FIELDS or key in _YEAR_KEYS:
+    if key in ENERGY_KEYS:
         energy_overrides[key] = value
         return
     scenario_overrides[key] = value

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .scenario import SECONDS_PER_YEAR, ScenarioError, parse_config_text
+from .scenario import SECONDS_PER_YEAR, ScenarioError, load_config
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,8 @@ _ENERGY_FIELDS = frozenset(
 ASSUMED_ENERGY_FIELDS = frozenset(["e_em_m", "e_em_s", "e_em_e"])
 
 _YEAR_KEYS = {f"{name}_years": name for name in ("t_life_m", "t_life_s", "t_life_e")}
+# every key an energy config document or override may use
+ENERGY_KEYS = _ENERGY_FIELDS | frozenset(_YEAR_KEYS)
 
 
 def normalize_energy_key(key, raw_value):
@@ -68,13 +70,8 @@ def normalize_energy_key(key, raw_value):
 
 def load_energy_model(text=None, overrides=None):
     """Build an energy model from flat key/value text plus overrides."""
-    si = parse_config_text(text, normalize_energy_key) if text else {}
-    for key, value in (overrides or {}).items():
-        mapped = normalize_energy_key(key, value)
-        if mapped is not None:
-            si[mapped[0]] = mapped[1]
-    flagged = tuple(sorted(ASSUMED_ENERGY_FIELDS - set(si)))
-    return EnergyModel(assumed_defaults=flagged, **si)
+    return load_config(EnergyModel, normalize_energy_key,
+                       ASSUMED_ENERGY_FIELDS, text, overrides)
 
 
 def load_energy_model_file(path, overrides=None):

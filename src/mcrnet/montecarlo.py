@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multipath
-from .multipath import EXACT_CEIL, MULTIPATH, SCHEMES
+from .multipath import EXACT_CEIL, MULTIPATH
 
 _CHUNK = 50_000
 # macro cells per delivery trial: the mean count of a disc of radius
@@ -296,12 +296,9 @@ def simulate_backhaul(s, scheme=MULTIPATH, trials=1000, seed=0):
         For an unknown scheme, fewer than one trial, or a hop that can
         never succeed.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    plan = multipath.build_plan(s, EXACT_CEIL, multipath.path_count(s, scheme))
     if trials < 1:
         raise ValueError("need at least one trial")
-    plan = multipath.build_plan(s, EXACT_CEIL,
-                                s.b_paths if scheme == MULTIPATH else 1)
     packets = _split_packets(plan.shares, multipath.buffer_packets(s))
     p_first = plan.p1 * multipath.mmwave_success_prob(s, tx_power_w=s.p_e)
     p_relay = plan.p1 * plan.p2

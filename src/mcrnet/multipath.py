@@ -12,6 +12,10 @@ mode.
 Hop-count modes: ``"continuous"`` treats the hop count as the real ratio
 distance / hop range (the closed form); ``"exact-ceil"`` rounds it up to
 an integer, matching the packet-level simulator.
+
+This module alone knows the continuous delay as a function of density:
+the curve, its closed-form inverse, the densities a plan allows and each
+scheme's path count.
 """
 
 import math
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import ScenarioError, watt_to_dbm
+from .scenario import ScenarioError, min_edge_density, watt_to_dbm
 
 CONTINUOUS = "continuous"
 EXACT_CEIL = "exact-ceil"
@@ -104,6 +108,25 @@ def _link_success(s, tx_power_w=None):
     return p2
 
 
+def path_count(s, scheme):
+    """Cooperating sources of a backhaul scheme: ``b_paths`` or 1."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return 1 if scheme == SINGLE_PATH else s.b_paths
+
+
+def _min_plan_density(s, b):
+    # farthest mean distance c_b / sqrt(lambda_e) <= r_max, solved for lambda_e
+    return (mean_kth_edc_distance(1.0, b) / s.r_max) ** 2
+
+
+def density_bracket(s, b):
+    """Edge densities ``(lo, hi)`` open to a ``b``-path deployment: ``lo``
+    is the sparsest that ``build_plan`` and :func:`min_edge_density` both
+    accept, ``hi`` is ``lambda_s``; empty when ``lo >= hi``."""
+    return max(min_edge_density(s), _min_plan_density(s, b)), s.lambda_s
+
+
 def buffer_packets(s):
     """Packets per buffered transfer window (ceiling of buffer / packet)."""
     return math.ceil(s.buffer_omega / s.packet_l)
@@ -122,7 +145,7 @@ def build_plan(s, mode=CONTINUOUS, b=None, lambda_e=None):
     b = s.b_paths if b is None else b
     lam = s.lambda_e if lambda_e is None else lambda_e
     r = np.array([mean_kth_edc_distance(lam, p) for p in range(1, b + 1)])
-    if r[-1] > s.r_max:
+    if lam < _min_plan_density(s, b):
         raise InfeasiblePlanError(
             f"source {b} at mean distance {r[-1]:.1f} m exceeds "
             f"r_max = {s.r_max:.1f} m")
@@ -159,24 +182,15 @@ def per_packet_path_delay(s, r_p, mode=CONTINUOUS, lambda_e=None):
 
 
 def continuous_backhaul_coeff(s, b=None):
-    """Coefficient ``A`` of the continuous-mode backhaul delay.
+    """Coefficient ``A`` of :func:`continuous_backhaul_delay` for ``b``
+    paths (default scenario B).
 
-    The closed form
-
-        ceil(buffer/packet) / sum_i (1/r_i)
-            * 2 * tau * (1 + coeff * lambda_s / lambda_e)
-            / (r_mmw * (1 + erf(f / (sqrt(2) * sigma))))
-
-    depends on the edge density only through the mean source distances,
-    which all scale as ``1/sqrt(lambda_e)``: ``sum_i 1/r_i = S_b *
-    sqrt(lambda_e)`` with ``S_b = sum_{p<=b} sqrt(pi) Gamma(p) /
-    Gamma(p + 1/2)``.  So the delay is
-    ``A * (1 + coeff * lambda_s / lambda_e) / sqrt(lambda_e)`` with
-
-        A = 2 * tau * ceil(buffer/packet)
-            / (S_b * r_mmw * (1 + erf(f / (sqrt(2) * sigma))))
-
-    for ``b`` paths (default scenario B).
+    The closed form ``ceil(buffer/packet) / sum_i (1/r_i) * 2 * tau * (1
+    + coeff * lambda_s / lambda_e) / (r_mmw * (1 + erf(f / (sqrt(2) *
+    sigma))))`` depends on the density only through the mean source
+    distances: ``sum_i 1/r_i = S_b * sqrt(lambda_e)`` with ``S_b =
+    sum_{p<=b} sqrt(pi) Gamma(p) / Gamma(p + 1/2)``, so ``A = 2 * tau *
+    ceil(buffer/packet) / (S_b * r_mmw * (1 + erf(...)))``.
     """
     b = s.b_paths if b is None else b
     s_b = sum(math.sqrt(math.pi)
@@ -187,20 +201,42 @@ def continuous_backhaul_coeff(s, b=None):
     return 2.0 * s.tau_mmw * buffer_packets(s) / (s_b * s.r_mmw * erf_term)
 
 
+def continuous_backhaul_delay(s, lambda_e, b=None):
+    """``A * (1 + coeff * lambda_s / lambda_e) / sqrt(lambda_e)``, the
+    continuous-mode delay of ``b`` paths, at a scalar or array density."""
+    return (continuous_backhaul_coeff(s, b)
+            * (1.0 + s.relay_coeff * s.lambda_s / lambda_e)
+            / np.sqrt(lambda_e))
+
+
+def continuous_backhaul_density(s, delay, b=None):
+    """Density at which :func:`continuous_backhaul_delay` equals ``delay``.
+
+    In ``x = sqrt(lambda_e / lambda_s)``: ``x^3 - a x^2 - k = 0``, ``a = A
+    / (delay sqrt(lambda_s))``, ``k = a coeff``, whose local maximum ``-k``
+    at 0 is negative.  Cardano's one real root ``x = a/3 + c + a^2/(9c)``,
+    ``c = cbrt(a^3/27 + k/2 + sqrt(k^2/4 + a^3 k/27))``, has only positive
+    terms; a delay met below ``lambda_s`` keeps ``a, k < 1`` (no overflow)."""
+    a = continuous_backhaul_coeff(s, b) / (delay * math.sqrt(s.lambda_s))
+    k = a * s.relay_coeff
+    a3 = a * a * a / 27.0
+    c = np.cbrt(a3 + 0.5 * k + np.sqrt(0.25 * k * k + a3 * k))
+    x = a / 3.0 + c + a * a / (9.0 * c)
+    return s.lambda_s * x * x
+
+
 def multipath_backhaul_delay(s, mode=CONTINUOUS, b=None, lambda_e=None):
     """Buffer-window backhaul delay of the cooperative transfer.
 
-    Continuous mode evaluates the closed form of
-    :func:`continuous_backhaul_coeff`, which equals the per-path maximum
-    because inverse-distance shares make every path's total identical.
-    Exact-ceil mode takes the explicit maximum over paths with integer hop
-    counts.
+    Continuous mode evaluates :func:`continuous_backhaul_delay`, which
+    equals the per-path maximum because inverse-distance shares make every
+    path's total identical.  Exact-ceil mode takes the explicit maximum
+    over paths with integer hop counts.
     """
     plan = build_plan(s, mode, b, lambda_e)
     lam = s.lambda_e if lambda_e is None else lambda_e
     if mode == CONTINUOUS:
-        return (continuous_backhaul_coeff(s, plan.b)
-                * (1.0 + s.relay_coeff * s.lambda_s / lam) / math.sqrt(lam))
+        return float(continuous_backhaul_delay(s, lam, plan.b))
     packets = buffer_packets(s)
     per_path = np.array([
         plan.shares[p] * packets
@@ -222,24 +258,21 @@ def max_cooperative_paths(lambda_e, r_max):
 def delay_bounds(s):
     """Closed-form envelopes on the cooperative backhaul delay.
 
-    Valid when the density ordering macro < edge < small-cell holds and
-    ``1 < b_paths <= lambda_e * pi * r_max**2``.
+    Valid when ``1 < b_paths``; the scenario guarantees the density
+    ordering and ``b_paths <= lambda_e * pi * r_max**2``.
 
     Returns
     -------
     (float, float)
         Strict lower and upper bound in seconds.
     """
-    if not s.lambda_m < s.lambda_e < s.lambda_s:
-        raise ValueError("bounds need lambda_m < lambda_e < lambda_s")
-    if not 1 < s.b_paths <= s.lambda_e * math.pi * s.r_max ** 2:
+    if s.b_paths == 1:
         raise ValueError(
             "bounds need 1 < b_paths <= lambda_e * pi * r_max^2 "
             f"(got b_paths={s.b_paths})")
     packets = buffer_packets(s)
-    # 1 + erf(f / (sqrt(2) * sigma)), as in continuous_backhaul_coeff
-    erf_term = 2.0 * _link_success(s)
-    denom_common = s.r_mmw * erf_term
+    # r_mmw * (1 + erf(f / (sqrt(2) * sigma))), as in continuous_backhaul_coeff
+    denom_common = s.r_mmw * (2.0 * _link_success(s))
     lower = ((1.0 + s.relay_coeff) * packets * s.tau_mmw
              / (math.pi * s.r_max ** 2 * s.lambda_s ** 1.5 * denom_common))
     upper = (packets * s.tau_mmw

@@ -1,15 +1,13 @@
 """Two-step minimisation of service effective energy over (psi, lambda_e).
 
 Step 1 turns the delay budget into a per-cache-size critical edge
-density.  Cache size fixes the fiber-miss term, and in continuous-hop
-mode the cooperative backhaul delay is ``A * (1 + c * lambda_s / lambda)
-/ sqrt(lambda)`` (mean neighbour distances scale as ``1/sqrt(lambda)``),
-so the tightest density meeting the budget is the one positive root of a
-cubic in ``sqrt(lambda)``, solved for every cache size in one vectorised
-Newton pass.  Step 2 scores all resulting feasible pairs in one array
-evaluation of the areal system energy and takes its minimum.  Interior
-densities above the critical one also meet the budget but always cost
-more energy, so only critical pairs need scoring.
+density: the cache size fixes the fiber-miss term, and the density whose
+continuous backhaul delay fills the rest of the budget comes from the
+closed-form inverse in ``multipath``, one array call for all the sizes
+that are neither skipped nor clamped.  Step 2 scores all feasible pairs
+in one array evaluation of the areal system energy and takes its
+minimum.  Denser deployments also meet the budget but always cost more
+energy, so only critical pairs need scoring.
 """
 
 import math
@@ -19,16 +17,12 @@ import numpy as np
 
 from . import latency, multipath
 from .energy import system_energy
-from .multipath import MULTIPATH, SCHEMES, SINGLE_PATH
+from .multipath import MULTIPATH
 from .popularity import zipf
 
 # status of one cache size in _critical_densities (_SKIPPED is 0: the
 # status array is built by summing the other two masks)
 _SKIPPED, _ROOTED, _CLAMPED = 0, 1, 2
-# Newton on the critical-density cubic converges quadratically: once a
-# step is below 1e-14 relative the iterate sits at rounding level.
-_NEWTON_RTOL = 1e-14
-_NEWTON_MAX_STEPS = 100
 
 
 class NoFeasiblePairError(RuntimeError):
@@ -101,71 +95,38 @@ def reduced_delay_budget(s):
             - latency.access_delay(s))
 
 
-def _path_count(s, scheme):
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return 1 if scheme == SINGLE_PATH else s.b_paths
-
-
-def _density_bracket(s, b):
-    # Farthest cooperative source must stay within r_max; below that
-    # density the plan itself is infeasible regardless of delay.
-    c_b = math.exp(math.lgamma(b + 0.5) - math.lgamma(b)) / math.sqrt(math.pi)
-    lo = max(s.lambda_m, (c_b / s.r_max) ** 2 * (1.0 + 1e-12))
-    return lo, s.lambda_s
+def _fiber_terms(s):
+    # fiber-miss delay of every cache size, the same bits for every caller
+    return latency.fiber_delay(s) * (1.0 - zipf(s.beta, s.k_total).q.cumsum())
 
 
 def _critical_densities(s, fiber_terms, budget, scheme):
     """Critical density, residual and status for each fiber-miss term.
 
-    With ``x = sqrt(lambda)``, ``D(lambda) = T`` for the remaining budget
-    ``T = budget - fiber_term`` is the cubic ``T x^3 - A x^2 - K = 0``,
-    ``K = A * coeff * lambda_s``, which has one positive root.  Newton
-    steps from an upper bound on that root (the cubic is increasing and
-    convex to its right) fall monotonically onto it for all entries at
-    once.
-
-    Parameters
-    ----------
-    fiber_terms : numpy.ndarray
-        Fiber-miss delay of each cache size.
-
-    Returns
-    -------
-    (lam, residual, status) : numpy arrays shaped like ``fiber_terms``
-        ``status`` is ``_ROOTED`` where ``D(lam) + fiber_term = budget``
-        (``residual`` is the absolute mismatch), ``_CLAMPED`` where the
-        budget is slack across the whole bracket (``lam`` is its lower
-        end, ``residual`` 0) and ``_SKIPPED`` where the bracket is empty
-        or its densest end still misses the budget (``lam`` and
-        ``residual`` are 0).
+    The continuous backhaul delay falls with the density, so its values at
+    both ends of ``multipath.density_bracket`` sort each entry of
+    ``fiber_terms`` (a numpy array): ``_CLAMPED`` where the budget is slack
+    at the sparse end (``lam`` is that end, ``residual`` 0), ``_SKIPPED``
+    where the bracket is empty or its dense end still misses (both 0), and
+    otherwise ``_ROOTED``, at the closed-form density whose delay is
+    ``budget - fiber_term`` (``residual`` is the absolute mismatch).
+    Returns the arrays ``(lam, residual, status)``.
     """
-    b = _path_count(s, scheme)
-    lo, hi = _density_bracket(s, b)
-    a = multipath.continuous_backhaul_coeff(s, b)
-    coverage = s.relay_coeff * s.lambda_s
-
-    def excess(lam):
-        return (a * (1.0 + coverage / lam) / math.sqrt(lam)
-                + fiber_terms - budget)
-
-    clamped = (lo < hi) & (excess(lo) <= 0.0)
-    rooted = (lo < hi) & ~clamped & (excess(hi) <= 0.0)
+    b = multipath.path_count(s, scheme)
+    lo, hi = multipath.density_bracket(s, b)
+    d_lo, d_hi = multipath.continuous_backhaul_delay(s, np.array([lo, hi]), b)
+    clamped = (lo < hi) & (d_lo + fiber_terms - budget <= 0.0)
+    rooted = (lo < hi) & ~clamped & (d_hi + fiber_terms - budget <= 0.0)
     status = _ROOTED * rooted + _CLAMPED * clamped
 
-    t = budget - fiber_terms[rooted]
-    k = a * coverage
-    x = (a / t + (k / t) ** (1.0 / 3.0)).clip(max=math.sqrt(hi))
-    for _ in range(_NEWTON_MAX_STEPS):
-        step = (x * x * (t * x - a) - k) / (x * (3.0 * t * x - 2.0 * a))
-        x -= step
-        if not (abs(step) > _NEWTON_RTOL * x).any():
-            break
     lam = lo * clamped
-    lam[rooted] = x * x
+    # the clip keeps a rounded root inside the bracket, a valid scenario
+    lam[rooted] = multipath.continuous_backhaul_density(
+        s, budget - fiber_terms[rooted], b).clip(lo, math.nextafter(hi, 0.0))
     residual = 0.0 * lam
-    residual[rooted] = abs(a * (1.0 + coverage / lam[rooted]) / x
-                           + fiber_terms[rooted] - budget)
+    residual[rooted] = abs(
+        multipath.continuous_backhaul_delay(s, lam[rooted], b)
+        + fiber_terms[rooted] - budget)
     return lam, residual, status
 
 
@@ -185,16 +146,14 @@ def critical_edc_density(s, psi, budget, scheme=MULTIPATH):
     """
     if not 1 <= psi <= s.k_total:
         raise ValueError(f"psi {psi} outside [1, {s.k_total}]")
-    model = zipf(s.beta, s.k_total)
-    fiber_terms = latency.fiber_delay(s) * (
-        1.0 - model.q[:psi].sum(keepdims=True))
+    fiber_terms = _fiber_terms(s)[psi - 1:psi]
     if fiber_terms[0] > budget:
         return None
     lam, residual, status = _critical_densities(s, fiber_terms, budget,
                                                 scheme)
     if status[0] == _SKIPPED:
-        raise DensityBracketError(
-            psi, *_density_bracket(s, _path_count(s, scheme)))
+        raise DensityBracketError(psi, *multipath.density_bracket(
+            s, multipath.path_count(s, scheme)))
     return FeasiblePair(psi=psi, lambda_e_crit=float(lam[0]),
                         residual=float(residual[0]),
                         at_lower_bound=bool(status[0] == _CLAMPED))
@@ -224,8 +183,7 @@ def optimize_cache_density(s, em, scheme=MULTIPATH):
     budget = reduced_delay_budget(s)
     if budget <= 0.0:
         raise NoFeasiblePairError(budget)
-    hit_cum = zipf(s.beta, s.k_total).q.cumsum()
-    fiber_terms = latency.fiber_delay(s) * (1.0 - hit_cum)
+    fiber_terms = _fiber_terms(s)
     lam, residual, status = _critical_densities(s, fiber_terms, budget,
                                                 scheme)
     feasible = status != _SKIPPED

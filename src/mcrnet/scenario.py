@@ -148,6 +148,10 @@ def _validate(s):
                  "packet_l", "buffer_omega", "v_fiber", "mu", "chi", "r_max",
                  "relay_coeff", "t_ul_req", "t_dl_deli", "t_dl_as", "d_max"):
         _check(getattr(s, name) > 0, f"{name} > 0")
+    # the largest relay factor any density above lambda_m can reach
+    _check(math.isfinite(s.relay_coeff * s.lambda_s / s.lambda_m),
+           f"relay_coeff * lambda_s / lambda_m finite "
+           f"(got relay_coeff = {s.relay_coeff:g})")
     _check(s.l_fiber >= 0, "l_fiber >= 0")
     _check(s.mu > s.chi * s.lambda_u,
            f"mu > chi * lambda_u (queue stability; arrival rate "
@@ -165,6 +169,14 @@ def _validate(s):
     # free-space alpha2 == 2 is the line-of-sight default for the access hop
     _check(s.alpha2 >= 2, "alpha2 >= 2")
     _check(s.beta >= 0, "beta >= 0")
+
+
+def min_edge_density(s):
+    """Sparsest edge density ``s`` accepts: above ``lambda_m``, with
+    ``b_paths <= lambda_e * pi * r_max^2`` (that check multiplies where
+    this divides, hence the 1e-12 relative margin against rounding)."""
+    disc_floor = s.b_paths / (math.pi * s.r_max * s.r_max) * (1.0 + 1e-12)
+    return max(math.nextafter(s.lambda_m, math.inf), disc_floor)
 
 
 def _suffix_table():
@@ -237,6 +249,17 @@ def parse_config_text(text, mapper=normalize_key):
     return out
 
 
+def load_config(cls, mapper, assumed_fields, text=None, overrides=None):
+    """``cls`` from config text plus overrides, both keyed through
+    ``mapper``, flagging the ``assumed_fields`` that neither sets."""
+    si = parse_config_text(text, mapper) if text else {}
+    for key, value in (overrides or {}).items():
+        mapped = mapper(key, value)
+        if mapped is not None:
+            si[mapped[0]] = mapped[1]
+    return cls(assumed_defaults=tuple(sorted(assumed_fields - set(si))), **si)
+
+
 def load_scenario(text=None, overrides=None):
     """Build a validated scenario from config text plus key overrides.
 
@@ -254,13 +277,8 @@ def load_scenario(text=None, overrides=None):
         With ``assumed_defaults`` listing fields left at defaults that
         have no published source.
     """
-    si = parse_config_text(text) if text else {}
-    for key, value in (overrides or {}).items():
-        mapped = normalize_key(key, value)
-        if mapped is not None:
-            si[mapped[0]] = mapped[1]
-    flagged = tuple(sorted(ASSUMED_DEFAULT_FIELDS - set(si)))
-    return NetworkScenario(assumed_defaults=flagged, **si)
+    return load_config(NetworkScenario, normalize_key, ASSUMED_DEFAULT_FIELDS,
+                       text, overrides)
 
 
 def load_scenario_file(path, overrides=None):

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from mcrnet.multipath import (CONTINUOUS, EXACT_CEIL, InfeasiblePlanError,
                               build_plan, buffer_packets,
-                              continuous_backhaul_coeff, delay_bounds,
+                              continuous_backhaul_coeff,
+                              continuous_backhaul_delay,
+                              continuous_backhaul_density, delay_bounds,
                               max_cooperative_paths, mean_kth_edc_distance,
                               mmwave_link_margin, mmwave_success_prob,
                               multipath_backhaul_delay, per_packet_path_delay,
@@ -299,6 +301,25 @@ def test_continuous_delay_decreasing_and_bounded_property(
         for lam, d in ((lam_lo, d_lo), (lam_hi, d_hi)):
             lower, upper = delay_bounds(s.with_params(lambda_e=lam))
             assert lower < d < upper
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(log_lambda_s=st.floats(-4.5, 250.0), log_ratio=st.floats(-12.0, 0.0),
+       b=st.integers(1, 16))
+def test_continuous_density_inverts_delay_property(log_lambda_s, log_ratio,
+                                                   b):
+    # the closed-form inverse returns the density whose delay it is given,
+    # for densities up to lambda_s at any scale of lambda_s (the same cubic
+    # written in sqrt(lambda_e) overflows from lambda_s ~ 1e200 upwards)
+    s = load_scenario(overrides={"lambda_s": 10.0 ** log_lambda_s})
+    lam = s.lambda_s * 10.0 ** log_ratio
+    delay = continuous_backhaul_delay(s, lam, b)
+    assert continuous_backhaul_density(s, delay, b) == pytest.approx(
+        lam, rel=1e-13)
+    lams = np.array([lam, s.lambda_s])
+    assert continuous_backhaul_density(
+        s, continuous_backhaul_delay(s, lams, b), b) == pytest.approx(
+            lams, rel=1e-13)
 
 
 def test_bounds_preconditions():

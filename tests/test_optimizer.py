@@ -93,7 +93,25 @@ def test_critical_density_infeasible_fiber_term(scenario):
 def test_critical_density_clamps_on_slack_budget(scenario):
     pair = critical_edc_density(scenario, 400, budget=10.0)
     assert pair.at_lower_bound
-    assert pair.lambda_e_crit == pytest.approx(scenario.lambda_m, rel=1e-6)
+    # the sparse end of the bracket: at the defaults the scenario's own
+    # b_paths <= lambda_e * pi * r_max^2 binds, just above lambda_m
+    lo = multipath.density_bracket(scenario, scenario.b_paths)[0]
+    assert pair.lambda_e_crit == lo
+    assert lo == pytest.approx(
+        scenario.b_paths / (math.pi * scenario.r_max ** 2), rel=1e-11)
+    assert scenario.lambda_m < lo
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_reported_densities_form_valid_scenarios(energy, scheme):
+    # at this budget multipath clamps every cache size to the sparse end
+    # of the bracket and single-path roots every one; each reported
+    # density must build a scenario
+    s = load_scenario(overrides={"d_max_ms": 100})
+    outcome = optimize_cache_density(s, energy, scheme=scheme)
+    assert all(outcome.at_lower_bound) == (scheme == MULTIPATH)
+    for lam in outcome.lambda_e_crit:
+        assert s.with_params(lambda_e=lam).lambda_e == lam
 
 
 def test_critical_density_bracket_exhaustion(scenario):
@@ -184,7 +202,7 @@ def test_toy_model_brute_force(energy):
 def test_pairs_hold_python_scalars(scenario, energy):
     # rows are serialised with json/csv, which must not see numpy scalars;
     # at this budget small caches need a root and large ones are clamped
-    s = scenario.with_params(d_max=0.07)
+    s = scenario.with_params(d_max=0.065)
     outcome = optimize_cache_density(s, energy)
     budget = reduced_delay_budget(s)
     single = tuple(critical_edc_density(s, psi, budget)
@@ -237,7 +255,7 @@ def test_cubic_root_matches_root_finder_property(d_max, beta, b_paths,
         return (multipath.multipath_backhaul_delay(s, b=b_paths, lambda_e=x)
                 + fiber_term - budget)
 
-    lo, hi = optimizer._density_bracket(s, b_paths)
+    lo, hi = multipath.density_bracket(s, b_paths)
     g_lo, g_hi = g(lo), g(hi)
     if min(abs(g_lo), abs(g_hi)) <= BOUNDARY_REL * abs(budget):
         return
@@ -276,11 +294,11 @@ def test_outcome_columns_match_scalar_api_property(energy, d_max, beta,
             outcome.psi, outcome.lambda_e_crit, outcome.residual,
             outcome.at_lower_bound, outcome.e_sys):
         assert e_sys == system_energy(s, energy, psi, lambda_e=lam).total
-        # the batched Newton loop runs until its slowest entry converges,
-        # so a lone solve may stop one rounding-level step earlier
+        # the closed form solves every entry on its own, from the same
+        # fiber term, so a lone solve gives the same bits
         pair = critical_edc_density(s, psi, budget, scheme)
         assert pair.at_lower_bound == at_lower_bound
-        assert lam == pytest.approx(pair.lambda_e_crit, rel=1e-12, abs=0.0)
+        assert lam == pair.lambda_e_crit
     for psi in outcome.skipped_psi:
         try:
             assert critical_edc_density(s, psi, budget, scheme) is None

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from mcrnet.montecarlo import substream
 from mcrnet.popularity import (FIFO, LRU, POPULARITY_PRIORITY, CacheState,
@@ -142,3 +144,26 @@ def test_lru_fifo_bounded_by_popularity_priority():
     se = np.sqrt(p * (1 - p) / len(stream))
     assert rates[FIFO] <= rates[POPULARITY_PRIORITY] + 3 * se
     assert rates[LRU] <= rates[POPULARITY_PRIORITY] + 3 * se
+
+
+# an example takes about 0.3 s, so a failure is reported unshrunk rather
+# than after minutes of shrinking
+@settings(max_examples=10, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(seed=st.integers(0, 2 ** 32 - 1), beta=st.floats(0.2, 1.6))
+def test_popularity_priority_beats_lru_and_fifo_property(seed, beta):
+    # keeping the most popular contents seen so far converges to the
+    # ideal static cache, which no recency policy beats in expectation.
+    # The order is not guaranteed on a short stream, where warmup and
+    # sampling noise dominate, so the stream is long and each rate gets
+    # a tolerance of 3 binomial standard errors of the analytic rate.
+    model = zipf(beta, 200)
+    psi = 20
+    stream = _zipf_stream(model, 20_000, seed)
+    rates = {policy: run_requests(CacheState(psi=psi, policy=policy),
+                                  stream)[1].mean()
+             for policy in (FIFO, LRU, POPULARITY_PRIORITY)}
+    p = hit_probability(model, psi)
+    tolerance = 3 * np.sqrt(p * (1 - p) / len(stream))
+    assert rates[POPULARITY_PRIORITY] >= rates[LRU] - tolerance
+    assert rates[POPULARITY_PRIORITY] >= rates[FIFO] - tolerance

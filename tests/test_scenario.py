@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from mcrnet.scenario import (MEGABYTE, NetworkScenario, ScenarioError,
                              db_to_linear, dbm_to_watt, linear_to_db,
-                             load_scenario, scenario_hash, scenario_to_config,
-                             watt_to_dbm)
+                             load_scenario, min_edge_density, scenario_hash,
+                             scenario_to_config, watt_to_dbm)
 
 
 def test_empty_document_is_all_defaults():
@@ -155,6 +155,17 @@ def test_config_round_trip_property(s):
     assert load_scenario(overrides=cfg) == s
     text = "\n".join(f"{k} = {v!r}" for k, v in cfg.items())
     assert load_scenario(text) == s
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(s=scenarios())
+def test_min_edge_density_is_accepted_property(s):
+    lo = min_edge_density(s)
+    # the densest of the two lower limits, up to the rounding margin
+    floor = max(s.lambda_m, s.b_paths / (math.pi * s.r_max ** 2))
+    assert floor <= lo <= floor * (1.0 + 2e-12)
+    assume(lo < s.lambda_s)
+    assert s.with_params(lambda_e=lo).lambda_e == lo
 
 
 @pytest.mark.parametrize("db", [-174.0, -90.0, -37.7, 0.0, 23.0, 43.0])
