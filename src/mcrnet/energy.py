@@ -7,6 +7,7 @@ a hard delay-QoS indicator, so an infeasible operating point scores zero
 and must be excluded from minimisation rather than preferred.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, fields
 
@@ -38,7 +39,10 @@ class EnergyModel:
         for f in fields(self):
             if f.name == "assumed_defaults":
                 continue
-            if getattr(self, f.name) < 0:
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ScenarioError(f"constraint violated: {f.name} finite")
+            if value < 0:
                 raise ScenarioError(f"constraint violated: {f.name} >= 0")
         for name in ("t_life_m", "t_life_s", "t_life_e"):
             if getattr(self, name) <= 0:

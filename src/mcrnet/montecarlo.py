@@ -18,14 +18,14 @@ The packet-level backhaul simulator is the oracle for the integer-hop
 ``multipath.build_plan``, each source at its mean distance, and samples
 only the slotted retries along them.
 
-Randomness comes from counter-based Philox streams keyed by
-``(seed, stream path)``: each oracle draws from its own stream family,
-and every chunk of trials (and every simulator path) owns an independent
-substream within it.  The chunks run on a process-wide thread
-pool, one worker per available CPU (numpy's draws and array operations
-release the interpreter lock), and their results are combined in chunk
-order, so every estimate is bit-reproducible and does not depend on the
-worker count or on the order the chunks finish in.
+Randomness comes from SFC64 streams keyed by ``(seed, stream path)``:
+each oracle draws from its own stream family, and every chunk of trials
+(and every simulator path) owns an independent substream within it.
+The chunks run on a process-wide thread pool, one worker per available
+CPU (numpy's draws and array operations release the interpreter lock),
+and their results are combined in chunk order, so every estimate is
+bit-reproducible and does not depend on the worker count or on the order
+the chunks finish in.
 """
 
 import functools
@@ -71,9 +71,9 @@ class McEstimate:
 
 
 def substream(seed, *path):
-    """Independent counter-based generator for ``(seed, path)``."""
+    """Independent SFC64 generator for ``(seed, path)``."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _pool():
@@ -209,11 +209,11 @@ def estimate_deli_success(s, trials=1_000_000, seed=0, noise_power=None):
     its fluctuation is far below the sampling noise.  ``noise_power``
     overrides the default receiver noise ``n0 * w_mmw`` (Watts).
 
-    A chunk's substream holds all its ``(m, 202)`` Exp(1) draws, then all
-    its ``(m, 202)`` gain draws.  The chunk walks its stream once past the
-    distances, then replays them from a twin stream beside the gains, in
-    blocks of ``_DELI_BLOCK`` trials: the draws are those of one
-    ``(m, 202)`` array each, with no chunk-sized array held.
+    A chunk draws its ``(m, 202)`` Exp(1) distances from substream
+    ``(seed, 2, chunk, 0)`` and its ``(m, 202)`` gains from
+    ``(seed, 2, chunk, 1)``, both in blocks of ``_DELI_BLOCK`` trials: the
+    draws are those of one ``(m, 202)`` array each, with no chunk-sized
+    array held.
     """
     order = s.nt_m * s.nr_e
     alpha = s.alpha1
@@ -222,16 +222,13 @@ def estimate_deli_success(s, trials=1_000_000, seed=0, noise_power=None):
     noise = s.nt_m * sigma_z2 / s.p_m * (math.pi * s.lambda_m) ** -half
 
     def count(chunk_idx, m):
-        gains_rng = substream(seed, 2, chunk_idx)
-        dist_rng = substream(seed, 2, chunk_idx)
-        blocks = [min(_DELI_BLOCK, m - start)
-                  for start in range(0, m, _DELI_BLOCK)]
-        t = np.empty((blocks[0], _DELI_POINTS))
+        dist_rng = substream(seed, 2, chunk_idx, 0)
+        gains_rng = substream(seed, 2, chunk_idx, 1)
+        t = np.empty((min(m, _DELI_BLOCK), _DELI_POINTS))
         power = np.empty_like(t)
-        for n in blocks:  # skip the distances; dist_rng replays them
-            gains_rng.standard_exponential(out=t[:n])
         successes = 0
-        for n in blocks:
+        for start in range(0, m, _DELI_BLOCK):
+            n = min(_DELI_BLOCK, m - start)
             tb, pb = t[:n], power[:n]
             dist_rng.standard_exponential(out=tb)
             np.cumsum(tb, axis=1, out=tb)
@@ -278,10 +275,11 @@ def simulate_backhaul(s, scheme=MULTIPATH, trials=1000, seed=0):
     in whole packets, its relay chain ``ceil(r / r_mmw)`` hops long.
     Every packet crosses its chain hop by hop; a hop repeats slots until
     relay selection and the shadowing-limited link both succeed in the
-    same slot (slot counts are drawn from the equivalent geometric law),
-    and the first hop leaves the edge node at its transmit power.  A
-    packet enters the chain only after the previous one reached the
-    destination; the trial delay is the slowest path's total.
+    same slot, a Geometric(p) count on {1, 2, ...}, and the first hop
+    leaves the edge node at its transmit power.  A packet enters the
+    chain only after the previous one reached the destination, so a
+    path's n crossings at one p take n + NegativeBinomial(n, p) slots,
+    drawn once per trial; the trial delay is the slowest path's total.
 
     Parameters
     ----------
@@ -314,11 +312,11 @@ def simulate_backhaul(s, scheme=MULTIPATH, trials=1000, seed=0):
         n_first = int(packets[path])
         n_rest = int(packets[path]) * (int(plan.hops[path]) - 1)
         if n_first:
-            slots[:, path] += rng.geometric(p_first, size=(trials, n_first)
-                                            ).sum(axis=1)
+            slots[:, path] += n_first + rng.negative_binomial(
+                n_first, p_first, size=trials)
         if n_rest:
-            slots[:, path] += rng.geometric(p_relay, size=(trials, n_rest)
-                                            ).sum(axis=1)
+            slots[:, path] += n_rest + rng.negative_binomial(
+                n_rest, p_relay, size=trials)
 
     _pool_map(draw, [(path,) for path in range(plan.b)])
     delays = slots.max(axis=1) * s.tau_mmw

@@ -357,7 +357,8 @@ def test_large_gain_order_validates_delivery(capsys):
     ("r_max=1e200", "r_max"), ("theta2=inf", "theta2"),
     ("theta2_db=inf", "theta2"), ("theta1=inf", "theta1"),
     ("alpha2=inf", "alpha2"), ("n0=inf", "n0"),
-    ("relay_coeff=1e308", "relay_coeff")])
+    ("relay_coeff=1e308", "relay_coeff"), ("e_storage=inf", "e_storage"),
+    ("t_life_m_years=inf", "t_life_m"), ("a_m=nan", "a_m")])
 def test_out_of_range_scenario_value_is_scenario_error(capsys, param, field):
     code, out, err = run_cli_without_warnings(
         capsys, "optimize", "--param", param)

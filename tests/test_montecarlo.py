@@ -219,6 +219,44 @@ def test_simulator_single_path_geometric_mean():
     assert abs(est.mean - expected) <= 3.0 * est.std_error
 
 
+def test_simulator_slot_totals_follow_geometric_sums():
+    # one path of 3 hops carrying 100 packets; the weak edge node makes
+    # the first hop's per-slot success smaller than the relays'.  A
+    # packet's hop takes Geometric(p) slots on {1, 2, ...}, so the path
+    # total is a sum of 100 first-hop and 200 relay-hop geometric counts.
+    s = load_scenario(overrides={"buffer_omega": 102400, "lambda_e": 6e-6,
+                                 "p_e": 1e-10})
+    assert multipath.build_plan(s, EXACT_CEIL, 1).hops.tolist() == [3.0]
+    p1 = multipath.relay_selection_prob(s.lambda_s, s.lambda_e, s.relay_coeff)
+    p_first = p1 * multipath.mmwave_success_prob(s, tx_power_w=s.p_e)
+    p_relay = p1 * multipath.mmwave_success_prob(s)
+    assert p_first < 0.7 * p_relay
+    trials = 10_000
+
+    # one trial per seed: the simulator's slot totals, sample by sample
+    totals = np.round([simulate_backhaul(s, SINGLE_PATH, trials=1,
+                                         seed=seed).mean / s.tau_mmw
+                       for seed in range(trials)])
+    rng = np.random.default_rng(SEED)
+    explicit = (rng.geometric(p_first, size=(trials, 100)).sum(axis=1)
+                + rng.geometric(p_relay, size=(trials, 200)).sum(axis=1))
+    assert stats.ks_2samp(totals, explicit).pvalue >= 1e-3
+
+    # exact cumulants of the sums: a Geometric(p) count has variance
+    # q / p**2 and fourth cumulant q * (1 + 4q + q**2) / p**4, q = 1 - p
+    def cumulants(n, p):
+        q = 1.0 - p
+        return n / p, n * q / p ** 2, n * q * (1 + 4 * q + q * q) / p ** 4
+
+    mean, var, k4 = (a + b for a, b in zip(cumulants(100, p_first),
+                                           cumulants(200, p_relay)))
+    est = simulate_backhaul(s, SINGLE_PATH, trials=trials, seed=SEED)
+    sample_var = (est.std_error / s.tau_mmw) ** 2 * trials
+    assert abs(est.mean / s.tau_mmw - mean) <= 4.0 * math.sqrt(var / trials)
+    var_se = math.sqrt(k4 / trials + 2.0 * var ** 2 / (trials - 1))
+    assert abs(sample_var - var) <= 4.0 * var_se
+
+
 def test_simulator_matches_integer_hop_closed_form():
     s = load_scenario()
     est = simulate_backhaul(s, trials=1200, seed=SEED)
@@ -259,11 +297,11 @@ def _serial_deli_success(s, trials, seed, noise_power=None):
     chunk = montecarlo._DELI_CHUNK
     for chunk_idx, start in enumerate(range(0, trials, chunk)):
         m = min(chunk, trials - start)
-        rng = substream(seed, 2, chunk_idx)
-        t = rng.standard_exponential((m, montecarlo._DELI_POINTS))
+        t = substream(seed, 2, chunk_idx, 0).standard_exponential(
+            (m, montecarlo._DELI_POINTS))
         np.cumsum(t, axis=1, out=t)
         far_mean = order * 2.0 * t[:, -1] ** (1.0 - half) / (alpha - 2.0)
-        power = rng.gamma(order, size=t.shape)
+        power = substream(seed, 2, chunk_idx, 1).gamma(order, size=t.shape)
         power *= np.power(t, -half, out=t)
         interference = power[:, 1:].sum(axis=1) + far_mean
         ok = power[:, 0] >= s.theta2 * (interference + noise)
@@ -286,11 +324,11 @@ def _serial_simulate_backhaul(s, scheme, trials, seed):
         n_first = int(packets[path])
         n_rest = int(packets[path]) * (int(hops[path]) - 1)
         if n_first:
-            slots[:, path] += rng.geometric(p_first, size=(trials, n_first)
-                                            ).sum(axis=1)
+            slots[:, path] += n_first + rng.negative_binomial(
+                n_first, p_first, size=trials)
         if n_rest:
-            slots[:, path] += rng.geometric(p_relay, size=(trials, n_rest)
-                                            ).sum(axis=1)
+            slots[:, path] += n_rest + rng.negative_binomial(
+                n_rest, p_relay, size=trials)
     delays = slots.max(axis=1) * s.tau_mmw
     se = float(delays.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return McEstimate(mean=float(delays.mean()), std_error=se,
