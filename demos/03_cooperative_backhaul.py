@@ -1,25 +1,30 @@
 """Cooperative multi-path backhaul against the single-path baseline.
 
-Shows the per-source plan (distances, shares, hops), the closed-form
+Shows the integer-hop plan (distances, shares, hops and the per-slot
+success of the edge node's hop and of a relay hop), the closed-form
 delay with its strict envelopes, and the delay trends that motivate
 cooperation: more sources and denser edge deployments shorten the
 transfer, bigger buffers and denser small cells lengthen it.
 """
 
-from mcrnet.multipath import (build_plan, delay_bounds,
+from mcrnet.multipath import (EXACT_CEIL, build_plan, delay_bounds,
                               multipath_backhaul_delay,
                               single_path_backhaul_delay)
 from mcrnet.scenario import load_scenario
 
 s = load_scenario()
 
-print("=== transmission plan at defaults (B = 4) ===")
+print("=== integer-hop transmission plan at defaults (B = 4) ===")
 plan = build_plan(s)
-print(f"per-slot relay selection p1 = {plan.p1:.4f}, link success p2 = "
-      f"{plan.p2:.4f}")
+print(f"per-slot success: edge node's hop p_first = {plan.p_first:.4f}, "
+      f"relay hop p_relay = {plan.p_relay:.4f}")
 for p in range(plan.b):
     print(f"  source {p + 1}: mean distance {plan.r[p]:6.1f} m, "
-          f"share {plan.shares[p]:.3f}, hops {plan.hops[p]:.2f}")
+          f"share {plan.shares[p]:.3f}, hops {plan.hops[p]:.0f} "
+          f"(continuous {plan.r[p] / s.r_mmw:.2f})")
+exact = multipath_backhaul_delay(s, EXACT_CEIL)
+print(f"integer-hop delay {exact * 1e3:.3f} ms (the packet simulator's "
+      f"reference)")
 
 print()
 print("=== closed form vs envelopes ===")

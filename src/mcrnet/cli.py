@@ -378,8 +378,6 @@ def build_parser():
                         help="override any scenario/energy key or psi")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", help="output path (default stdout)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--trials", type=int, default=100_000)
 
     parser = _Parser(prog="mcrnet", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -397,8 +395,10 @@ def build_parser():
                            help="two-step cache/density optimisation")
     p_opt.add_argument("--scheme", choices=SCHEMES, default=MULTIPATH)
 
-    sub.add_parser("validate", parents=[common],
-                   help="analytic vs Monte-Carlo comparison report")
+    p_val = sub.add_parser("validate", parents=[common],
+                           help="analytic vs Monte-Carlo comparison report")
+    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument("--trials", type=int, default=100_000)
     return parser
 
 

@@ -14,9 +14,9 @@ and the ordered squared distances are cumulative sums of Exp(1) draws
 over ``pi * lam``; no trial samples a point count or a disc.
 
 The packet-level backhaul simulator is the oracle for the integer-hop
-(``EXACT_CEIL``) backhaul delay.  It takes its paths from
-``multipath.build_plan``, each source at its mean distance, and samples
-only the slotted retries along them.
+(``EXACT_CEIL``) backhaul delay.  It takes its paths and their per-slot
+success probabilities from ``multipath.build_plan``, each source at its
+mean distance, and samples only the slotted retries along them.
 
 Randomness comes from SFC64 streams keyed by ``(seed, stream path)``:
 each oracle draws from its own stream family, and every chunk of trials
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multipath
-from .multipath import EXACT_CEIL, MULTIPATH
+from .multipath import MULTIPATH
 
 _CHUNK = 50_000
 # macro cells per delivery trial: the mean count of a disc of radius
@@ -52,6 +52,9 @@ _DELI_BLOCK = 512
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _POOL_LOCK = threading.Lock()
+# numpy's negative_binomial(n, p) refuses (1 - p) / p * (n + 10 sqrt(n)),
+# the reach of the Poisson mean it draws through, above this bound
+_SLOTS_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -194,7 +197,7 @@ def estimate_access_success(s, trials=1_000_000, seed=0):
     return _proportion_estimate(n, trials, seed)
 
 
-def estimate_deli_success(s, trials=1_000_000, seed=0, noise_power=None):
+def estimate_deli_success(s, trials=1_000_000, seed=0):
     """Oracle for the routing-info delivery success probability.
 
     Each trial takes the 202 (``_DELI_POINTS``) nearest macro cells,
@@ -206,8 +209,8 @@ def estimate_deli_success(s, trials=1_000_000, seed=0, noise_power=None):
     ``t**(-alpha/2)``, noise scaled by ``(pi * lambda_m)**(-alpha/2)``.
     Interference beyond the last sampled point ``t_N`` is added as its
     exact conditional mean ``order * 2 * t_N**(1 - alpha/2) / (alpha - 2)``;
-    its fluctuation is far below the sampling noise.  ``noise_power``
-    overrides the default receiver noise ``n0 * w_mmw`` (Watts).
+    its fluctuation is far below the sampling noise.  The receiver noise
+    is ``n0 * w_mmw`` (Watts).
 
     A chunk draws its ``(m, 202)`` Exp(1) distances from substream
     ``(seed, 2, chunk, 0)`` and its ``(m, 202)`` gains from
@@ -218,8 +221,7 @@ def estimate_deli_success(s, trials=1_000_000, seed=0, noise_power=None):
     order = s.nt_m * s.nr_e
     alpha = s.alpha1
     half = alpha / 2.0
-    sigma_z2 = s.n0 * s.w_mmw if noise_power is None else noise_power
-    noise = s.nt_m * sigma_z2 / s.p_m * (math.pi * s.lambda_m) ** -half
+    noise = s.nt_m * s.n0 * s.w_mmw / s.p_m * (math.pi * s.lambda_m) ** -half
 
     def count(chunk_idx, m):
         dist_rng = substream(seed, 2, chunk_idx, 0)
@@ -270,16 +272,17 @@ def _split_packets(shares, total):
 def simulate_backhaul(s, scheme=MULTIPATH, trials=1000, seed=0):
     """Packet-level slotted stop-and-wait simulation of a buffer transfer.
 
-    The paths are those of ``multipath.build_plan(s, EXACT_CEIL, b)``:
-    each source at its mean distance, its share of the buffer apportioned
-    in whole packets, its relay chain ``ceil(r / r_mmw)`` hops long.
-    Every packet crosses its chain hop by hop; a hop repeats slots until
-    relay selection and the shadowing-limited link both succeed in the
-    same slot, a Geometric(p) count on {1, 2, ...}, and the first hop
-    leaves the edge node at its transmit power.  A packet enters the
-    chain only after the previous one reached the destination, so a
-    path's n crossings at one p take n + NegativeBinomial(n, p) slots,
-    drawn once per trial; the trial delay is the slowest path's total.
+    The paths are those of ``multipath.build_plan(s, b)``: each source
+    at its mean distance, its share of the buffer apportioned in whole
+    packets, its relay chain ``ceil(r / r_mmw)`` hops long.  Every packet
+    crosses its chain hop by hop; a hop repeats slots until relay
+    selection and the shadowing-limited link both succeed in the same
+    slot, a Geometric(p) count on {1, 2, ...} at the plan's ``p_first``
+    for the hop leaving the edge node and ``p_relay`` for the others.
+    A packet enters the chain only after the previous one reached the
+    destination, so a path's n crossings at one p take
+    n + NegativeBinomial(n, p) slots, drawn once per trial; the trial
+    delay is the slowest path's total.
 
     Parameters
     ----------
@@ -292,31 +295,33 @@ def simulate_backhaul(s, scheme=MULTIPATH, trials=1000, seed=0):
     ------
     ValueError
         For an unknown scheme, fewer than one trial, or a hop that can
-        never succeed.
+        never succeed or whose slot count outgrows an int64.
     """
-    plan = multipath.build_plan(s, EXACT_CEIL, multipath.path_count(s, scheme))
+    plan = multipath.build_plan(s, multipath.path_count(s, scheme))
     if trials < 1:
         raise ValueError("need at least one trial")
     packets = _split_packets(plan.shares, multipath.buffer_packets(s))
-    p_first = plan.p1 * multipath.mmwave_success_prob(s, tx_power_w=s.p_e)
-    p_relay = plan.p1 * plan.p2
-    if p_first <= 0.0 or p_relay <= 0.0:
-        raise ValueError(
-            "per-slot success probability is zero; the transfer can never "
-            "complete")
+    # per path: (crossings, per-slot success) of its first and relay hops
+    legs = [((int(n), plan.p_first), (int(n) * (int(h) - 1), plan.p_relay))
+            for n, h in zip(packets, plan.hops)]
+    for path_legs in legs:
+        # summed over a path, the reach also keeps its int64 total in range
+        reach = sum((1.0 - p) / p * (n + 10.0 * math.sqrt(n)) if p > 0.0
+                    else math.inf for n, p in path_legs if n)
+        if not reach <= _SLOTS_MAX:
+            p = min(p for n, p in path_legs if n)
+            raise ValueError(
+                f"backhaul stage can never complete in the simulator: a "
+                f"per-slot success probability of {p:.6g} needs more slots "
+                f"than an int64 count holds")
 
     slots = np.zeros((trials, plan.b), dtype=np.int64)
 
     def draw(path):
         rng = substream(seed, 4, path)
-        n_first = int(packets[path])
-        n_rest = int(packets[path]) * (int(plan.hops[path]) - 1)
-        if n_first:
-            slots[:, path] += n_first + rng.negative_binomial(
-                n_first, p_first, size=trials)
-        if n_rest:
-            slots[:, path] += n_rest + rng.negative_binomial(
-                n_rest, p_relay, size=trials)
+        for n, p in legs[path]:
+            if n:
+                slots[:, path] += n + rng.negative_binomial(n, p, size=trials)
 
     _pool_map(draw, [(path,) for path in range(plan.b)])
     delays = slots.max(axis=1) * s.tau_mmw

@@ -11,7 +11,9 @@ mode.
 
 Hop-count modes: ``"continuous"`` treats the hop count as the real ratio
 distance / hop range (the closed form); ``"exact-ceil"`` rounds it up to
-an integer, matching the packet-level simulator.
+an integer, matching the packet-level simulator.  Only the integer-hop
+model builds a :class:`MultipathPlan`, which carries its per-slot
+success probabilities.
 
 This module alone knows the continuous delay as a function of density:
 the curve, its closed-form inverse, the densities a plan allows and each
@@ -27,7 +29,6 @@ from .scenario import ScenarioError, min_edge_density, watt_to_dbm
 
 CONTINUOUS = "continuous"
 EXACT_CEIL = "exact-ceil"
-_MODES = (CONTINUOUS, EXACT_CEIL)
 
 # backhaul scheme names shared by the optimizer, simulator and CLI
 MULTIPATH = "multipath"
@@ -41,14 +42,14 @@ class InfeasiblePlanError(RuntimeError):
 
 @dataclass(frozen=True)
 class MultipathPlan:
-    """Resolved transmission plan for one cooperative transfer."""
+    """Integer-hop transmission plan for one cooperative transfer."""
 
     b: int
     r: np.ndarray       # mean source distances, ascending (m)
     shares: np.ndarray  # data fraction per path, sums to 1
-    hops: np.ndarray    # per-path hop counts (float in continuous mode)
-    p1: float           # per-slot relay selection probability
-    p2: float           # per-slot link success probability
+    hops: np.ndarray    # per-path hop counts, ceil(r / r_mmw)
+    p_first: float      # per-slot success of the hop leaving the edge node
+    p_relay: float      # per-slot success of a relay hop
 
 
 def mean_kth_edc_distance(lambda_e, p):
@@ -64,7 +65,7 @@ def mean_kth_edc_distance(lambda_e, p):
         math.pi * lambda_e)
 
 
-def relay_selection_prob(lambda_s, lambda_e, coeff=1.28):
+def relay_selection_prob(lambda_s, lambda_e, coeff):
     """Per-slot probability a relay SBS is granted to the transfer.
 
     ``1 + coeff * lambda_s / lambda_e`` small cells compete inside one
@@ -132,53 +133,39 @@ def buffer_packets(s):
     return math.ceil(s.buffer_omega / s.packet_l)
 
 
-def build_plan(s, mode=CONTINUOUS, b=None, lambda_e=None):
-    """Assemble the cooperative plan for ``b`` paths (default scenario B).
+def _plan_paths(s, b, lambda_e):
+    """``(b, lambda_e)`` with scenario defaults, once the reach is checked.
 
     Raises
     ------
     InfeasiblePlanError
         If the farthest selected source exceeds ``r_max``.
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown hop mode {mode!r}")
     b = s.b_paths if b is None else b
     lam = s.lambda_e if lambda_e is None else lambda_e
-    r = np.array([mean_kth_edc_distance(lam, p) for p in range(1, b + 1)])
     if lam < _min_plan_density(s, b):
         raise InfeasiblePlanError(
-            f"source {b} at mean distance {r[-1]:.1f} m exceeds "
+            f"source {b} at mean distance "
+            f"{mean_kth_edc_distance(lam, b):.1f} m exceeds "
             f"r_max = {s.r_max:.1f} m")
-    inv = 1.0 / r
-    shares = inv / inv.sum()
-    ratio = r / s.r_mmw
-    hops = np.ceil(ratio) if mode == EXACT_CEIL else ratio
-    return MultipathPlan(
-        b=b, r=r, shares=shares, hops=hops,
-        p1=relay_selection_prob(s.lambda_s, lam, s.relay_coeff),
-        p2=mmwave_success_prob(s))
+    return b, lam
 
 
-def per_packet_path_delay(s, r_p, mode=CONTINUOUS, lambda_e=None):
-    """Expected delay of one packet over one relay chain of length r_p.
+def build_plan(s, b=None, lambda_e=None):
+    """Assemble the integer-hop cooperative plan for ``b`` paths (default
+    scenario B).
 
-    In exact-ceil mode the first hop originates at the edge data center
-    and uses its transmit power in the link margin; remaining hops use
-    the SBS power.  Continuous mode keeps the homogeneous closed form.
+    A hop that can never succeed is a ``ScenarioError``; a source beyond
+    ``r_max`` is an :class:`InfeasiblePlanError`.
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown hop mode {mode!r}")
-    if r_p <= 0:
-        raise ValueError(f"path distance must be positive, got {r_p}")
-    lam = s.lambda_e if lambda_e is None else lambda_e
+    b, lam = _plan_paths(s, b, lambda_e)
+    r = np.array([mean_kth_edc_distance(lam, p) for p in range(1, b + 1)])
+    inv = 1.0 / r
     p1 = relay_selection_prob(s.lambda_s, lam, s.relay_coeff)
-    p2_relay = _link_success(s)
-    if mode == CONTINUOUS:
-        return (r_p / s.r_mmw) * s.tau_mmw / (p1 * p2_relay)
-    hops = math.ceil(r_p / s.r_mmw)
-    p2_first = _link_success(s, tx_power_w=s.p_e)
-    return s.tau_mmw * (1.0 / (p1 * p2_first)
-                        + (hops - 1) / (p1 * p2_relay))
+    return MultipathPlan(
+        b=b, r=r, shares=inv / inv.sum(), hops=np.ceil(r / s.r_mmw),
+        p_first=p1 * _link_success(s, tx_power_w=s.p_e),
+        p_relay=p1 * _link_success(s))
 
 
 def continuous_backhaul_coeff(s, b=None):
@@ -231,17 +218,17 @@ def multipath_backhaul_delay(s, mode=CONTINUOUS, b=None, lambda_e=None):
     Continuous mode evaluates :func:`continuous_backhaul_delay`, which
     equals the per-path maximum because inverse-distance shares make every
     path's total identical.  Exact-ceil mode takes the explicit maximum
-    over paths with integer hop counts.
+    over the paths of :func:`build_plan`, whose first hop leaves the edge
+    node at its own transmit power.
     """
-    plan = build_plan(s, mode, b, lambda_e)
-    lam = s.lambda_e if lambda_e is None else lambda_e
     if mode == CONTINUOUS:
-        return float(continuous_backhaul_delay(s, lam, plan.b))
-    packets = buffer_packets(s)
-    per_path = np.array([
-        plan.shares[p] * packets
-        * per_packet_path_delay(s, plan.r[p], EXACT_CEIL, lambda_e=lam)
-        for p in range(plan.b)])
+        b, lam = _plan_paths(s, b, lambda_e)
+        return float(continuous_backhaul_delay(s, lam, b))
+    if mode != EXACT_CEIL:
+        raise ValueError(f"unknown hop mode {mode!r}")
+    plan = build_plan(s, b, lambda_e)
+    per_path = plan.shares * buffer_packets(s) * (
+        s.tau_mmw * (1.0 / plan.p_first + (plan.hops - 1) / plan.p_relay))
     return float(per_path.max())
 
 

@@ -21,7 +21,7 @@ from mcrnet.popularity import hit_probability, zipf
 from mcrnet.energy import qos_indicator
 from mcrnet.scenario import (db_to_linear, dbm_to_watt, linear_to_db,
                              load_scenario, scenario_to_config, watt_to_dbm)
-from oracles import gamma_fn
+from oracles import gamma_fn, per_packet_path_delay
 
 SEED = 2024
 
@@ -118,7 +118,7 @@ def test_criterion_3_delay_theorem_consistency():
     worst_spread = 0.0
     for b in (2, 4, 6):
         plan = multipath.build_plan(s, b=b)
-        totals = [plan.shares[p] * packets * multipath.per_packet_path_delay(
+        totals = [plan.shares[p] * packets * per_packet_path_delay(
             s, plan.r[p]) for p in range(b)]
         worst_spread = max(worst_spread,
                            (max(totals) - min(totals)) / max(totals))

@@ -391,6 +391,33 @@ def test_validate_rejects_non_positive_trials(capsys):
     assert caught == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("optimize", "--trials", "5"),
+    ("optimize", "--seed", "3"),
+    ("sweep", "psi", "--values", "10", "--targets", "p_in_edc",
+     "--trials", "5"),
+    ("sweep", "psi", "--values", "10", "--targets", "p_in_edc",
+     "--seed", "3"),
+])
+def test_monte_carlo_flags_belong_to_validate(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and argv[-2] in err
+
+
+def test_validate_names_simulator_slot_overflow(capsys):
+    # the edge node's first hop succeeds once in ~4e16 slots: the
+    # simulator row names the stage, the other checks still run
+    code, out, _ = run_cli_without_warnings(
+        capsys, "validate", "--trials", "2000", "--param", "p_e=6.6e-15")
+    rows = {r["check"]: r for r in parse_csv(out)}
+    assert code == 3
+    assert rows["backhaul_simulator"]["error"].startswith("backhaul stage")
+    assert all(r["passed"] == "True" for name, r in rows.items()
+               if name != "backhaul_simulator")
+
+
 def test_out_file_writing(tmp_path, capsys):
     out_path = tmp_path / "rows.csv"
     code, stdout, _ = run_cli(capsys, "sweep", "psi", "--values", "1,2",

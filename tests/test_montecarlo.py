@@ -201,7 +201,7 @@ def test_simulator_deterministic_unit_case():
     s = load_scenario(overrides={
         "lambda_e": 4e-5, "relay_coeff": 1e-18,
         "theta4_dbm": -110, "packet_l": 4096, "buffer_omega": 4096})
-    assert multipath.build_plan(s, EXACT_CEIL, 1).hops.tolist() == [1.0]
+    assert multipath.build_plan(s, 1).hops.tolist() == [1.0]
     est = simulate_backhaul(s, SINGLE_PATH, trials=50, seed=SEED)
     assert est.mean == s.tau_mmw
     assert est.std_error == 0.0
@@ -211,9 +211,9 @@ def test_simulator_single_path_geometric_mean():
     # at 6e-6 per m^2 the nearest source is 204 m out: 3 hops
     s = load_scenario(overrides={"buffer_omega": 102400,  # 100 packets
                                  "lambda_e": 6e-6})
-    assert multipath.build_plan(s, EXACT_CEIL, 1).hops.tolist() == [3.0]
+    assert multipath.build_plan(s, 1).hops.tolist() == [3.0]
     est = simulate_backhaul(s, SINGLE_PATH, trials=3000, seed=SEED)
-    p = (multipath.relay_selection_prob(s.lambda_s, s.lambda_e)
+    p = (multipath.relay_selection_prob(s.lambda_s, s.lambda_e, s.relay_coeff)
          * multipath.mmwave_success_prob(s))
     expected = 100 * 3 * s.tau_mmw / p
     assert abs(est.mean - expected) <= 3.0 * est.std_error
@@ -226,7 +226,7 @@ def test_simulator_slot_totals_follow_geometric_sums():
     # total is a sum of 100 first-hop and 200 relay-hop geometric counts.
     s = load_scenario(overrides={"buffer_omega": 102400, "lambda_e": 6e-6,
                                  "p_e": 1e-10})
-    assert multipath.build_plan(s, EXACT_CEIL, 1).hops.tolist() == [3.0]
+    assert multipath.build_plan(s, 1).hops.tolist() == [3.0]
     p1 = multipath.relay_selection_prob(s.lambda_s, s.lambda_e, s.relay_coeff)
     p_first = p1 * multipath.mmwave_success_prob(s, tx_power_w=s.p_e)
     p_relay = p1 * multipath.mmwave_success_prob(s)
@@ -276,6 +276,18 @@ def test_simulator_rejects_transfer_that_never_completes():
         simulate_backhaul(s, trials=0, seed=SEED)
 
 
+def test_simulator_names_slot_count_overflow():
+    # a first hop that succeeds once in ~4e16 slots: a path's hundreds of
+    # crossings would take more slots than an int64 count holds, which
+    # numpy's negative_binomial refuses, so the simulator names the stage
+    s = load_scenario(overrides={"p_e": 6.6e-15})
+    p_first = multipath.build_plan(s).p_first
+    assert 0.0 < p_first < 1e-16
+    with pytest.raises(ValueError, match=(
+            rf"backhaul stage .* probability of {p_first:.6g}\b")):
+        simulate_backhaul(s, trials=10, seed=SEED)
+
+
 def test_simulator_reproducible():
     s = load_scenario()
     a = simulate_backhaul(s, trials=200, seed=SEED)
@@ -287,12 +299,11 @@ def test_simulator_reproducible():
 # with one whole-chunk array per draw
 
 
-def _serial_deli_success(s, trials, seed, noise_power=None):
+def _serial_deli_success(s, trials, seed):
     order = s.nt_m * s.nr_e
     alpha = s.alpha1
     half = alpha / 2.0
-    sigma_z2 = s.n0 * s.w_mmw if noise_power is None else noise_power
-    noise = s.nt_m * sigma_z2 / s.p_m * (math.pi * s.lambda_m) ** -half
+    noise = s.nt_m * s.n0 * s.w_mmw / s.p_m * (math.pi * s.lambda_m) ** -half
     successes = 0
     chunk = montecarlo._DELI_CHUNK
     for chunk_idx, start in enumerate(range(0, trials, chunk)):
@@ -310,14 +321,10 @@ def _serial_deli_success(s, trials, seed, noise_power=None):
 
 
 def _serial_simulate_backhaul(s, scheme, trials, seed):
-    plan = multipath.build_plan(s, EXACT_CEIL,
-                                s.b_paths if scheme == MULTIPATH else 1)
+    plan = multipath.build_plan(s, s.b_paths if scheme == MULTIPATH else 1)
     hops = plan.hops.astype(int)
     packets = montecarlo._split_packets(plan.shares,
                                         multipath.buffer_packets(s))
-    p1 = multipath.relay_selection_prob(s.lambda_s, s.lambda_e, s.relay_coeff)
-    p_first = p1 * multipath.mmwave_success_prob(s, tx_power_w=s.p_e)
-    p_relay = p1 * multipath.mmwave_success_prob(s)
     slots = np.zeros((trials, plan.b), dtype=np.int64)
     for path in range(plan.b):
         rng = substream(seed, 4, path)
@@ -325,10 +332,10 @@ def _serial_simulate_backhaul(s, scheme, trials, seed):
         n_rest = int(packets[path]) * (int(hops[path]) - 1)
         if n_first:
             slots[:, path] += n_first + rng.negative_binomial(
-                n_first, p_first, size=trials)
+                n_first, plan.p_first, size=trials)
         if n_rest:
             slots[:, path] += n_rest + rng.negative_binomial(
-                n_rest, p_relay, size=trials)
+                n_rest, plan.p_relay, size=trials)
     delays = slots.max(axis=1) * s.tau_mmw
     se = float(delays.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return McEstimate(mean=float(delays.mean()), std_error=se,
@@ -354,15 +361,15 @@ def test_deli_oracle_equals_serial_reference(trials):
     assert est == _serial_deli_success(s, trials, SEED)
 
 
-# (overrides, noise_power): gain orders 1, 4 (default) and 16, alpha1 at
-# both ends of its range, and a noise-limited link
+# gain orders 1, 4 (default) and 16, alpha1 at both ends of its range,
+# and a noise-limited link (n0 = 4e-15 W/Hz halves the success probability)
 DELI_MODELS = {
-    "order1": ({"nt_m": 1, "nr_e": 1}, None),
-    "order4": ({}, None),
-    "order16": ({"nt_m": 4, "nr_e": 4}, None),
-    "alpha2.001": ({"alpha1": 2.001}, None),
-    "alpha6": ({"alpha1": 6.0}, None),
-    "noisy": ({}, 4e-15),
+    "order1": {"nt_m": 1, "nr_e": 1},
+    "order4": {},
+    "order16": {"nt_m": 4, "nr_e": 4},
+    "alpha2.001": {"alpha1": 2.001},
+    "alpha6": {"alpha1": 6.0},
+    "noisy": {"n0": 4e-15},
 }
 SMALL_DELI_CHUNK = 990  # two row blocks: 512 + 478
 
@@ -373,11 +380,9 @@ def test_deli_oracle_equals_serial_reference_per_model(monkeypatch, model,
                                                        trials):
     # a small chunk puts every chunk edge within a few thousand trials
     monkeypatch.setattr(montecarlo, "_DELI_CHUNK", SMALL_DELI_CHUNK)
-    overrides, noise_power = DELI_MODELS[model]
-    s = load_scenario(overrides=overrides)
-    est = _without_warnings(estimate_deli_success, s, trials, SEED,
-                            noise_power=noise_power)
-    assert est == _serial_deli_success(s, trials, SEED, noise_power)
+    s = load_scenario(overrides=DELI_MODELS[model])
+    est = _without_warnings(estimate_deli_success, s, trials, SEED)
+    assert est == _serial_deli_success(s, trials, SEED)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

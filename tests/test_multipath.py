@@ -12,11 +12,11 @@ from mcrnet.multipath import (CONTINUOUS, EXACT_CEIL, InfeasiblePlanError,
                               continuous_backhaul_density, delay_bounds,
                               max_cooperative_paths, mean_kth_edc_distance,
                               mmwave_link_margin, mmwave_success_prob,
-                              multipath_backhaul_delay, per_packet_path_delay,
-                              relay_selection_prob,
+                              multipath_backhaul_delay, relay_selection_prob,
                               single_path_backhaul_delay)
 from mcrnet.numerics import integrate_semi_infinite
 from mcrnet.scenario import load_scenario, watt_to_dbm
+from oracles import per_packet_path_delay
 
 # frozen closed-form mean distances at lambda_e = 1e-5 per m^2
 R_MEAN_1E5 = [158.11388300841892, 237.17082451262854, 296.4635306407855,
@@ -61,11 +61,12 @@ def test_mean_distance_rejects_bad_index():
 
 
 def test_relay_selection_values():
-    assert relay_selection_prob(1e-5, 1e-5) == pytest.approx(1 / 2.28,
-                                                             rel=1e-12)
-    assert relay_selection_prob(5e-5, 1e-5) == pytest.approx(1 / 7.4,
-                                                             rel=1e-12)
-    assert relay_selection_prob(1e-12, 1e-5) == pytest.approx(1.0, rel=1e-6)
+    assert relay_selection_prob(1e-5, 1e-5, 1.28) == pytest.approx(
+        1 / 2.28, rel=1e-12)
+    assert relay_selection_prob(5e-5, 1e-5, 1.28) == pytest.approx(
+        1 / 7.4, rel=1e-12)
+    assert relay_selection_prob(1e-12, 1e-5, 1.28) == pytest.approx(
+        1.0, rel=1e-6)
 
 
 def test_link_margin_constructed_cancellation():
@@ -119,6 +120,24 @@ def test_plan_infeasible_when_too_far():
         build_plan(s, b=12, lambda_e=6e-6)
 
 
+@pytest.mark.parametrize("mode", (CONTINUOUS, EXACT_CEIL))
+def test_backhaul_delay_infeasible_below_reach_floor(mode):
+    # the continuous delay builds no plan, yet refuses the same densities
+    # with the same message
+    s = load_scenario()
+    with pytest.raises(InfeasiblePlanError) as plan_err:
+        build_plan(s, b=12, lambda_e=6e-6)
+    with pytest.raises(InfeasiblePlanError) as delay_err:
+        multipath_backhaul_delay(s, mode, b=12, lambda_e=6e-6)
+    assert str(delay_err.value) == str(plan_err.value)
+    assert "exceeds r_max" in str(delay_err.value)
+
+
+def test_backhaul_delay_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="hop mode"):
+        multipath_backhaul_delay(load_scenario(), "rounded")
+
+
 def test_path_delay_modes_agree_on_integer_ratio():
     s = load_scenario()
     r_p = 2.0 * s.r_mmw
@@ -151,6 +170,16 @@ def test_path_delay_edc_power_split():
     got = per_packet_path_delay(s, 250.0, EXACT_CEIL)
     expected = s.tau_mmw * (1 / (p1 * p2_edc) + 2 / (p1 * p2_sbs))
     assert got == pytest.approx(expected, rel=1e-12)
+    # the plan carries both per-slot probabilities; at 6e-6 per m^2 the
+    # nearest source is 204 m out, three hops
+    lam = 6e-6
+    p1 = relay_selection_prob(s.lambda_s, lam, s.relay_coeff)
+    plan = build_plan(s, b=1, lambda_e=lam)
+    assert plan.hops.tolist() == [3.0]
+    assert (plan.p_first, plan.p_relay) == (p1 * p2_edc, p1 * p2_sbs)
+    assert single_path_backhaul_delay(s, EXACT_CEIL, lambda_e=lam) == \
+        pytest.approx(buffer_packets(s) * s.tau_mmw
+                      * (1 / (p1 * p2_edc) + 2 / (p1 * p2_sbs)), rel=1e-14)
 
 
 def test_backhaul_single_path_is_b_equal_one():
@@ -212,11 +241,37 @@ def test_per_path_totals_equalised_in_continuous_mode():
 def test_backhaul_exact_ceil_is_max_over_paths():
     s = load_scenario()
     packets = buffer_packets(s)
-    plan = build_plan(s, EXACT_CEIL)
+    plan = build_plan(s)
     per_path = [plan.shares[p] * packets * per_packet_path_delay(
         s, plan.r[p], EXACT_CEIL) for p in range(plan.b)]
     assert multipath_backhaul_delay(s, EXACT_CEIL) == pytest.approx(
         max(per_path), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(b_paths=st.integers(1, 16), log_lambda_e=st.floats(
+           math.log10(6e-6), math.log10(4.9e-5)),
+       r_max_scale=st.floats(1.001, 4.0), r_mmw=st.floats(20.0, 400.0),
+       p_e_dbm=st.floats(5.0, 40.0), theta4_dbm=st.floats(-95.0, 15.0))
+def test_exact_ceil_delay_equals_per_path_reference_property(
+        b_paths, log_lambda_e, r_max_scale, r_mmw, p_e_dbm, theta4_dbm):
+    # the array expression over the plan against the scalar per-path
+    # reference, with the edge node's own power on every first hop
+    lam = 10.0 ** log_lambda_e
+    s = load_scenario(overrides={
+        "b_paths": b_paths, "lambda_e": lam, "r_mmw": r_mmw,
+        "r_max": r_max_scale * math.sqrt(b_paths / (math.pi * lam)),
+        "p_e_dbm": p_e_dbm, "theta4_dbm": theta4_dbm})
+    plan = build_plan(s)
+    p1 = relay_selection_prob(s.lambda_s, lam, s.relay_coeff)
+    assert plan.p_first == p1 * mmwave_success_prob(s, tx_power_w=s.p_e)
+    assert plan.p_relay == p1 * mmwave_success_prob(s)
+    assert plan.hops.tolist() == [math.ceil(r / r_mmw) for r in plan.r]
+    reference = max(plan.shares[p] * buffer_packets(s)
+                    * per_packet_path_delay(s, plan.r[p], EXACT_CEIL)
+                    for p in range(b_paths))
+    assert multipath_backhaul_delay(s, EXACT_CEIL) == pytest.approx(
+        reference, rel=1e-14)
 
 
 def test_backhaul_monotone_trends():
