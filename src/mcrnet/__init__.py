@@ -9,8 +9,7 @@ validating every closed form.
 """
 
 from .energy import (EnergyModel, SystemEnergy, load_energy_model,
-                     load_energy_model_file, qos_indicator,
-                     service_effective_energy, system_energy)
+                     qos_indicator, service_effective_energy, system_energy)
 from .latency import (DelayBreakdown, access_delay, access_success_prob,
                       deli_delay, deli_success_prob, fiber_delay,
                       total_latency, uplink_request_delay,
@@ -34,7 +33,7 @@ from .optimizer import (FeasiblePair, NoFeasiblePairError,
 from .popularity import (CacheState, PopularityModel, cache_step,
                          hit_probability, zipf)
 from .scenario import (NetworkScenario, ScenarioError, load_scenario,
-                       load_scenario_file, scenario_hash, scenario_to_config)
+                       scenario_hash, scenario_to_config)
 
 __version__ = "0.1.0"
 

@@ -19,16 +19,16 @@ import functools
 import io
 import json
 import math
+import pathlib
 import sys
 from dataclasses import dataclass
 
 from . import latency, montecarlo, multipath, optimizer
-from .energy import (ENERGY_KEYS, load_energy_model, load_energy_model_file,
-                     system_energy)
+from .energy import ENERGY_KEYS, load_energy_model, system_energy
 from .multipath import MULTIPATH, SCHEMES, SINGLE_PATH
 from .numerics import NumericsError
 from .popularity import hit_probability, zipf
-from .scenario import (ScenarioError, load_scenario, load_scenario_file,
+from .scenario import (SCENARIO_KEYS, ScenarioError, load_scenario,
                        scenario_hash)
 
 DEFAULT_PSI = 144
@@ -62,7 +62,8 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class RunContext:
-    """Scenario + energy model + cache size used to evaluate targets."""
+    """Scenario, energy model (``None`` for ``validate``, which reads
+    none) and cache size used to evaluate targets."""
 
     scenario: object
     energy: object
@@ -135,34 +136,34 @@ def _parse_psi(value):
     return int(psi)
 
 
-def _route_param(key, value, scenario_overrides, energy_overrides, extra):
-    """Send a CLI key to the scenario, energy model or run extras."""
-    if key == "psi":
-        extra["psi"] = _parse_psi(value)
-        return
-    if key in ENERGY_KEYS:
-        energy_overrides[key] = value
-        return
-    scenario_overrides[key] = value
+def _read_document(path):
+    return None if path is None else pathlib.Path(path).read_text("utf-8")
 
 
 def _build_context(args, sweep_override=None):
-    scenario_overrides, energy_overrides = {}, {}
-    extra = {"psi": DEFAULT_PSI}
-    for key, value in args.params:
-        _route_param(key, value, scenario_overrides, energy_overrides, extra)
-    if sweep_override is not None:
-        _route_param(sweep_override[0], sweep_override[1],
-                     scenario_overrides, energy_overrides, extra)
-    if args.config:
-        s = load_scenario_file(args.config, scenario_overrides)
-    else:
-        s = load_scenario(overrides=scenario_overrides)
-    if getattr(args, "energy", None):
-        em = load_energy_model_file(args.energy, energy_overrides)
-    else:
-        em = load_energy_model(overrides=energy_overrides)
-    return RunContext(scenario=s, energy=em, psi=extra["psi"])
+    """The run's scenario, energy model and cache size: the documents,
+    then each ``--param`` key, then the swept key.
+
+    Every command reads the scenario keys, ``sweep`` and ``optimize`` the
+    energy keys too, and only ``sweep`` reads ``psi``; any other key is a
+    ``UsageError`` naming the command and the key.
+    """
+    reads_energy = args.command != "validate"
+    scenario_overrides, energy_overrides, psi = {}, {}, DEFAULT_PSI
+    params = args.params + ([sweep_override] if sweep_override else [])
+    for key, value in params:
+        if key in SCENARIO_KEYS:
+            scenario_overrides[key] = value
+        elif reads_energy and key in ENERGY_KEYS:
+            energy_overrides[key] = value
+        elif key == "psi" and args.command == "sweep":
+            psi = _parse_psi(value)
+        else:
+            raise UsageError(f"{args.command} reads no key {key!r}")
+    s = load_scenario(_read_document(args.config), scenario_overrides)
+    em = (load_energy_model(_read_document(args.energy), energy_overrides)
+          if reads_energy else None)
+    return RunContext(scenario=s, energy=em, psi=psi)
 
 
 def _fmt_value(v):
@@ -196,16 +197,19 @@ def _write(text, out):
 
 
 def _metadata(ctx):
-    return {
-        "scenario_hash": scenario_hash(ctx.scenario),
-        "assumed_defaults": ";".join(
-            ctx.scenario.assumed_defaults
-            + ctx.energy.assumed_defaults),
-    }
+    assumed = ctx.scenario.assumed_defaults
+    if ctx.energy is not None:
+        assumed += ctx.energy.assumed_defaults
+    return {"scenario_hash": scenario_hash(ctx.scenario),
+            "assumed_defaults": ";".join(assumed)}
 
 
 def cmd_sweep(args):
-    grid = tuple(float(v) for v in args.values.split(","))
+    try:
+        grid = tuple(float(v) for v in args.values.split(","))
+    except ValueError:
+        raise UsageError(f"--values expects comma-separated numbers, "
+                         f"got {args.values!r}") from None
     spec = SweepSpec(param=args.sweep_param, grid=grid,
                      targets=tuple(args.targets.split(",")),
                      out=args.out, fmt=args.format)
@@ -372,10 +376,9 @@ def _parse_kv(raw):
 def build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--config", help="scenario config file")
-    common.add_argument("--energy", help="energy model config file")
     common.add_argument("--param", dest="params", action="append", default=[],
                         metavar="KEY=VALUE", type=_parse_kv,
-                        help="override any scenario/energy key or psi")
+                        help="override a config key the command reads")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", help="output path (default stdout)")
 
@@ -394,6 +397,8 @@ def build_parser():
     p_opt = sub.add_parser("optimize", parents=[common],
                            help="two-step cache/density optimisation")
     p_opt.add_argument("--scheme", choices=SCHEMES, default=MULTIPATH)
+    for p in (p_sweep, p_opt):
+        p.add_argument("--energy", help="energy model config file")
 
     p_val = sub.add_parser("validate", parents=[common],
                            help="analytic vs Monte-Carlo comparison report")

@@ -8,12 +8,12 @@ and must be excluded from minimisation rather than preferred.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .scenario import SECONDS_PER_YEAR, ScenarioError, load_config
+from .scenario import (SECONDS_PER_YEAR, ScenarioError, config_keys,
+                       load_config)
 
 
 @dataclass(frozen=True)
@@ -49,38 +49,17 @@ class EnergyModel:
                 raise ScenarioError(f"constraint violated: {name} > 0")
 
 
-_ENERGY_FIELDS = frozenset(
-    f.name for f in fields(EnergyModel) if f.name != "assumed_defaults")
 ASSUMED_ENERGY_FIELDS = frozenset(["e_em_m", "e_em_s", "e_em_e"])
-
-_YEAR_KEYS = {f"{name}_years": name for name in ("t_life_m", "t_life_s", "t_life_e")}
 # every key an energy config document or override may use
-ENERGY_KEYS = _ENERGY_FIELDS | frozenset(_YEAR_KEYS)
-
-
-def normalize_energy_key(key, raw_value):
-    """Map an energy config key to ``(field, SI value)``; None if unknown."""
-    try:
-        value = float(raw_value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"value for {key!r} is not numeric: {raw_value!r}")
-    if key in _YEAR_KEYS:
-        return _YEAR_KEYS[key], value * SECONDS_PER_YEAR
-    if key in _ENERGY_FIELDS:
-        return key, value
-    warnings.warn(f"unknown energy config key {key!r} ignored", stacklevel=3)
-    return None
+ENERGY_KEYS = config_keys(EnergyModel, {
+    f"{f}_years": (f, lambda v: v * SECONDS_PER_YEAR)
+    for f in ("t_life_m", "t_life_s", "t_life_e")})
 
 
 def load_energy_model(text=None, overrides=None):
     """Build an energy model from flat key/value text plus overrides."""
-    return load_config(EnergyModel, normalize_energy_key,
-                       ASSUMED_ENERGY_FIELDS, text, overrides)
-
-
-def load_energy_model_file(path, overrides=None):
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_energy_model(fh.read(), overrides)
+    return load_config(EnergyModel, ENERGY_KEYS, ASSUMED_ENERGY_FIELDS,
+                       text, overrides)
 
 
 def qos_indicator(d_total, d_max):

@@ -64,7 +64,6 @@ class McEstimate:
     mean: float
     std_error: float
     n_samples: int
-    seed: int
 
     def z_score(self, reference):
         """Standardised deviation of the estimate from ``reference``."""
@@ -113,10 +112,10 @@ def _map_chunks(fn, trials, chunk):
                           in enumerate(range(0, trials, chunk))])
 
 
-def _proportion_estimate(successes, trials, seed):
+def _proportion_estimate(successes, trials):
     p = successes / trials
     se = math.sqrt(p * (1.0 - p) / trials)
-    return McEstimate(mean=p, std_error=se, n_samples=trials, seed=seed)
+    return McEstimate(mean=p, std_error=se, n_samples=trials)
 
 
 def proportion_z(est, analytic):
@@ -156,7 +155,7 @@ def estimate_kth_nearest(lambda_e, k, trials, seed=0):
     dist = kth_nearest_distances(lambda_e, k, trials, seed)
     se = float(dist.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return McEstimate(mean=float(dist.mean()), std_error=se,
-                      n_samples=trials, seed=seed)
+                      n_samples=trials)
 
 
 def _nearest_threshold_successes(lam, order, threshold_scale, alpha,
@@ -185,7 +184,7 @@ def estimate_uplink_success(s, trials=1_000_000, seed=0):
     scale = s.theta1 * s.nt_u / s.p_u
     n = _nearest_threshold_successes(
         s.lambda_m, order, scale, s.alpha1, trials, seed, 1)
-    return _proportion_estimate(n, trials, seed)
+    return _proportion_estimate(n, trials)
 
 
 def estimate_access_success(s, trials=1_000_000, seed=0):
@@ -194,7 +193,7 @@ def estimate_access_success(s, trials=1_000_000, seed=0):
     scale = s.theta3 * s.nt_s / s.p_s
     n = _nearest_threshold_successes(
         s.lambda_s, order, scale, s.alpha2, trials, seed, 6)
-    return _proportion_estimate(n, trials, seed)
+    return _proportion_estimate(n, trials)
 
 
 def estimate_deli_success(s, trials=1_000_000, seed=0):
@@ -243,7 +242,7 @@ def estimate_deli_success(s, trials=1_000_000, seed=0):
         return successes
 
     successes = sum(_map_chunks(count, trials, _DELI_CHUNK))
-    return _proportion_estimate(successes, trials, seed)
+    return _proportion_estimate(successes, trials)
 
 
 def estimate_shadowing_success(s, trials=1_000_000, seed=0):
@@ -255,7 +254,7 @@ def estimate_shadowing_success(s, trials=1_000_000, seed=0):
         return int(np.count_nonzero(zeta <= f))
 
     successes = sum(_map_chunks(count, trials, _CHUNK))
-    return _proportion_estimate(successes, trials, seed)
+    return _proportion_estimate(successes, trials)
 
 
 def _split_packets(shares, total):
@@ -327,4 +326,4 @@ def simulate_backhaul(s, scheme=MULTIPATH, trials=1000, seed=0):
     delays = slots.max(axis=1) * s.tau_mmw
     se = float(delays.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return McEstimate(mean=float(delays.mean()), std_error=se,
-                      n_samples=trials, seed=seed)
+                      n_samples=trials)

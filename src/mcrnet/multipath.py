@@ -121,11 +121,13 @@ def _min_plan_density(s, b):
     return (mean_kth_edc_distance(1.0, b) / s.r_max) ** 2
 
 
-def density_bracket(s, b):
-    """Edge densities ``(lo, hi)`` open to a ``b``-path deployment: ``lo``
-    is the sparsest that ``build_plan`` and :func:`min_edge_density` both
-    accept, ``hi`` is ``lambda_s``; empty when ``lo >= hi``."""
-    return max(min_edge_density(s), _min_plan_density(s, b)), s.lambda_s
+def density_bracket(s):
+    """Edge densities ``(lo, hi)`` open to a deployment: ``lo`` is
+    :func:`min_edge_density`, ``hi`` is ``lambda_s``; empty when ``lo >=
+    hi``.  Every plan of ``b <= b_paths`` paths reaches ``lo``: Gautschi's
+    inequality ``Gamma(b + 1/2) / Gamma(b) < sqrt(b)`` puts
+    :func:`_min_plan_density` below ``b / (pi r_max^2)``."""
+    return min_edge_density(s), s.lambda_s
 
 
 def buffer_packets(s):
@@ -257,12 +259,9 @@ def delay_bounds(s):
         raise ValueError(
             "bounds need 1 < b_paths <= lambda_e * pi * r_max^2 "
             f"(got b_paths={s.b_paths})")
-    packets = buffer_packets(s)
     # r_mmw * (1 + erf(f / (sqrt(2) * sigma))), as in continuous_backhaul_coeff
     denom_common = s.r_mmw * (2.0 * _link_success(s))
-    lower = ((1.0 + s.relay_coeff) * packets * s.tau_mmw
+    lower = ((1.0 + s.relay_coeff) * buffer_packets(s) * s.tau_mmw
              / (math.pi * s.r_max ** 2 * s.lambda_s ** 1.5 * denom_common))
-    upper = (packets * s.tau_mmw
-             * (1.0 + s.relay_coeff * s.lambda_s / s.lambda_m)
-             / (math.sqrt(s.lambda_m) * denom_common))
-    return lower, upper
+    # one path at the macro density: the sparsest, slowest deployment
+    return lower, float(continuous_backhaul_delay(s, s.lambda_m, 1))

@@ -113,7 +113,7 @@ def _critical_densities(s, fiber_terms, budget, scheme):
     Returns the arrays ``(lam, residual, status)``.
     """
     b = multipath.path_count(s, scheme)
-    lo, hi = multipath.density_bracket(s, b)
+    lo, hi = multipath.density_bracket(s)
     d_lo, d_hi = multipath.continuous_backhaul_delay(s, np.array([lo, hi]), b)
     clamped = (lo < hi) & (d_lo + fiber_terms - budget <= 0.0)
     rooted = (lo < hi) & ~clamped & (d_hi + fiber_terms - budget <= 0.0)
@@ -152,8 +152,7 @@ def critical_edc_density(s, psi, budget, scheme=MULTIPATH):
     lam, residual, status = _critical_densities(s, fiber_terms, budget,
                                                 scheme)
     if status[0] == _SKIPPED:
-        raise DensityBracketError(psi, *multipath.density_bracket(
-            s, multipath.path_count(s, scheme)))
+        raise DensityBracketError(psi, *multipath.density_bracket(s))
     return FeasiblePair(psi=psi, lambda_e_crit=float(lam[0]),
                         residual=float(residual[0]),
                         at_lower_bound=bool(status[0] == _CLAMPED))

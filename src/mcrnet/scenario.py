@@ -109,11 +109,11 @@ class NetworkScenario:
         return replace(self, **si_values)
 
 
-_INT_FIELDS = frozenset(
-    ["nt_u", "nr_m", "nt_m", "nr_e", "nt_s", "nr_u", "b_paths", "k_total"])
+_INT_FIELDS = tuple(
+    f.name for f in fields(NetworkScenario) if f.type is int)
 _FLOAT_FIELDS = tuple(
-    f.name for f in fields(NetworkScenario)
-    if f.name not in _INT_FIELDS and f.name != "assumed_defaults")
+    f.name for f in fields(NetworkScenario) if f.type is float)
+_FIELD_NAMES = sorted(_INT_FIELDS + _FLOAT_FIELDS)
 
 # Defaults with no citable source; flagged in output metadata when used.
 ASSUMED_DEFAULT_FIELDS = frozenset([
@@ -179,58 +179,72 @@ def min_edge_density(s):
     return max(math.nextafter(s.lambda_m, math.inf), disc_floor)
 
 
-def _suffix_table():
-    table = {}
-    # downscalings divide so the SI value rounds once, not twice
-    for f in ("lambda_m", "lambda_s", "lambda_u", "lambda_e"):
-        table[f + "_per_km2"] = (f, lambda v: v / 1e6)
-    for f in ("p_m", "p_s", "p_e", "p_u", "theta1", "theta3", "theta4"):
-        table[f + "_dbm"] = (f, dbm_to_watt)
-    table["theta2_db"] = ("theta2", db_to_linear)
-    table["n0_dbm_per_hz"] = ("n0", dbm_to_watt)
-    table["w_mmw_mhz"] = ("w_mmw", lambda v: v * 1e6)
-    table["tau_mmw_us"] = ("tau_mmw", lambda v: v / 1e6)
-    table["buffer_omega_mb"] = ("buffer_omega", lambda v: v * MEGABYTE)
-    table["l_fiber_km"] = ("l_fiber", lambda v: v * 1e3)
-    for f in ("t_ul_req", "t_dl_deli", "t_dl_as", "d_max"):
-        table[f + "_ms"] = (f, lambda v: v / 1e3)
-        table[f + "_us"] = (f, lambda v: v / 1e6)
-    return table
+def _whole(name):
+    def to_si(value):
+        if not value.is_integer():
+            raise ScenarioError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    return to_si
 
 
-_SUFFIXED = _suffix_table()
-_FIELD_NAMES = frozenset(
-    f.name for f in fields(NetworkScenario) if f.name != "assumed_defaults")
+def config_keys(cls, suffixed):
+    """``{config key: (field, to_si)}`` for the dataclass ``cls``.
 
-
-def normalize_key(key, raw_value):
-    """Map a config key (possibly unit-suffixed) to ``(field, si_value)``.
-
-    Returns ``None`` for unknown keys after emitting a warning.
+    Each field but ``assumed_defaults`` is a key taking its SI value (an
+    ``int`` field only a whole number); ``suffixed`` adds the keys quoted
+    in other units, each with the function taking its value to SI.
     """
+    keys = {f.name: (f.name, _whole(f.name) if f.type is int else float)
+            for f in fields(cls) if f.name != "assumed_defaults"}
+    return keys | suffixed
+
+
+def _per_million(value):
+    # downscalings divide so the SI value rounds once, not twice
+    return value / 1e6
+
+
+_TIMES = ("t_ul_req", "t_dl_deli", "t_dl_as", "d_max")
+SCENARIO_KEYS = config_keys(NetworkScenario, {
+    **{f"{f}_per_km2": (f, _per_million)
+       for f in ("lambda_m", "lambda_s", "lambda_u", "lambda_e")},
+    **{f"{f}_dbm": (f, dbm_to_watt)
+       for f in ("p_m", "p_s", "p_e", "p_u", "theta1", "theta3", "theta4")},
+    "theta2_db": ("theta2", db_to_linear),
+    "n0_dbm_per_hz": ("n0", dbm_to_watt),
+    "w_mmw_mhz": ("w_mmw", lambda v: v * 1e6),
+    "tau_mmw_us": ("tau_mmw", _per_million),
+    "buffer_omega_mb": ("buffer_omega", lambda v: v * MEGABYTE),
+    "l_fiber_km": ("l_fiber", lambda v: v * 1e3),
+    **{f"{f}_ms": (f, lambda v: v / 1e3) for f in _TIMES},
+    **{f"{f}_us": (f, _per_million) for f in _TIMES},
+})
+
+
+def _to_field(keys, key, raw_value):
+    """``(field, SI value)`` of one config entry; ``None``, after a
+    warning, for a key missing from ``keys``."""
     try:
         value = float(raw_value)
     except (TypeError, ValueError):
         raise ScenarioError(f"value for {key!r} is not numeric: {raw_value!r}")
-    if key in _SUFFIXED:
-        field_name, conv = _SUFFIXED[key]
-        return field_name, conv(value)
-    if key in _FIELD_NAMES:
-        if key in _INT_FIELDS:
-            if value != int(value):
-                raise ScenarioError(f"{key} must be an integer, got {raw_value!r}")
-            return key, int(value)
-        return key, value
-    warnings.warn(f"unknown config key {key!r} ignored", stacklevel=3)
-    return None
+    if key not in keys:
+        warnings.warn(f"unknown config key {key!r} ignored", stacklevel=4)
+        return None
+    field, to_si = keys[key]
+    try:
+        return field, to_si(value)
+    except OverflowError:
+        raise ScenarioError(
+            f"value for {key!r} overflows in SI units: {raw_value!r}") from None
 
 
-def parse_config_text(text, mapper=normalize_key):
+def parse_config_text(text, keys):
     """Parse flat ``key = value`` text into ``{field: SI value}``.
 
     Blank lines and ``#`` comments are skipped; ``key: value`` is accepted
-    too.  ``mapper(key, raw_value)`` gives ``(field, SI value)``, or None
-    for an unknown key after warning; the energy model passes its own.
+    too.  Each key is looked up in ``keys`` (a :func:`config_keys` table);
+    an unknown key warns and is skipped.
     """
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -243,18 +257,18 @@ def parse_config_text(text, mapper=normalize_key):
                 break
         else:
             raise ScenarioError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        mapped = mapper(key.strip(), value.strip())
+        mapped = _to_field(keys, key.strip(), value.strip())
         if mapped is not None:
             out[mapped[0]] = mapped[1]
     return out
 
 
-def load_config(cls, mapper, assumed_fields, text=None, overrides=None):
-    """``cls`` from config text plus overrides, both keyed through
-    ``mapper``, flagging the ``assumed_fields`` that neither sets."""
-    si = parse_config_text(text, mapper) if text else {}
+def load_config(cls, keys, assumed_fields, text=None, overrides=None):
+    """``cls`` from config text plus overrides, both looked up in
+    ``keys``, flagging the ``assumed_fields`` that neither sets."""
+    si = parse_config_text(text, keys) if text else {}
     for key, value in (overrides or {}).items():
-        mapped = mapper(key, value)
+        mapped = _to_field(keys, key, value)
         if mapped is not None:
             si[mapped[0]] = mapped[1]
     return cls(assumed_defaults=tuple(sorted(assumed_fields - set(si))), **si)
@@ -277,22 +291,17 @@ def load_scenario(text=None, overrides=None):
         With ``assumed_defaults`` listing fields left at defaults that
         have no published source.
     """
-    return load_config(NetworkScenario, normalize_key, ASSUMED_DEFAULT_FIELDS,
+    return load_config(NetworkScenario, SCENARIO_KEYS, ASSUMED_DEFAULT_FIELDS,
                        text, overrides)
-
-
-def load_scenario_file(path, overrides=None):
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_scenario(fh.read(), overrides)
 
 
 def scenario_to_config(s):
     """SI key/value mapping; feeding it back reproduces ``s`` exactly."""
-    return {name: getattr(s, name) for name in sorted(_FIELD_NAMES)}
+    return {name: getattr(s, name) for name in _FIELD_NAMES}
 
 
 def scenario_hash(s):
     """Short content hash over the SI parameter values."""
     payload = ",".join(
-        f"{name}={getattr(s, name):.17g}" for name in sorted(_FIELD_NAMES))
+        f"{name}={getattr(s, name):.17g}" for name in _FIELD_NAMES)
     return hashlib.sha256(payload.encode()).hexdigest()[:12]

@@ -14,8 +14,6 @@ from mcrnet.optimizer import FeasiblePair
 from mcrnet.popularity import zipf
 from mcrnet.scenario import load_scenario, scenario_hash
 
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -273,6 +271,15 @@ def test_bad_param_syntax_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("values", ["a,b", "1,", ""])
+def test_non_numeric_sweep_grid_is_usage_error(capsys, values):
+    code, out, err = run_cli(capsys, "sweep", "beta", f"--values={values}",
+                             "--targets", "p_in_edc")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--values" in err
+
+
 def test_bad_psi_value_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "optimize", "--param", "psi=abc")
     assert code == 1
@@ -358,7 +365,8 @@ def test_large_gain_order_validates_delivery(capsys):
     ("theta2_db=inf", "theta2"), ("theta1=inf", "theta1"),
     ("alpha2=inf", "alpha2"), ("n0=inf", "n0"),
     ("relay_coeff=1e308", "relay_coeff"), ("e_storage=inf", "e_storage"),
-    ("t_life_m_years=inf", "t_life_m"), ("a_m=nan", "a_m")])
+    ("t_life_m_years=inf", "t_life_m"), ("a_m=nan", "a_m"),
+    ("p_s_dbm=1e5", "p_s_dbm")])
 def test_out_of_range_scenario_value_is_scenario_error(capsys, param, field):
     code, out, err = run_cli_without_warnings(
         capsys, "optimize", "--param", param)
@@ -404,6 +412,43 @@ def test_monte_carlo_flags_belong_to_validate(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and argv[-2] in err
+
+
+@pytest.mark.parametrize("argv,key", [
+    (("sweep", "psi", "--values", "10", "--targets", "p_in_edc",
+      "--param", "dmax_ms=12"), "dmax_ms"),
+    (("optimize", "--param", "dmax_ms=12"), "dmax_ms"),
+    (("validate", "--trials", "10", "--param", "dmax_ms=12"), "dmax_ms"),
+    (("sweep", "frob", "--values", "1,2", "--targets", "p_in_edc"), "frob"),
+    (("optimize", "--param", "psi=7"), "psi"),
+    (("validate", "--trials", "10", "--param", "psi=7"), "psi"),
+    (("validate", "--trials", "10", "--param", "e_storage=7"), "e_storage"),
+    (("validate", "--trials", "10", "--energy", "energy.cfg"), "--energy"),
+])
+def test_key_the_command_does_not_read_is_usage_error(capsys, argv, key):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and key in err
+    if key != "--energy":  # argparse rejects the flag itself
+        assert argv[0] in err
+
+
+def test_energy_document_is_read_by_sweep_and_optimize(tmp_path, capsys):
+    doc = tmp_path / "energy.cfg"
+    doc.write_text("e_storage = 1.6e7\ne_em_m = 0\n")
+    em = load_energy_model(doc.read_text())
+    s = load_scenario()
+    _, out, _ = run_cli(capsys, "sweep", "psi", "--values", "10",
+                        "--targets", "e_sys", "--energy", str(doc))
+    (row,) = parse_csv(out)
+    assert float(row["e_sys"]) == system_energy(s, em, 10).total
+    assert row["assumed_defaults"].endswith("e_em_e;e_em_s")
+    code, out, _ = run_cli(capsys, "optimize", "--format", "json",
+                           "--energy", str(doc))
+    (report,) = json.loads(out)
+    outcome = optimizer.optimize_cache_density(s, em)
+    assert code == 0 and report["e_sys_min"] == outcome.e_sys_min
 
 
 def test_validate_names_simulator_slot_overflow(capsys):

@@ -317,7 +317,7 @@ def _serial_deli_success(s, trials, seed):
         interference = power[:, 1:].sum(axis=1) + far_mean
         ok = power[:, 0] >= s.theta2 * (interference + noise)
         successes += int(np.count_nonzero(ok))
-    return montecarlo._proportion_estimate(successes, trials, seed)
+    return montecarlo._proportion_estimate(successes, trials)
 
 
 def _serial_simulate_backhaul(s, scheme, trials, seed):
@@ -339,7 +339,7 @@ def _serial_simulate_backhaul(s, scheme, trials, seed):
     delays = slots.max(axis=1) * s.tau_mmw
     se = float(delays.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return McEstimate(mean=float(delays.mean()), std_error=se,
-                      n_samples=trials, seed=seed)
+                      n_samples=trials)
 
 
 def _without_warnings(fn, *args, **kwargs):

@@ -10,12 +10,13 @@ from mcrnet.multipath import (CONTINUOUS, EXACT_CEIL, InfeasiblePlanError,
                               continuous_backhaul_coeff,
                               continuous_backhaul_delay,
                               continuous_backhaul_density, delay_bounds,
-                              max_cooperative_paths, mean_kth_edc_distance,
-                              mmwave_link_margin, mmwave_success_prob,
+                              density_bracket, max_cooperative_paths,
+                              mean_kth_edc_distance, mmwave_link_margin,
+                              mmwave_success_prob,
                               multipath_backhaul_delay, relay_selection_prob,
                               single_path_backhaul_delay)
 from mcrnet.numerics import integrate_semi_infinite
-from mcrnet.scenario import load_scenario, watt_to_dbm
+from mcrnet.scenario import load_scenario, min_edge_density, watt_to_dbm
 from oracles import per_packet_path_delay
 
 # frozen closed-form mean distances at lambda_e = 1e-5 per m^2
@@ -118,6 +119,25 @@ def test_plan_infeasible_when_too_far():
     s = load_scenario()
     with pytest.raises(InfeasiblePlanError):
         build_plan(s, b=12, lambda_e=6e-6)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(b_paths=st.integers(1, 300), log_r_max=st.floats(0.0, 5.0),
+       log_lambda_m=st.floats(-9.0, -3.0))
+def test_plan_reaches_sparse_end_of_bracket_property(b_paths, log_r_max,
+                                                     log_lambda_m):
+    # Gautschi's inequality Gamma(b + 1/2) / Gamma(b) < sqrt(b) keeps every
+    # plan's reach floor below b_paths / (pi r_max^2), so the sparse end
+    # of the bracket needs no plan floor of its own
+    r_max, lambda_m = 10.0 ** log_r_max, 10.0 ** log_lambda_m
+    lambda_e = 2.0 * max(lambda_m, b_paths / (math.pi * r_max ** 2))
+    s = load_scenario().with_params(
+        b_paths=b_paths, r_max=r_max, lambda_m=lambda_m, lambda_e=lambda_e,
+        lambda_s=10.0 * lambda_e)
+    lo = min_edge_density(s)
+    assert density_bracket(s) == (lo, s.lambda_s)
+    for b in range(1, b_paths + 1):
+        assert build_plan(s, b, lo).b == b
 
 
 @pytest.mark.parametrize("mode", (CONTINUOUS, EXACT_CEIL))

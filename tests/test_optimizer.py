@@ -95,7 +95,7 @@ def test_critical_density_clamps_on_slack_budget(scenario):
     assert pair.at_lower_bound
     # the sparse end of the bracket: at the defaults the scenario's own
     # b_paths <= lambda_e * pi * r_max^2 binds, just above lambda_m
-    lo = multipath.density_bracket(scenario, scenario.b_paths)[0]
+    lo = multipath.density_bracket(scenario)[0]
     assert pair.lambda_e_crit == lo
     assert lo == pytest.approx(
         scenario.b_paths / (math.pi * scenario.r_max ** 2), rel=1e-11)
@@ -255,7 +255,7 @@ def test_cubic_root_matches_root_finder_property(d_max, beta, b_paths,
         return (multipath.multipath_backhaul_delay(s, b=b_paths, lambda_e=x)
                 + fiber_term - budget)
 
-    lo, hi = multipath.density_bracket(s, b_paths)
+    lo, hi = multipath.density_bracket(s)
     g_lo, g_hi = g(lo), g(hi)
     if min(abs(g_lo), abs(g_hi)) <= BOUNDARY_REL * abs(budget):
         return

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mcrnet.scenario import (MEGABYTE, NetworkScenario, ScenarioError,
-                             db_to_linear, dbm_to_watt, linear_to_db,
-                             load_scenario, min_edge_density, scenario_hash,
-                             scenario_to_config, watt_to_dbm)
+from mcrnet.energy import ENERGY_KEYS
+from mcrnet.scenario import (MEGABYTE, SCENARIO_KEYS, NetworkScenario,
+                             ScenarioError, db_to_linear, dbm_to_watt,
+                             linear_to_db, load_scenario, min_edge_density,
+                             scenario_hash, scenario_to_config, watt_to_dbm)
 
 
 def test_empty_document_is_all_defaults():
@@ -70,6 +71,62 @@ def test_non_numeric_value_raises():
 def test_integer_fields_reject_fractions():
     with pytest.raises(ScenarioError, match="integer"):
         load_scenario(overrides={"nt_u": 2.5})
+
+
+# (field, SI value) of each config key given the value "3", as pinned
+# from the per-model key mappers that the tables replaced
+DBM_3 = 0.001995262314968879
+SCENARIO_AT_3 = {
+    **{name: (name, 3.0) for name in (
+        "alpha1", "alpha2", "beta", "buffer_omega", "chi", "d_max",
+        "l_fiber", "lambda_e", "lambda_m", "lambda_s", "lambda_u", "mu",
+        "n0", "p_e", "p_m", "p_s", "p_u", "packet_l", "r_max", "r_mmw",
+        "relay_coeff", "sigma_db", "t_dl_as", "t_dl_deli", "t_ul_req",
+        "tau_mmw", "theta1", "theta2", "theta3", "theta4", "v_fiber",
+        "w_mmw")},
+    **{name: (name, 3) for name in (
+        "b_paths", "k_total", "nr_e", "nr_m", "nr_u", "nt_m", "nt_s",
+        "nt_u")},
+    **{f"{name}_per_km2": (name, 3e-06) for name in (
+        "lambda_e", "lambda_m", "lambda_s", "lambda_u")},
+    **{f"{name}_dbm": (name, DBM_3) for name in (
+        "p_e", "p_m", "p_s", "p_u", "theta1", "theta3", "theta4")},
+    **{f"{name}_ms": (name, 0.003) for name in (
+        "d_max", "t_dl_as", "t_dl_deli", "t_ul_req")},
+    **{f"{name}_us": (name, 3e-06) for name in (
+        "d_max", "t_dl_as", "t_dl_deli", "t_ul_req", "tau_mmw")},
+    "buffer_omega_mb": ("buffer_omega", 3145728.0),
+    "l_fiber_km": ("l_fiber", 3000.0),
+    "n0_dbm_per_hz": ("n0", DBM_3),
+    "theta2_db": ("theta2", 1.9952623149688795),
+    "w_mmw_mhz": ("w_mmw", 3000000.0),
+}
+ENERGY_AT_3 = {
+    **{name: (name, 3.0) for name in (
+        "a_e", "a_m", "a_s", "b_e", "b_m", "b_s", "e_em_e", "e_em_m",
+        "e_em_s", "e_storage", "t_life_e", "t_life_m", "t_life_s")},
+    **{f"{name}_years": (name, 94608000.0) for name in (
+        "t_life_e", "t_life_m", "t_life_s")},
+}
+
+
+@pytest.mark.parametrize("keys,expected,count", [
+    (SCENARIO_KEYS, SCENARIO_AT_3, 65), (ENERGY_KEYS, ENERGY_AT_3, 16)])
+def test_config_key_tables_pin_each_key(keys, expected, count):
+    assert len(expected) == count
+    assert set(keys) == set(expected)
+    for key, (field, si) in expected.items():
+        got_field, to_si = keys[key]
+        got = to_si(float("3"))
+        assert (got_field, got, type(got)) == (field, si, type(si)), key
+
+
+@pytest.mark.parametrize("value", [2.5, math.inf, math.nan])
+def test_int_field_rejects_non_whole_numbers(value):
+    with pytest.raises(ScenarioError, match="b_paths must be an integer"):
+        SCENARIO_KEYS["b_paths"][1](value)
+    with pytest.raises(ScenarioError, match="nt_u must be an integer"):
+        load_scenario(overrides={"nt_u": str(value)})
 
 
 def test_buffer_mb_convention():
