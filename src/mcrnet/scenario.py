@@ -127,6 +127,13 @@ ASSUMED_DEFAULT_FIELDS = frozenset([
 ])
 
 
+# upper bounds on the inputs that size the models' arrays and loops
+MAX_GAIN_ORDER = 2 ** 14
+MAX_K_TOTAL = 10 ** 6
+_GAIN_ORDERS = (("uplink", "nt_u", "nr_m"), ("delivery", "nt_m", "nr_e"),
+                ("access", "nt_s", "nr_u"))
+
+
 def _check(ok, message):
     if not ok:
         raise ScenarioError(f"constraint violated: {message}")
@@ -159,6 +166,19 @@ def _validate(s):
     for name in _INT_FIELDS:
         value = getattr(s, name)
         _check(isinstance(value, int) and value >= 1, f"{name} integer >= 1")
+    # messages built only on failure: a sweep validates a scenario per row
+    for stage, tx, rx in _GAIN_ORDERS:
+        order = getattr(s, tx) * getattr(s, rx)
+        if order > MAX_GAIN_ORDER:
+            raise ScenarioError(
+                f"constraint violated: {tx} * {rx} <= {MAX_GAIN_ORDER} (the "
+                f"{stage} aggregate gain order; every stage shares the bound "
+                f"of the delivery series, whose cost is quadratic in it; "
+                f"got {order:g})")
+    if s.k_total > MAX_K_TOTAL:
+        raise ScenarioError(
+            f"constraint violated: k_total <= {MAX_K_TOTAL} (the popularity "
+            f"model holds one probability per content; got {s.k_total:g})")
     # r_max * r_max overflows to inf where r_max ** 2 would raise
     disc = s.lambda_e * math.pi * s.r_max * s.r_max
     _check(math.isfinite(disc),

@@ -366,7 +366,8 @@ def test_large_gain_order_validates_delivery(capsys):
     ("alpha2=inf", "alpha2"), ("n0=inf", "n0"),
     ("relay_coeff=1e308", "relay_coeff"), ("e_storage=inf", "e_storage"),
     ("t_life_m_years=inf", "t_life_m"), ("a_m=nan", "a_m"),
-    ("p_s_dbm=1e5", "p_s_dbm")])
+    ("p_s_dbm=1e5", "p_s_dbm"), ("k_total=1e300", "k_total"),
+    ("nr_e=8193", "nr_e")])
 def test_out_of_range_scenario_value_is_scenario_error(capsys, param, field):
     code, out, err = run_cli_without_warnings(
         capsys, "optimize", "--param", param)

@@ -109,6 +109,75 @@ def test_deli_oracle_matches_brute_force_disc_sampling(overrides):
     assert abs(est.mean - brute) <= 3.0 * combined_se
 
 
+# the delivery oracle's reference cell count: the mean count of a disc of
+# radius 8 / sqrt(lambda_m)
+REF_DELI_POINTS = 202
+
+
+def _ref_deli_successes(s, t, gains):
+    # rows of cumulative distances t and gains over REF_DELI_POINTS cells,
+    # decided as the oracle decides, with the far field beyond the last
+    order = s.nt_m * s.nr_e
+    alpha = s.alpha1
+    half = alpha / 2.0
+    noise = s.nt_m * s.n0 * s.w_mmw / s.p_m * (math.pi * s.lambda_m) ** -half
+    far_mean = order * 2.0 * t[:, -1] ** (1.0 - half) / (alpha - 2.0)
+    power = gains * t ** -half
+    interference = power[:, 1:].sum(axis=1) + far_mean
+    return int(np.count_nonzero(power[:, 0] >= s.theta2 * (interference
+                                                           + noise)))
+
+
+class _PairedDeliChunk:
+    """Both substreams of one delivery chunk, drawn over the reference cells.
+
+    Each row block of distances and gains is drawn over REF_DELI_POINTS
+    cells; the oracle receives the leading columns it asks for, and the
+    reference decides the whole draw when the block's gains are served.
+    """
+
+    def __init__(self, s, chunk_idx):
+        self.s = s
+        self.rng = np.random.default_rng([SEED, chunk_idx])
+        self.successes = 0
+
+    def standard_exponential(self, out):
+        self.exp = self.rng.standard_exponential((len(out), REF_DELI_POINTS))
+        out[:] = self.exp[:, :out.shape[1]]
+
+    def standard_gamma(self, shape, out):
+        gains = self.rng.standard_gamma(shape, (len(out), REF_DELI_POINTS))
+        out[:] = gains[:, :out.shape[1]]
+        self.successes += _ref_deli_successes(
+            self.s, np.cumsum(self.exp, axis=1), gains)
+
+
+# gain orders 1, 4 (default) and 16, and alpha1 from a heavy far field
+# (2.2) to a noise-limited link (6)
+@pytest.mark.parametrize("overrides", [
+    {"nt_m": 1, "nr_e": 1}, {}, {"nt_m": 4, "nr_e": 4},
+    {"alpha1": 2.2}, {"alpha1": 2.5}, {"alpha1": 6.0}],
+    ids=["order1", "order4", "order16", "alpha2.2", "alpha2.5", "alpha6"])
+def test_deli_truncation_bias_against_reference_cells(monkeypatch,
+                                                      overrides):
+    # the oracle's cells are the leading cells of each reference trial,
+    # so the two decisions differ only through the truncated far field;
+    # 2e-4 is 0.4 of the standard error at 1e6 trials
+    s = load_scenario(overrides=overrides)
+    trials = 400_000
+    chunks = {}
+
+    def paired_substream(seed, family, chunk_idx, stream):
+        assert (seed, family) == (SEED, 2)
+        return chunks.setdefault(chunk_idx, _PairedDeliChunk(s, chunk_idx))
+
+    monkeypatch.setattr(montecarlo, "substream", paired_substream)
+    est = estimate_deli_success(s, trials=trials, seed=SEED)
+    reference = sum(c.successes for c in chunks.values()) / trials
+    assert montecarlo._DELI_POINTS < REF_DELI_POINTS
+    assert abs(est.mean - reference) <= 2e-4
+
+
 def test_kth_nearest_validates_args():
     with pytest.raises(ValueError):
         estimate_kth_nearest(1e-5, 0, 100)

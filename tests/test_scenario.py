@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcrnet.energy import ENERGY_KEYS
-from mcrnet.scenario import (MEGABYTE, SCENARIO_KEYS, NetworkScenario,
+from mcrnet.scenario import (MAX_GAIN_ORDER, MAX_K_TOTAL, MEGABYTE,
+                             SCENARIO_KEYS, NetworkScenario,
                              ScenarioError, db_to_linear, dbm_to_watt,
                              linear_to_db, load_scenario, min_edge_density,
                              scenario_hash, scenario_to_config, watt_to_dbm)
@@ -50,6 +52,35 @@ def test_path_count_bound():
     with pytest.raises(ScenarioError, match="b_paths"):
         load_scenario(overrides={"b_paths": 9})
     load_scenario(overrides={"b_paths": 7})  # 7 < pi * 1e-5 * 500^2
+
+
+@pytest.mark.parametrize("tx,rx", [("nt_u", "nr_m"), ("nt_m", "nr_e"),
+                                   ("nt_s", "nr_u")])
+def test_gain_order_bound(tx, rx):
+    assert MAX_GAIN_ORDER == 2 ** 14
+    s = load_scenario(overrides={tx: 128, rx: 128})
+    assert getattr(s, tx) * getattr(s, rx) == MAX_GAIN_ORDER
+    with pytest.raises(ScenarioError, match=rf"{tx} \* {rx} <= 16384 .*16512"):
+        load_scenario(overrides={tx: 128, rx: 129})
+
+
+def test_library_size_bound():
+    assert MAX_K_TOTAL == 10 ** 6
+    assert load_scenario(overrides={"k_total": 10 ** 6}).k_total == 10 ** 6
+    with pytest.raises(ScenarioError, match=r"k_total <= 1000000 .*1e\+300"):
+        load_scenario(overrides={"k_total": 1e300})
+
+
+def test_huge_gain_order_raises_before_allocating():
+    # order 2e9 would ask the delivery series for a 14.9 GiB array
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioError, match="nt_m \\* nr_e"):
+            load_scenario(overrides={"nr_e": 1e9})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_unknown_key_warns_not_errors():
