@@ -39,28 +39,6 @@ class UsageError(Exception):
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """One sweep run: a parameter grid and the quantities to record."""
-
-    param: str
-    grid: tuple
-    targets: tuple
-    out: str = None
-    fmt: str = "csv"
-
-    def __post_init__(self):
-        if not self.grid:
-            raise UsageError("sweep grid is empty")
-        diffs = [b - a for a, b in zip(self.grid, self.grid[1:])]
-        if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-            raise UsageError("sweep grid must be strictly monotone")
-        unknown = [t for t in self.targets if t not in TARGETS]
-        if unknown:
-            raise UsageError(
-                f"unknown targets {unknown}; available: {sorted(TARGETS)}")
-
-
-@dataclass(frozen=True)
 class RunContext:
     """Scenario, energy model (``None`` for ``validate``, which reads
     none) and cache size used to evaluate targets."""
@@ -75,17 +53,24 @@ def _p_hit(ctx):
         zipf(ctx.scenario.beta, ctx.scenario.k_total), ctx.psi)
 
 
+def _fiber_miss(ctx):
+    return latency.fiber_delay(ctx.scenario) * (1.0 - _p_hit(ctx))
+
+
 def _see(ctx, scheme):
     """Service effective energy at the critical density for this cache
     size: the delay budget binds exactly, so the QoS gate is 1 and the
-    value is the system energy of the cheapest feasible deployment."""
+    value is the system energy of the cheapest feasible deployment, the
+    ``e_sys`` that ``optimize`` reports for this cache size."""
     s = ctx.scenario
     budget = optimizer.reduced_delay_budget(s)
     pair = optimizer.critical_edc_density(s, ctx.psi, budget, scheme)
     if pair is None:
+        lo, hi = multipath.density_bracket(s)
         raise RuntimeError(
-            f"no feasible density for psi={ctx.psi}: the cache-miss fiber "
-            f"term alone exceeds the reduced budget {budget:.4g} s")
+            f"no feasible density for psi={ctx.psi}: reduced budget "
+            f"{budget:.4g} s, fiber-miss term {_fiber_miss(ctx):.4g} s, "
+            f"searched [{lo:.4g}, {hi:.4g}] per m^2")
     return system_energy(s, ctx.energy, ctx.psi,
                          lambda_e=pair.lambda_e_crit).total
 
@@ -93,8 +78,7 @@ def _see(ctx, scheme):
 TARGETS = {
     "p_in_edc": _p_hit,
     "fiber_delay": lambda ctx: latency.fiber_delay(ctx.scenario),
-    "fiber_link_delay":
-        lambda ctx: latency.fiber_delay(ctx.scenario) * (1.0 - _p_hit(ctx)),
+    "fiber_link_delay": _fiber_miss,
     "uplink_delay": lambda ctx: latency.uplink_request_delay(ctx.scenario),
     "deli_delay": lambda ctx: latency.deli_delay(ctx.scenario),
     "access_delay": lambda ctx: latency.access_delay(ctx.scenario),
@@ -210,31 +194,36 @@ def cmd_sweep(args):
     except ValueError:
         raise UsageError(f"--values expects comma-separated numbers, "
                          f"got {args.values!r}") from None
-    spec = SweepSpec(param=args.sweep_param, grid=grid,
-                     targets=tuple(args.targets.split(",")),
-                     out=args.out, fmt=args.format)
-    if spec.param == "psi":
+    diffs = [b - a for a, b in zip(grid, grid[1:])]
+    if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
+        raise UsageError("sweep grid must be strictly monotone")
+    param, targets = args.sweep_param, args.targets.split(",")
+    unknown = [t for t in targets if t not in TARGETS]
+    if unknown:
+        raise UsageError(
+            f"unknown targets {unknown}; available: {sorted(TARGETS)}")
+    if param == "psi":
         # the grid moves only the cache size, so every value is checked
         # against the one scenario before any row is evaluated
         k_total = _build_context(args).scenario.k_total
-        for value in spec.grid:
+        for value in grid:
             psi = _parse_psi(value)
             if not 0 <= psi <= k_total:
                 raise UsageError(f"psi {psi} outside [0, {k_total}]")
 
     def one_row(value):
-        row = {spec.param: value, "error": ""}
+        row = {param: value, "error": ""}
         try:
-            ctx = _build_context(args, sweep_override=(spec.param, value))
+            ctx = _build_context(args, sweep_override=(param, value))
         except UsageError:
             raise
         except Exception as exc:  # row-level failure, run continues
             row["error"] = str(exc)
-            for t in spec.targets:
+            for t in targets:
                 row[t] = math.nan
             return row
         row.update(_metadata(ctx))
-        for t in spec.targets:
+        for t in targets:
             try:
                 row[t] = float(TARGETS[t](ctx))
             except Exception as exc:
@@ -242,10 +231,10 @@ def cmd_sweep(args):
                 row["error"] = str(exc)
         return row
 
-    rows = [one_row(v) for v in spec.grid]
-    columns = ([spec.param] + list(spec.targets)
-               + ["scenario_hash", "assumed_defaults", "error"])
-    _emit(rows, columns, spec.fmt, spec.out)
+    rows = [one_row(v) for v in grid]
+    columns = [param] + targets + ["scenario_hash", "assumed_defaults",
+                                   "error"]
+    _emit(rows, columns, args.format, args.out)
     return 0
 
 
@@ -350,8 +339,9 @@ def _validation_rows(ctx, trials, seed):
 
 
 def cmd_validate(args):
-    if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    if args.trials < 2:
+        # one trial has no standard error to hold a z-score to
+        raise UsageError(f"--trials must be >= 2, got {args.trials}")
     ctx = _build_context(args)
     rows = _validation_rows(ctx, args.trials, args.seed)
     columns = ["check", "analytic", "estimate", "std_error", "n_samples",

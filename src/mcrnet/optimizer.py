@@ -35,16 +35,6 @@ class NoFeasiblePairError(RuntimeError):
         self.budget = budget
 
 
-class DensityBracketError(RuntimeError):
-    """The critical-density equation has no root in the searched range."""
-
-    def __init__(self, psi, lo, hi):
-        super().__init__(
-            f"no critical density for psi={psi} within "
-            f"[{lo:.6g}, {hi:.6g}] per m^2")
-        self.searched = (lo, hi)
-
-
 @dataclass(frozen=True)
 class FeasiblePair:
     """A cache size with the smallest density meeting the delay budget.
@@ -96,7 +86,8 @@ def reduced_delay_budget(s):
 
 
 def _fiber_terms(s):
-    # fiber-miss delay of every cache size, the same bits for every caller
+    # fiber-miss delay of every cache size; the running sum gives each the
+    # bits of popularity.hit_probability, so sweep targets agree with it
     return latency.fiber_delay(s) * (1.0 - zipf(s.beta, s.k_total).q.cumsum())
 
 
@@ -136,23 +127,17 @@ def critical_edc_density(s, psi, budget, scheme=MULTIPATH):
     Returns
     -------
     FeasiblePair or None
-        ``None`` when the fiber-miss term alone exceeds the budget (no
-        density can help).
-
-    Raises
-    ------
-    DensityBracketError
-        If even the densest allowed deployment misses the budget.
+        ``None`` exactly when ``optimize_cache_density`` skips ``psi``:
+        even the densest deployment of ``multipath.density_bracket``
+        misses the budget (always so when the fiber-miss term alone, or
+        the fixed stages, exceed it).
     """
     if not 1 <= psi <= s.k_total:
         raise ValueError(f"psi {psi} outside [1, {s.k_total}]")
-    fiber_terms = _fiber_terms(s)[psi - 1:psi]
-    if fiber_terms[0] > budget:
-        return None
-    lam, residual, status = _critical_densities(s, fiber_terms, budget,
-                                                scheme)
+    lam, residual, status = _critical_densities(
+        s, _fiber_terms(s)[psi - 1:psi], budget, scheme)
     if status[0] == _SKIPPED:
-        raise DensityBracketError(psi, *multipath.density_bracket(s))
+        return None
     return FeasiblePair(psi=psi, lambda_e_crit=float(lam[0]),
                         residual=float(residual[0]),
                         at_lower_bound=bool(status[0] == _CLAMPED))

@@ -52,13 +52,16 @@ def zipf(beta, k_total):
 def hit_probability(model, psi):
     """Probability a request is served from an edge cache of size ``psi``.
 
-    Equals the total popularity mass of the ``psi`` most popular contents;
-    0 for an empty cache, 1 when the whole library fits.
+    Equals the total popularity mass of the ``psi`` most popular contents,
+    summed in popularity order: the same bits as
+    ``model.q.cumsum()[psi - 1]``, the running sum the optimiser takes for
+    every cache size at once.  0 for an empty cache, 1 up to rounding
+    when the whole library fits.
     """
     if not 0 <= psi <= model.k_total:
         raise ValueError(
             f"cache size {psi} outside [0, {model.k_total}]")
-    return float(model.q[:psi].sum())
+    return float(model.q[:psi].cumsum()[-1]) if psi else 0.0
 
 
 @dataclass(frozen=True)

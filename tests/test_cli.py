@@ -2,14 +2,19 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
 
-from mcrnet import cli, latency, optimizer
+import mcrnet
+from mcrnet import cli, latency, multipath, optimizer
 from mcrnet.cli import main
 from mcrnet.energy import load_energy_model, system_energy
-from mcrnet.multipath import SCHEMES
+from mcrnet.multipath import MULTIPATH, SCHEMES, SINGLE_PATH
 from mcrnet.optimizer import FeasiblePair
 from mcrnet.popularity import zipf
 from mcrnet.scenario import load_scenario, scenario_hash
@@ -113,6 +118,40 @@ def test_sweep_see_targets_trace_feasible_curve(capsys):
     # the optimum cache size sits at the curve minimum
     multi = [float(r["see_multipath"]) for r in rows]
     assert multi[1] == min(multi)
+
+
+@pytest.mark.parametrize("d_max_ms", ["1", "12", "20"])
+@pytest.mark.parametrize("scheme,target", [(MULTIPATH, "see_multipath"),
+                                           (SINGLE_PATH, "see_single")])
+def test_sweep_see_is_the_curve_optimize_minimises(capsys, d_max_ms, scheme,
+                                                   target):
+    # every cache size: the same bits as optimize's e_sys where it is
+    # feasible, and NaN with an error naming psi, the reduced budget, the
+    # fiber-miss term and the searched densities where optimize skips it
+    # (at 1 ms the fixed stages alone overrun the budget)
+    param = f"d_max_ms={d_max_ms}"
+    code, out, _ = run_cli(capsys, "optimize", "--scheme", scheme,
+                           "--format", "json", "--param", param)
+    feasible = [] if code == 2 else json.loads(out)[0]["feasible_set"]
+    e_sys = {r["psi"]: r["e_sys"] for r in feasible}
+    code, out, _ = run_cli(capsys, "sweep", "psi",
+                           "--values", ",".join(map(str, range(1, 501))),
+                           "--targets", target, "--param", param)
+    assert code == 0
+    s = load_scenario(overrides={"d_max_ms": d_max_ms})
+    budget = optimizer.reduced_delay_budget(s)
+    fiber = optimizer._fiber_terms(s)
+    lo, hi = multipath.density_bracket(s)
+    for psi, row in enumerate(parse_csv(out), start=1):
+        if psi in e_sys:
+            assert float(row[target]) == e_sys[psi]
+            assert row["error"] == ""
+        else:
+            assert math.isnan(float(row[target]))
+            assert row["error"] == (
+                f"no feasible density for psi={psi}: reduced budget "
+                f"{budget:.4g} s, fiber-miss term {fiber[psi - 1]:.4g} s, "
+                f"searched [{lo:.4g}, {hi:.4g}] per m^2")
 
 
 def test_optimize_json_report(capsys):
@@ -390,10 +429,12 @@ def test_unreachable_stage_is_named_error(capsys, param, stage):
     assert err.startswith("error:") and f"{stage} stage" in err
 
 
-def test_validate_rejects_non_positive_trials(capsys):
+@pytest.mark.parametrize("trials", ["0", "1"])
+def test_validate_rejects_non_positive_trials(capsys, trials):
+    # one trial has no standard error, so it is a usage error too
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run_cli(capsys, "validate", "--trials", "0")
+        code, out, err = run_cli(capsys, "validate", "--trials", trials)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "--trials" in err
@@ -491,3 +532,16 @@ def test_validate_deterministic(capsys):
     _, a, _ = run_cli(capsys, *argv)
     _, b, _ = run_cli(capsys, *argv)
     assert a == b
+
+
+def test_every_config_value_ends_in_a_documented_exit_code():
+    # the property caps the address space of the process it runs in, so it
+    # runs in a child; one BLAS thread keeps the cap from meeting the
+    # buffers a BLAS reserves per core
+    src = str(pathlib.Path(mcrnet.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    script = pathlib.Path(__file__).with_name("cli_property.py")
+    result = subprocess.run([sys.executable, str(script)], env=env,
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout + result.stderr

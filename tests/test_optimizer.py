@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from mcrnet import latency, multipath, optimizer
 from mcrnet.energy import load_energy_model, system_energy
 from mcrnet.multipath import MULTIPATH, SCHEMES, SINGLE_PATH
-from mcrnet.optimizer import (DensityBracketError, FeasiblePair,
-                              NoFeasiblePairError, critical_edc_density,
-                              optimize_cache_density, reduced_delay_budget)
+from mcrnet.optimizer import (FeasiblePair, NoFeasiblePairError,
+                              critical_edc_density, optimize_cache_density,
+                              reduced_delay_budget)
 from mcrnet.popularity import hit_probability, zipf
 from mcrnet.scenario import load_scenario
 from oracles import find_root_monotone
@@ -116,9 +116,23 @@ def test_reported_densities_form_valid_scenarios(energy, scheme):
 
 def test_critical_density_bracket_exhaustion(scenario):
     # budget below the backhaul delay of the densest allowed deployment
-    with pytest.raises(DensityBracketError) as err:
-        critical_edc_density(scenario, 500, budget=2e-3)
-    assert err.value.searched[1] == scenario.lambda_s
+    assert critical_edc_density(scenario, 500, budget=2e-3) is None
+
+
+@pytest.mark.parametrize("d_max_ms,scheme,n_skipped", [
+    (12, MULTIPATH, 16), (12, SINGLE_PATH, 285),
+    (20, MULTIPATH, 0), (20, SINGLE_PATH, 0)])
+def test_lone_solve_is_none_exactly_at_skipped_sizes(energy, d_max_ms,
+                                                     scheme, n_skipped):
+    # one feasibility verdict: a lone solve and the optimiser sort every
+    # cache size the same way
+    s = load_scenario(overrides={"d_max_ms": d_max_ms})
+    budget = reduced_delay_budget(s)
+    outcome = optimize_cache_density(s, energy, scheme=scheme)
+    assert len(outcome.skipped_psi) == n_skipped
+    none_at = [psi for psi in range(1, s.k_total + 1)
+               if critical_edc_density(s, psi, budget, scheme) is None]
+    assert none_at == list(outcome.skipped_psi)
 
 
 def test_critical_density_validates_psi(scenario):
@@ -300,10 +314,7 @@ def test_outcome_columns_match_scalar_api_property(energy, d_max, beta,
         assert pair.at_lower_bound == at_lower_bound
         assert lam == pair.lambda_e_crit
     for psi in outcome.skipped_psi:
-        try:
-            assert critical_edc_density(s, psi, budget, scheme) is None
-        except DensityBracketError:
-            pass
+        assert critical_edc_density(s, psi, budget, scheme) is None
     best = outcome.e_sys.index(min(outcome.e_sys))
     assert outcome.e_sys_min == outcome.e_sys[best]
     assert outcome.best_pair == FeasiblePair(

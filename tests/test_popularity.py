@@ -64,6 +64,18 @@ def test_hit_probability_against_brute_force():
     assert hit_probability(model, 144) == pytest.approx(brute, rel=1e-12)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(beta=st.floats(0.0, 3.0), k_total=st.integers(1, 2000))
+def test_hit_probability_is_the_running_sum_property(beta, k_total):
+    # the optimiser's fiber-miss terms take this running sum for every
+    # cache size at once; a sweep must read the same bits
+    model = zipf(beta, k_total)
+    running = model.q.cumsum()
+    assert hit_probability(model, 0) == 0.0
+    assert [hit_probability(model, psi) for psi in range(1, k_total + 1)] \
+        == running.tolist()
+
+
 def test_hit_probability_monotone_in_skew():
     for psi in (10, 144, 400):
         hits = [hit_probability(zipf(beta, 500), psi)
