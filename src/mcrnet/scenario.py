@@ -134,57 +134,58 @@ _GAIN_ORDERS = (("uplink", "nt_u", "nr_m"), ("delivery", "nt_m", "nr_e"),
                 ("access", "nt_s", "nr_u"))
 
 
-def _check(ok, message):
+def _check(ok, message, *args):
+    # the message is formatted only on failure: a sweep validates a
+    # scenario per row
     if not ok:
-        raise ScenarioError(f"constraint violated: {message}")
+        raise ScenarioError(f"constraint violated: {message.format(*args)}")
 
 
 def _validate(s):
     # an infinite or NaN value overflows or divides by zero downstream
     for name in _FLOAT_FIELDS:
-        _check(math.isfinite(getattr(s, name)), f"{name} finite")
+        _check(math.isfinite(getattr(s, name)), "{} finite", name)
     for name in ("lambda_m", "lambda_s", "lambda_u", "lambda_e"):
-        _check(getattr(s, name) > 0, f"{name} > 0")
+        _check(getattr(s, name) > 0, "{} > 0", name)
     _check(s.lambda_m < s.lambda_e < s.lambda_s,
-           f"lambda_m < lambda_e < lambda_s "
-           f"(got {s.lambda_m:g}, {s.lambda_e:g}, {s.lambda_s:g} per m^2)")
-    _check(s.p_m > s.p_s > s.p_u,
-           f"p_m > p_s > p_u (got {s.p_m:g}, {s.p_s:g}, {s.p_u:g} W)")
+           "lambda_m < lambda_e < lambda_s (got {:g}, {:g}, {:g} per m^2)",
+           s.lambda_m, s.lambda_e, s.lambda_s)
+    _check(s.p_m > s.p_s > s.p_u, "p_m > p_s > p_u (got {:g}, {:g}, {:g} W)",
+           s.p_m, s.p_s, s.p_u)
     for name in ("p_m", "p_s", "p_e", "p_u", "theta1", "theta2", "theta3",
                  "theta4", "n0", "w_mmw", "tau_mmw", "r_mmw", "sigma_db",
                  "packet_l", "buffer_omega", "v_fiber", "mu", "chi", "r_max",
                  "relay_coeff", "t_ul_req", "t_dl_deli", "t_dl_as", "d_max"):
-        _check(getattr(s, name) > 0, f"{name} > 0")
+        _check(getattr(s, name) > 0, "{} > 0", name)
     # the largest relay factor any density above lambda_m can reach
     _check(math.isfinite(s.relay_coeff * s.lambda_s / s.lambda_m),
-           f"relay_coeff * lambda_s / lambda_m finite "
-           f"(got relay_coeff = {s.relay_coeff:g})")
+           "relay_coeff * lambda_s / lambda_m finite "
+           "(got relay_coeff = {:g})", s.relay_coeff)
     _check(s.l_fiber >= 0, "l_fiber >= 0")
     _check(s.mu > s.chi * s.lambda_u,
-           f"mu > chi * lambda_u (queue stability; arrival rate "
-           f"{s.chi * s.lambda_u:g} 1/s vs service rate {s.mu:g} 1/s)")
+           "mu > chi * lambda_u (queue stability; arrival rate {:g} 1/s vs "
+           "service rate {:g} 1/s)", s.chi * s.lambda_u, s.mu)
     for name in _INT_FIELDS:
         value = getattr(s, name)
-        _check(isinstance(value, int) and value >= 1, f"{name} integer >= 1")
-    # messages built only on failure: a sweep validates a scenario per row
+        _check(isinstance(value, int) and value >= 1, "{} integer >= 1",
+               name)
     for stage, tx, rx in _GAIN_ORDERS:
         order = getattr(s, tx) * getattr(s, rx)
-        if order > MAX_GAIN_ORDER:
-            raise ScenarioError(
-                f"constraint violated: {tx} * {rx} <= {MAX_GAIN_ORDER} (the "
-                f"{stage} aggregate gain order; every stage shares the bound "
-                f"of the delivery series, whose cost is quadratic in it; "
-                f"got {order:g})")
-    if s.k_total > MAX_K_TOTAL:
-        raise ScenarioError(
-            f"constraint violated: k_total <= {MAX_K_TOTAL} (the popularity "
-            f"model holds one probability per content; got {s.k_total:g})")
+        _check(order <= MAX_GAIN_ORDER,
+               "{} * {} <= {} (the {} aggregate gain order; every stage "
+               "shares the bound of the delivery series, whose cost is "
+               "quadratic in it; got {:g})",
+               tx, rx, MAX_GAIN_ORDER, stage, order)
+    _check(s.k_total <= MAX_K_TOTAL,
+           "k_total <= {} (the popularity model holds one probability per "
+           "content; got {:g})", MAX_K_TOTAL, s.k_total)
     # r_max * r_max overflows to inf where r_max ** 2 would raise
     disc = s.lambda_e * math.pi * s.r_max * s.r_max
     _check(math.isfinite(disc),
-           f"lambda_e * pi * r_max^2 finite (got r_max = {s.r_max:g} m)")
-    _check(s.b_paths <= disc, f"b_paths <= lambda_e * pi * r_max^2 "
-           f"(got {s.b_paths} > {disc:g})")
+           "lambda_e * pi * r_max^2 finite (got r_max = {:g} m)", s.r_max)
+    _check(s.b_paths <= disc,
+           "b_paths <= lambda_e * pi * r_max^2 (got {} > {:g})",
+           s.b_paths, disc)
     _check(s.alpha1 > 2, "alpha1 > 2")
     # free-space alpha2 == 2 is the line-of-sight default for the access hop
     _check(s.alpha2 >= 2, "alpha2 >= 2")

@@ -6,9 +6,11 @@ in-process through ``main()`` with the key set to an edge of its range,
 0, a negative value, 1e300, 1e-300, nan, inf, a non-numeric string or a
 drawn float or string.  The exit code must be 0, 1 or 2, no exception may
 escape, and an exit 1 prints exactly one ``error:`` line (any other exit
-prints nothing to stderr).  The script caps its own address space first,
-so a value that slips past the scenario's bounds ends in a MemoryError
-here instead of exhausting the host.
+prints nothing to stderr).  ``validate --trials 200`` runs the same way,
+with exit code 0, 1 or 3, on the listed values (not the drawn ones) of
+the keys the delivery oracle reads.  The script caps its own address
+space first, so a value that slips past the scenario's bounds ends in a
+MemoryError here instead of exhausting the host.
 
 Run: ``python tests/cli_property.py``; it exits 0 when the property holds.
 """
@@ -44,16 +46,20 @@ EDGES = {
     "lambda_m_per_km2": ("10",),
     "lambda_s_per_km2": ("10",),
 }
+# the keys of the fields the delivery oracle reads
+DELI_KEYS = ("nt_m", "nr_e", "alpha1", "theta2", "theta2_db", "n0",
+             "n0_dbm_per_hz", "w_mmw", "w_mmw_mhz", "lambda_m",
+             "lambda_m_per_km2", "p_m", "p_m_dbm")
 DRAWS = 8
 SWEEP_TARGETS = ",".join(TARGETS)
 
 
-def _check(argv):
+def _check(argv, codes=(0, 1, 2)):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     lines = err.getvalue().splitlines()
-    assert code in (0, 1, 2), (argv, code)
+    assert code in codes, (argv, code)
     if code == 1:
         assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
     else:
@@ -70,9 +76,14 @@ def check_key(key):
         _check(["sweep", "psi", "--values", "1,144",
                 "--targets", SWEEP_TARGETS, "--param", param])
 
-    for value in SPECIAL + ("1",) + EDGES.get(key, ()):
+    listed = SPECIAL + ("1",) + EDGES.get(key, ())
+    for value in listed:
         prop = example(value=value)(prop)
     prop()
+    if key in DELI_KEYS:
+        for value in listed:
+            _check(["validate", "--trials", "200", "--param",
+                    f"{key}={value}"], codes=(0, 1, 3))
 
 
 def main_property():

@@ -505,6 +505,18 @@ def test_validate_names_simulator_slot_overflow(capsys):
                if name != "backhaul_simulator")
 
 
+def test_validate_names_delivery_noise_overflow(capsys):
+    # (pi * lambda_m) ** (-alpha1 / 2) overflows a float at alpha1 = 1000:
+    # the delivery row names the stage instead of the raw overflow text
+    code, out, _ = run_cli_without_warnings(
+        capsys, "validate", "--trials", "200", "--param", "alpha1=1000")
+    rows = {r["check"]: r for r in parse_csv(out)}
+    assert code == 3
+    assert rows["deli_success"]["error"] == (
+        "delivery stage: its sampled noise overflows a float at this "
+        "path-loss exponent and macro density")
+
+
 def test_out_file_writing(tmp_path, capsys):
     out_path = tmp_path / "rows.csv"
     code, stdout, _ = run_cli(capsys, "sweep", "psi", "--values", "1,2",

@@ -18,7 +18,7 @@ from mcrnet.montecarlo import (McEstimate, estimate_access_success,
                                kth_nearest_distances, proportion_z,
                                simulate_backhaul, substream)
 from mcrnet.multipath import EXACT_CEIL, MULTIPATH, SCHEMES, SINGLE_PATH
-from mcrnet.scenario import load_scenario
+from mcrnet.scenario import ScenarioError, load_scenario
 
 SEED = 1234
 DELI_CHUNK = montecarlo._DELI_CHUNK
@@ -131,9 +131,13 @@ def _ref_deli_successes(s, t, gains):
 class _PairedDeliChunk:
     """Both substreams of one delivery chunk, drawn over the reference cells.
 
-    Each row block of distances and gains is drawn over REF_DELI_POINTS
-    cells; the oracle receives the leading columns it asks for, and the
-    reference decides the whole draw when the block's gains are served.
+    The oracle receives the leading cells of each reference trial, and
+    the reference decides the trial when the block's gains are served.
+    A trial whose serving cell already loses to the interference of those
+    leading cells and the noise fails whatever lies beyond them, so only
+    the other trials draw their remaining REF_DELI_POINTS cells, from
+    where the leading ones end.  The oracle's far-field Gamma draws come
+    from the same generator.
     """
 
     def __init__(self, s, chunk_idx):
@@ -142,14 +146,24 @@ class _PairedDeliChunk:
         self.successes = 0
 
     def standard_exponential(self, out):
-        self.exp = self.rng.standard_exponential((len(out), REF_DELI_POINTS))
-        out[:] = self.exp[:, :out.shape[1]]
+        self.rng.standard_exponential(out=out)
+        self.exp = out.copy()
 
     def standard_gamma(self, shape, out):
-        gains = self.rng.standard_gamma(shape, (len(out), REF_DELI_POINTS))
-        out[:] = gains[:, :out.shape[1]]
-        self.successes += _ref_deli_successes(
-            self.s, np.cumsum(self.exp, axis=1), gains)
+        self.rng.standard_gamma(shape, out=out)
+        if out.ndim == 1:  # the far field beyond the oracle's cells
+            return
+        s, (n, k) = self.s, out.shape
+        half = s.alpha1 / 2.0
+        noise = (s.nt_m * s.n0 * s.w_mmw / s.p_m
+                 * (math.pi * s.lambda_m) ** -half)
+        power = out * np.cumsum(self.exp, axis=1) ** -half
+        open_ = power[:, 0] >= s.theta2 * (power[:, 1:].sum(axis=1) + noise)
+        rest = (int(np.count_nonzero(open_)), REF_DELI_POINTS - k)
+        exp = np.hstack([self.exp[open_], self.rng.standard_exponential(rest)])
+        gains = np.hstack([out[open_], self.rng.standard_gamma(shape, rest)])
+        self.successes += _ref_deli_successes(s, np.cumsum(exp, axis=1),
+                                              gains)
 
 
 # gain orders 1, 4 (default) and 16, and alpha1 from a heavy far field
@@ -161,10 +175,13 @@ class _PairedDeliChunk:
 def test_deli_truncation_bias_against_reference_cells(monkeypatch,
                                                       overrides):
     # the oracle's cells are the leading cells of each reference trial,
-    # so the two decisions differ only through the truncated far field;
-    # 2e-4 is 0.4 of the standard error at 1e6 trials
+    # so the two decisions differ only through the far field, which the
+    # oracle draws independently of the reference's cells beyond its own.
+    # 2e-4 is 0.4 of the standard error at 1e6 trials; the paired
+    # difference has a standard deviation of about 0.08 per trial, so
+    # 1.6e6 trials put its standard error near 6e-5
     s = load_scenario(overrides=overrides)
-    trials = 400_000
+    trials = 1_600_000
     chunks = {}
 
     def paired_substream(seed, family, chunk_idx, stream):
@@ -176,6 +193,89 @@ def test_deli_truncation_bias_against_reference_cells(monkeypatch,
     reference = sum(c.successes for c in chunks.values()) / trials
     assert montecarlo._DELI_POINTS < REF_DELI_POINTS
     assert abs(est.mean - reference) <= 2e-4
+
+
+def _far_field_gamma(order, alpha):
+    """Shape of the far-field Gamma draw per unit ``t_K`` and its scale
+    per unit ``t_K**(-alpha/2)``, in the oracle's arithmetic."""
+    shape = (4.0 * order / (order + 1.0) * ((alpha - 1.0) / (alpha - 2.0))
+             / (alpha - 2.0))
+    return shape, (order + 1.0) / 2.0 * ((alpha - 2.0) / (alpha - 1.0))
+
+
+def _far_field_moments(order, alpha, t):
+    """Mean and variance of the shot noise beyond ``t`` (Campbell)."""
+    mean = 2.0 * order * t ** (1.0 - alpha / 2.0) / (alpha - 2.0)
+    var = order * (order + 1.0) * t ** (1.0 - alpha) / (alpha - 1.0)
+    return mean, var
+
+
+class _FixedDistanceChunk:
+    """Substream stand-in: every trial's last sampled cell at ``t_k``, unit
+    gains, and the far-field draws kept where the oracle scales them."""
+
+    def __init__(self, t_k, rng):
+        self.t_k, self.rng = t_k, rng
+
+    def standard_exponential(self, out):
+        out[:] = self.t_k / out.shape[1]
+
+    def standard_gamma(self, shape, out):
+        if out.ndim == 1:
+            self.far = out
+            self.rng.standard_gamma(shape, out=out)
+        else:
+            out[:] = 1.0
+
+
+@pytest.mark.parametrize("order,alpha", [(1, 3.5), (4, 3.5), (16, 3.5),
+                                         (4, 2.2), (4, 6.0)])
+def test_deli_far_field_matches_shot_noise_moments(monkeypatch, order,
+                                                   alpha):
+    t_k, trials = 16.0, 200_000
+    mean, var = _far_field_moments(order, alpha, t_k)
+    s = load_scenario(overrides={"nt_m": 1, "nr_e": order, "alpha1": alpha})
+
+    # the oracle's draw at a fixed t_K, all trials in one chunk and one
+    # row block, so the stand-in holds every scaled draw.  Its
+    # sample variance has a standard error of var * sqrt((kurtosis - 1) /
+    # trials), the kurtosis of a Gamma(k) draw being 3 + 6 / k
+    stand_in = _FixedDistanceChunk(t_k, np.random.default_rng(SEED))
+    monkeypatch.setattr(montecarlo, "substream", lambda *key: stand_in)
+    monkeypatch.setattr(montecarlo, "_DELI_CHUNK", trials)
+    monkeypatch.setattr(montecarlo, "_DELI_BLOCK", trials)
+    estimate_deli_success(s, trials=trials, seed=SEED)
+    far = stand_in.far
+    assert far.shape == (trials,)
+    k = mean * mean / var
+    assert abs(far.mean() - mean) <= 4.0 * math.sqrt(var / trials)
+    assert (abs(far.var(ddof=1) - var)
+            <= 4.0 * var * math.sqrt((2.0 + 6.0 / k) / trials))
+
+    # the formulas against a Poisson tail summed point by point: the
+    # shot noise of the window (t_K, 8 t_K] has the mean and variance of
+    # the tail beyond t_K less those of the tail beyond 8 t_K
+    rng = np.random.default_rng(SEED + order)
+    tails = 20_000
+    points = int(7 * t_k + 12 * math.sqrt(7 * t_k))  # P(short) < 1e-24
+    t = t_k + np.cumsum(rng.standard_exponential((tails, points)), axis=1)
+    assert (t[:, -1] > 8 * t_k).all()
+    shot = np.where(t <= 8 * t_k, rng.standard_gamma(order, t.shape)
+                    * t ** (-alpha / 2.0), 0.0).sum(axis=1)
+    window_mean, window_var = np.subtract(
+        _far_field_moments(order, alpha, t_k),
+        _far_field_moments(order, alpha, 8 * t_k))
+    assert abs(shot.mean() - window_mean) <= 4.0 * shot.std() / math.sqrt(
+        tails)
+    fourth = ((shot - shot.mean()) ** 4).mean()
+    assert (abs(shot.var(ddof=1) - window_var)
+            <= 4.0 * math.sqrt((fourth - window_var ** 2) / tails))
+
+
+def test_deli_oracle_names_noise_overflow():
+    s = load_scenario(overrides={"alpha1": 1000})
+    with pytest.raises(ScenarioError, match=r"^delivery stage: .*noise"):
+        estimate_deli_success(s, trials=100, seed=SEED)
 
 
 def test_kth_nearest_validates_args():
@@ -364,26 +464,33 @@ def test_simulator_reproducible():
     assert a == b
 
 
-# serial references: each chunk (or path) in turn, in the calling thread,
-# with one whole-chunk array per draw
+# serial references: each chunk (or path) in turn, in the calling thread
 
 
 def _serial_deli_success(s, trials, seed):
+    # the distances as one whole-chunk array; the gains substream in the
+    # oracle's order, each row block's gains and then its far-field draws
     order = s.nt_m * s.nr_e
     alpha = s.alpha1
     half = alpha / 2.0
     noise = s.nt_m * s.n0 * s.w_mmw / s.p_m * (math.pi * s.lambda_m) ** -half
+    far_shape, far_scale = _far_field_gamma(order, alpha)
     successes = 0
-    chunk = montecarlo._DELI_CHUNK
+    chunk, block = montecarlo._DELI_CHUNK, montecarlo._DELI_BLOCK
     for chunk_idx, start in enumerate(range(0, trials, chunk)):
         m = min(chunk, trials - start)
         t = substream(seed, 2, chunk_idx, 0).standard_exponential(
             (m, montecarlo._DELI_POINTS))
         np.cumsum(t, axis=1, out=t)
-        far_mean = order * 2.0 * t[:, -1] ** (1.0 - half) / (alpha - 2.0)
-        power = substream(seed, 2, chunk_idx, 1).gamma(order, size=t.shape)
+        gains_rng = substream(seed, 2, chunk_idx, 1)
+        power, far = np.empty_like(t), np.empty(m)
+        for b in range(0, m, block):
+            power[b:b + block] = gains_rng.gamma(
+                order, size=power[b:b + block].shape)
+            far[b:b + block] = gains_rng.gamma(far_shape * t[b:b + block, -1])
         power *= np.power(t, -half, out=t)
-        interference = power[:, 1:].sum(axis=1) + far_mean
+        far *= far_scale * t[:, -1]
+        interference = power[:, 1:].sum(axis=1) + far
         ok = power[:, 0] >= s.theta2 * (interference + noise)
         successes += int(np.count_nonzero(ok))
     return montecarlo._proportion_estimate(successes, trials)

@@ -54,6 +54,36 @@ def test_path_count_bound():
     load_scenario(overrides={"b_paths": 7})  # 7 < pi * 1e-5 * 500^2
 
 
+# constraint messages, byte for byte: _validate formats each only when
+# its check fails
+@pytest.mark.parametrize("overrides,message", [
+    ({"w_mmw": "inf"}, "w_mmw finite"),
+    ({"tau_mmw": 0}, "tau_mmw > 0"),
+    ({"lambda_e_per_km2": 60},
+     "lambda_m < lambda_e < lambda_s (got 5e-06, 6e-05, 5e-05 per m^2)"),
+    ({"p_s_dbm": 50}, "p_m > p_s > p_u (got 19.9526, 100, 0.199526 W)"),
+    ({"relay_coeff": 1e308},
+     "relay_coeff * lambda_s / lambda_m finite (got relay_coeff = 1e+308)"),
+    ({"mu": 1e4}, "mu > chi * lambda_u (queue stability; arrival rate "
+                  "10000 1/s vs service rate 10000 1/s)"),
+    ({"b_paths": 0}, "b_paths integer >= 1"),
+    ({"nt_s": 128, "nr_u": 129},
+     "nt_s * nr_u <= 16384 (the access aggregate gain order; every stage "
+     "shares the bound of the delivery series, whose cost is quadratic in "
+     "it; got 16512)"),
+    ({"k_total": 2e6}, "k_total <= 1000000 (the popularity model holds one "
+                       "probability per content; got 2e+06)"),
+    ({"r_max": 1e200},
+     "lambda_e * pi * r_max^2 finite (got r_max = 1e+200 m)"),
+    ({"b_paths": 9}, "b_paths <= lambda_e * pi * r_max^2 (got 9 > 7.85398)"),
+    ({"alpha1": 2}, "alpha1 > 2"),
+])
+def test_constraint_messages(overrides, message):
+    with pytest.raises(ScenarioError) as caught:
+        load_scenario(overrides=overrides)
+    assert str(caught.value) == f"constraint violated: {message}"
+
+
 @pytest.mark.parametrize("tx,rx", [("nt_u", "nr_m"), ("nt_m", "nr_e"),
                                    ("nt_s", "nr_u")])
 def test_gain_order_bound(tx, rx):
