@@ -21,7 +21,7 @@ import json
 import math
 import pathlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import latency, montecarlo, multipath, optimizer
 from .energy import ENERGY_KEYS, load_energy_model, system_energy
@@ -32,6 +32,8 @@ from .scenario import (SCENARIO_KEYS, ScenarioError, load_scenario,
                        scenario_hash)
 
 DEFAULT_PSI = 144
+# rows of optimize's CSV formatted and written at a time
+_CSV_BLOCK_ROWS = 4096
 
 
 class UsageError(Exception):
@@ -165,19 +167,23 @@ def _csv_text(rows):
 
 def _emit(rows, columns, fmt, out):
     if fmt == "json":
-        _write(json.dumps(rows, indent=2) + "\n", out)
+        _write([json.dumps(rows, indent=2) + "\n"], out)
     else:
-        _write(_csv_text([columns] + [[_fmt_value(row.get(c, ""))
-                                       for c in columns] for row in rows]),
+        _write([_csv_text([columns] + [[_fmt_value(row.get(c, ""))
+                                        for c in columns] for row in rows])],
                out)
 
 
-def _write(text, out):
+def _write(chunks, out):
+    """Write each text of ``chunks`` in turn, so a generator of blocks
+    never holds the whole output."""
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for text in chunks:
+                fh.write(text)
     else:
-        sys.stdout.write(text)
+        for text in chunks:
+            sys.stdout.write(text)
 
 
 def _metadata(ctx):
@@ -203,18 +209,27 @@ def cmd_sweep(args):
         raise UsageError(
             f"unknown targets {unknown}; available: {sorted(TARGETS)}")
     if param == "psi":
-        # the grid moves only the cache size, so every value is checked
-        # against the one scenario before any row is evaluated
-        k_total = _build_context(args).scenario.k_total
+        # the grid moves only the cache size: every row shares one context
+        # and its metadata, and every value is checked against its
+        # scenario before any row is evaluated
+        base = _build_context(args)
+        base_meta = _metadata(base)
+        k_total = base.scenario.k_total
         for value in grid:
             psi = _parse_psi(value)
             if not 0 <= psi <= k_total:
                 raise UsageError(f"psi {psi} outside [0, {k_total}]")
 
+    def context(value):
+        if param == "psi":
+            return replace(base, psi=_parse_psi(value)), base_meta
+        ctx = _build_context(args, sweep_override=(param, value))
+        return ctx, _metadata(ctx)
+
     def one_row(value):
         row = {param: value, "error": ""}
         try:
-            ctx = _build_context(args, sweep_override=(param, value))
+            ctx, meta = context(value)
         except UsageError:
             raise
         except Exception as exc:  # row-level failure, run continues
@@ -222,7 +237,7 @@ def cmd_sweep(args):
             for t in targets:
                 row[t] = math.nan
             return row
-        row.update(_metadata(ctx))
+        row.update(meta)
         for t in targets:
             try:
                 row[t] = float(TARGETS[t](ctx))
@@ -273,13 +288,21 @@ def cmd_optimize(args):
         _emit(payload, [], "json", args.out)
         return 0
     # every row ends in the same metadata cells and every cell of a
-    # column has one type, so each column is formatted once
+    # column has one type, so each column slice of a block of rows is
+    # formatted at once and only one block is held as text
     tail = _csv_text([list(meta.values())])
-    cells = [[format(v, ".17g") for v in col] if isinstance(col[0], float)
-             else [str(v) for v in col] for col in columns.values()]
-    _write(_csv_text([list(columns) + list(meta)])
-           + "".join(f"{','.join(row)},{tail}" for row in zip(*cells)),
-           args.out)
+
+    def blocks():
+        yield _csv_text([list(columns) + list(meta)])
+        for start in range(0, len(outcome.psi), _CSV_BLOCK_ROWS):
+            cells = [[format(v, ".17g") for v in block]
+                     if isinstance(block[0], float)
+                     else [str(v) for v in block]
+                     for block in (col[start:start + _CSV_BLOCK_ROWS]
+                                   for col in columns.values())]
+            yield "".join(f"{','.join(row)},{tail}" for row in zip(*cells))
+
+    _write(blocks(), args.out)
     return 0
 
 

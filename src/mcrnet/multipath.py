@@ -193,9 +193,13 @@ def continuous_backhaul_coeff(s, b=None):
 def continuous_backhaul_delay(s, lambda_e, b=None):
     """``A * (1 + coeff * lambda_s / lambda_e) / sqrt(lambda_e)``, the
     continuous-mode delay of ``b`` paths, at a scalar or array density."""
-    return (continuous_backhaul_coeff(s, b)
-            * (1.0 + s.relay_coeff * s.lambda_s / lambda_e)
-            / np.sqrt(lambda_e))
+    return _curve_delay(s, continuous_backhaul_coeff(s, b), lambda_e)
+
+
+def _curve_delay(s, coeff, lambda_e):
+    # continuous_backhaul_delay with its coefficient A already at hand
+    return coeff * (1.0 + s.relay_coeff * s.lambda_s / lambda_e) / np.sqrt(
+        lambda_e)
 
 
 def continuous_backhaul_density(s, delay, b=None):
@@ -206,7 +210,12 @@ def continuous_backhaul_density(s, delay, b=None):
     at 0 is negative.  Cardano's one real root ``x = a/3 + c + a^2/(9c)``,
     ``c = cbrt(a^3/27 + k/2 + sqrt(k^2/4 + a^3 k/27))``, has only positive
     terms; a delay met below ``lambda_s`` keeps ``a, k < 1`` (no overflow)."""
-    a = continuous_backhaul_coeff(s, b) / (delay * math.sqrt(s.lambda_s))
+    return _curve_density(s, continuous_backhaul_coeff(s, b), delay)
+
+
+def _curve_density(s, coeff, delay):
+    # continuous_backhaul_density with its coefficient A already at hand
+    a = coeff / (delay * math.sqrt(s.lambda_s))
     k = a * s.relay_coeff
     a3 = a * a * a / 27.0
     c = np.cbrt(a3 + 0.5 * k + np.sqrt(0.25 * k * k + a3 * k))

@@ -3,11 +3,11 @@
 Step 1 turns the delay budget into a per-cache-size critical edge
 density: the cache size fixes the fiber-miss term, and the density whose
 continuous backhaul delay fills the rest of the budget comes from the
-closed-form inverse in ``multipath``, one array call for all the sizes
-that are neither skipped nor clamped.  Step 2 scores all feasible pairs
-in one array evaluation of the areal system energy and takes its
-minimum.  Denser deployments also meet the budget but always cost more
-energy, so only critical pairs need scoring.
+closed-form inverse in ``multipath``: one array call for every size, or
+one scalar call for a lone size, through the same code.  Step 2 scores
+all feasible pairs in one array evaluation of the areal system energy
+and takes its minimum.  Denser deployments also meet the budget but
+always cost more energy, so only critical pairs need scoring.
 """
 
 import math
@@ -18,10 +18,10 @@ import numpy as np
 from . import latency, multipath
 from .energy import system_energy
 from .multipath import MULTIPATH
-from .popularity import zipf
+from .popularity import hit_probability, zipf
 
-# status of one cache size in _critical_densities (_SKIPPED is 0: the
-# status array is built by summing the other two masks)
+# status of one cache size in _critical_densities (_SKIPPED is 0: an
+# empty bracket zeroes the status by multiplication)
 _SKIPPED, _ROOTED, _CLAMPED = 0, 1, 2
 
 
@@ -88,36 +88,40 @@ def reduced_delay_budget(s):
 def _fiber_terms(s):
     # fiber-miss delay of every cache size; the running sum gives each the
     # bits of popularity.hit_probability, so sweep targets agree with it
-    return latency.fiber_delay(s) * (1.0 - zipf(s.beta, s.k_total).q.cumsum())
+    return latency.fiber_delay(s) * (1.0 - zipf(s.beta, s.k_total).cum)
 
 
 def _critical_densities(s, fiber_terms, budget, scheme):
     """Critical density, residual and status for each fiber-miss term.
 
     The continuous backhaul delay falls with the density, so its values at
-    both ends of ``multipath.density_bracket`` sort each entry of
-    ``fiber_terms`` (a numpy array): ``_CLAMPED`` where the budget is slack
-    at the sparse end (``lam`` is that end, ``residual`` 0), ``_SKIPPED``
-    where the bracket is empty or its dense end still misses (both 0), and
-    otherwise ``_ROOTED``, at the closed-form density whose delay is
-    ``budget - fiber_term`` (``residual`` is the absolute mismatch).
-    Returns the arrays ``(lam, residual, status)``.
+    both ends of ``multipath.density_bracket`` sort ``fiber_terms`` (a
+    float or a numpy array, each entry on its own): ``_CLAMPED`` where the
+    budget is slack at the sparse end (``lam`` is that end, ``residual``
+    0), ``_SKIPPED`` where the bracket is empty or its dense end still
+    misses (both 0), and otherwise ``_ROOTED``, at the closed-form density
+    whose delay is ``budget - fiber_term`` (``residual`` is the absolute
+    mismatch).  Returns ``(lam, residual, status)``, each shaped like
+    ``fiber_terms``.
     """
     b = multipath.path_count(s, scheme)
     lo, hi = multipath.density_bracket(s)
-    d_lo, d_hi = multipath.continuous_backhaul_delay(s, np.array([lo, hi]), b)
-    clamped = (lo < hi) & (d_lo + fiber_terms - budget <= 0.0)
-    rooted = (lo < hi) & ~clamped & (d_hi + fiber_terms - budget <= 0.0)
-    status = _ROOTED * rooted + _CLAMPED * clamped
-
-    lam = lo * clamped
-    # the clip keeps a rounded root inside the bracket, a valid scenario
-    lam[rooted] = multipath.continuous_backhaul_density(
-        s, budget - fiber_terms[rooted], b).clip(lo, math.nextafter(hi, 0.0))
-    residual = 0.0 * lam
-    residual[rooted] = abs(
-        multipath.continuous_backhaul_delay(s, lam[rooted], b)
-        + fiber_terms[rooted] - budget)
+    coeff = multipath.continuous_backhaul_coeff(s, b)
+    d_lo = multipath._curve_delay(s, coeff, lo)
+    d_hi = multipath._curve_delay(s, coeff, hi)
+    status = (lo < hi) * np.where(
+        d_lo + fiber_terms - budget <= 0.0, _CLAMPED,
+        np.where(d_hi + fiber_terms - budget <= 0.0, _ROOTED, _SKIPPED))
+    rooted = status == _ROOTED
+    # every other entry solves for the dense end's delay instead, a valid
+    # input whose root is then dropped; the clip keeps a rounded root
+    # inside the bracket, a valid scenario
+    root = multipath._curve_density(
+        s, coeff, np.where(rooted, budget - fiber_terms, d_hi)).clip(
+            lo, math.nextafter(hi, 0.0))
+    lam = np.where(rooted, root, np.where(status == _CLAMPED, lo, 0.0))
+    residual = np.where(rooted, abs(
+        multipath._curve_delay(s, coeff, root) + fiber_terms - budget), 0.0)
     return lam, residual, status
 
 
@@ -134,13 +138,15 @@ def critical_edc_density(s, psi, budget, scheme=MULTIPATH):
     """
     if not 1 <= psi <= s.k_total:
         raise ValueError(f"psi {psi} outside [1, {s.k_total}]")
-    lam, residual, status = _critical_densities(
-        s, _fiber_terms(s)[psi - 1:psi], budget, scheme)
-    if status[0] == _SKIPPED:
+    fiber_term = latency.fiber_delay(s) * (
+        1.0 - hit_probability(zipf(s.beta, s.k_total), psi))
+    lam, residual, status = _critical_densities(s, fiber_term, budget,
+                                                scheme)
+    if status == _SKIPPED:
         return None
-    return FeasiblePair(psi=psi, lambda_e_crit=float(lam[0]),
-                        residual=float(residual[0]),
-                        at_lower_bound=bool(status[0] == _CLAMPED))
+    return FeasiblePair(psi=psi, lambda_e_crit=float(lam),
+                        residual=float(residual),
+                        at_lower_bound=bool(status == _CLAMPED))
 
 
 def optimize_cache_density(s, em, scheme=MULTIPATH):

@@ -2,12 +2,15 @@
 
 Popularity follows a Zipf law over a fixed library; content ids are
 1-based and assigned in descending popularity, so a smaller id is always
-at least as popular (ties at ``beta == 0`` resolve the same way).  Cache
+at least as popular (ties at ``beta == 0`` resolve the same way).  One
+read-only model per ``(beta, k_total)`` is built and kept, with its
+running sum, so every hit probability of a library is one lookup.  Cache
 policies are purely functional: each request maps an old cache state to a
 new one plus a hit flag.
 """
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -15,6 +18,10 @@ FIFO = "fifo"
 LRU = "lru"
 POPULARITY_PRIORITY = "popularity"
 POLICIES = (FIFO, LRU, POPULARITY_PRIORITY)
+
+# models kept by _zipf_model; each holds two float arrays of k_total
+# entries, so at most 4 * 2 * 8 B * MAX_K_TOTAL = 64 MB stay alive
+_MODEL_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -24,9 +31,13 @@ class PopularityModel:
     beta: float
     k_total: int
     q: np.ndarray  # request probabilities, descending, sum to 1
+    # running sum of q: cum[psi - 1] is the mass of the psi most popular
+    cum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.q.flags.writeable = False
+        object.__setattr__(self, "cum", self.q.cumsum())
+        self.cum.flags.writeable = False
 
 
 def zipf(beta, k_total):
@@ -38,14 +49,20 @@ def zipf(beta, k_total):
         Skewness, >= 0 (0 gives the uniform distribution).
     k_total : int
         Library size, >= 1.
+
+    Equal arguments return the same read-only model.
     """
     if k_total < 1:
         raise ValueError(f"library size must be >= 1, got {k_total}")
     if beta < 0:
         raise ValueError(f"skewness must be >= 0, got {beta}")
-    ranks = np.arange(1, k_total + 1, dtype=float)
-    weights = ranks ** (-float(beta))
-    return PopularityModel(beta=float(beta), k_total=int(k_total),
+    return _zipf_model(float(beta), int(k_total))
+
+
+@functools.lru_cache(maxsize=_MODEL_CACHE_SIZE)
+def _zipf_model(beta, k_total):
+    weights = np.arange(1, k_total + 1, dtype=float) ** -beta
+    return PopularityModel(beta=beta, k_total=k_total,
                            q=weights / weights.sum())
 
 
@@ -53,15 +70,14 @@ def hit_probability(model, psi):
     """Probability a request is served from an edge cache of size ``psi``.
 
     Equals the total popularity mass of the ``psi`` most popular contents,
-    summed in popularity order: the same bits as
-    ``model.q.cumsum()[psi - 1]``, the running sum the optimiser takes for
-    every cache size at once.  0 for an empty cache, 1 up to rounding
-    when the whole library fits.
+    summed in popularity order: ``model.cum[psi - 1]``, the entry of the
+    running sum the optimiser reads for every cache size at once.  0 for
+    an empty cache, 1 up to rounding when the whole library fits.
     """
     if not 0 <= psi <= model.k_total:
         raise ValueError(
             f"cache size {psi} outside [0, {model.k_total}]")
-    return float(model.q[:psi].cumsum()[-1]) if psi else 0.0
+    return float(model.cum[psi - 1]) if psi else 0.0
 
 
 @dataclass(frozen=True)

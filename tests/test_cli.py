@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 import mcrnet
-from mcrnet import cli, latency, multipath, optimizer
+from mcrnet import cli, latency, multipath, optimizer, popularity
 from mcrnet.cli import main
 from mcrnet.energy import load_energy_model, system_energy
 from mcrnet.multipath import MULTIPATH, SCHEMES, SINGLE_PATH
@@ -250,6 +250,55 @@ def test_optimize_output_matches_row_wise_reference(capsys, d_max_ms,
     expected_code, expected = _reference_optimize(d_max_ms, scheme, fmt)
     assert code == expected_code == (2 if float(d_max_ms) < 5 else 0)
     # line lists keep pytest's report of a mismatch short
+    assert out.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 500])
+def test_optimize_csv_blocks_join_to_the_reference(capsys, monkeypatch,
+                                                   block_rows):
+    # a block boundary inside, at the end of and beyond the feasible rows
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    code, out, _ = run_cli(capsys, "optimize", "--param", "d_max_ms=12")
+    expected_code, expected = _reference_optimize("12", MULTIPATH, "csv")
+    assert code == expected_code == 0
+    assert out.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+def test_psi_sweep_shares_one_context(capsys, monkeypatch):
+    # 50 rows, psi 0 among them (its see_* cells fail), at a budget that
+    # skips some sizes: one scenario load, one popularity model, and the
+    # bytes of rows built one at a time from their own contexts
+    targets = ["p_in_edc", "fiber_link_delay", "total_latency_multipath",
+               "e_sys", "see_multipath", "see_single"]
+    argv = ["sweep", "psi", "--values", ",".join(map(str, range(0, 500, 10))),
+            "--targets", ",".join(targets), "--param", "d_max_ms=12"]
+    args = cli._parser().parse_args(argv)
+    rows = []
+    for value in map(float, args.values.split(",")):
+        ctx = cli._build_context(args, ("psi", value))
+        row = {"psi": value, "error": "", **cli._metadata(ctx)}
+        for t in targets:
+            try:
+                row[t] = float(cli.TARGETS[t](ctx))
+            except Exception as exc:
+                row[t], row["error"] = math.nan, str(exc)
+        rows.append(row)
+    expected = _reference_text(
+        rows, ["psi"] + targets + ["scenario_hash", "assumed_defaults",
+                                   "error"], "csv")
+    loads = []
+
+    def counted_load(*a, **kw):
+        loads.append(a)
+        return load_scenario(*a, **kw)
+
+    monkeypatch.setattr(cli, "load_scenario", counted_load)
+    popularity._zipf_model.cache_clear()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(loads) == 1
+    assert popularity._zipf_model.cache_info().misses <= 1
+    assert rows[0]["error"] and math.isnan(rows[0]["see_single"])
     assert out.splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 

@@ -311,8 +311,7 @@ def test_outcome_columns_match_scalar_api_property(energy, d_max, beta,
         # the closed form solves every entry on its own, from the same
         # fiber term, so a lone solve gives the same bits
         pair = critical_edc_density(s, psi, budget, scheme)
-        assert pair.at_lower_bound == at_lower_bound
-        assert lam == pair.lambda_e_crit
+        assert pair == FeasiblePair(psi, lam, residual, at_lower_bound)
     for psi in outcome.skipped_psi:
         assert critical_edc_density(s, psi, budget, scheme) is None
     best = outcome.e_sys.index(min(outcome.e_sys))
@@ -321,3 +320,42 @@ def test_outcome_columns_match_scalar_api_property(energy, d_max, beta,
         psi=outcome.psi[best], lambda_e_crit=outcome.lambda_e_crit[best],
         residual=outcome.residual[best],
         at_lower_bound=outcome.at_lower_bound[best])
+
+
+# reduced budgets of 12, 20 and 100 ms end to end, budgets nothing can
+# meet (<= 0, or psi 144's fiber-miss term alone, which leaves that size
+# no delay at all) and one slack enough to clamp every size of both schemes
+@pytest.mark.parametrize("budget_of", [
+    "d_max_ms=12", "d_max_ms=20", "d_max_ms=100", "zero", "negative",
+    "fiber_only", "all_clamped"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_lone_solve_is_the_array_entry_bit_for_bit(scheme, budget_of):
+    # one code path for a float and an array fiber term: every cache size
+    # gets the same bits, and a RuntimeWarning (a skipped entry reaching
+    # the Cardano inverse) fails the test through the warning filters
+    d_max_ms = budget_of.partition("d_max_ms=")[2]
+    s = load_scenario(overrides={"d_max_ms": d_max_ms} if d_max_ms else {})
+    fiber_terms = optimizer._fiber_terms(s)
+    budget = reduced_delay_budget(s) if d_max_ms else {
+        "zero": 0.0, "negative": -1e-3, "all_clamped": 10.0,
+        "fiber_only": float(fiber_terms[143])}[budget_of]
+    lam, residual, status = optimizer._critical_densities(
+        s, fiber_terms, budget, scheme)
+    if budget_of == "all_clamped":
+        assert (status == optimizer._CLAMPED).all()
+    if budget_of in ("zero", "negative", "fiber_only"):
+        assert (status == optimizer._SKIPPED).all()
+    for psi in range(1, s.k_total + 1):
+        i = psi - 1
+        pair = critical_edc_density(s, psi, budget, scheme)
+        lone = optimizer._critical_densities(s, float(fiber_terms[i]),
+                                             budget, scheme)
+        assert [float(v) for v in lone] == [lam[i], residual[i], status[i]]
+        if status[i] == optimizer._SKIPPED:
+            assert pair is None
+            assert lam[i] == residual[i] == 0.0
+        else:
+            assert pair == FeasiblePair(
+                psi=psi, lambda_e_crit=lam[i], residual=residual[i],
+                at_lower_bound=bool(status[i] == optimizer._CLAMPED))
+

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from mcrnet import popularity
 from mcrnet.montecarlo import substream
 from mcrnet.popularity import (FIFO, LRU, POPULARITY_PRIORITY, CacheState,
                                cache_step, hit_probability, run_requests,
@@ -74,6 +75,23 @@ def test_hit_probability_is_the_running_sum_property(beta, k_total):
     assert hit_probability(model, 0) == 0.0
     assert [hit_probability(model, psi) for psi in range(1, k_total + 1)] \
         == running.tolist()
+
+
+def test_one_read_only_model_per_library():
+    model = zipf(0.8, 500)
+    assert zipf(0.8, 500) is model
+    assert zipf(0.8, 501) is not model
+    for array in (model.q, model.cum):
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+    assert model.cum.tolist() == model.q.cumsum().tolist()
+
+
+def test_model_cache_stays_bounded_over_many_libraries():
+    for k_total in range(1, 200):
+        zipf(0.8, k_total)
+    info = popularity._zipf_model.cache_info()
+    assert info.currsize <= info.maxsize == popularity._MODEL_CACHE_SIZE
 
 
 def test_hit_probability_monotone_in_skew():
