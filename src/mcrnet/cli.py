@@ -123,12 +123,28 @@ def _parse_psi(value):
 
 
 def _read_document(path):
-    return None if path is None else pathlib.Path(path).read_text("utf-8")
+    if path is None:
+        return None
+    try:
+        return pathlib.Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def _build_context(args, sweep_override=None):
-    """The run's scenario, energy model and cache size: the documents,
-    then each ``--param`` key, then the swept key.
+def _documents(args):
+    """The ``--config`` and (but for ``validate``) ``--energy`` texts.
+
+    Each command reads them once, before any row, so an unreadable
+    document fails the command (exit 1), never a row.
+    """
+    energy = None if args.command == "validate" else args.energy
+    return _read_document(args.config), _read_document(energy)
+
+
+def _build_context(args, documents, sweep_override=None):
+    """The run's scenario, energy model and cache size: the
+    ``documents`` (from :func:`_documents`), then each ``--param`` key,
+    then the swept key.
 
     Every command reads the scenario keys, ``sweep`` and ``optimize`` the
     energy keys too, and only ``sweep`` reads ``psi``; any other key is a
@@ -146,9 +162,9 @@ def _build_context(args, sweep_override=None):
             psi = _parse_psi(value)
         else:
             raise UsageError(f"{args.command} reads no key {key!r}")
-    s = load_scenario(_read_document(args.config), scenario_overrides)
-    em = (load_energy_model(_read_document(args.energy), energy_overrides)
-          if reads_energy else None)
+    config, energy = documents
+    s = load_scenario(config, scenario_overrides)
+    em = load_energy_model(energy, energy_overrides) if reads_energy else None
     return RunContext(scenario=s, energy=em, psi=psi)
 
 
@@ -208,11 +224,12 @@ def cmd_sweep(args):
     if unknown:
         raise UsageError(
             f"unknown targets {unknown}; available: {sorted(TARGETS)}")
+    documents = _documents(args)
     if param == "psi":
         # the grid moves only the cache size: every row shares one context
         # and its metadata, and every value is checked against its
         # scenario before any row is evaluated
-        base = _build_context(args)
+        base = _build_context(args, documents)
         base_meta = _metadata(base)
         k_total = base.scenario.k_total
         for value in grid:
@@ -223,7 +240,7 @@ def cmd_sweep(args):
     def context(value):
         if param == "psi":
             return replace(base, psi=_parse_psi(value)), base_meta
-        ctx = _build_context(args, sweep_override=(param, value))
+        ctx = _build_context(args, documents, sweep_override=(param, value))
         return ctx, _metadata(ctx)
 
     def one_row(value):
@@ -254,7 +271,7 @@ def cmd_sweep(args):
 
 
 def cmd_optimize(args):
-    ctx = _build_context(args)
+    ctx = _build_context(args, _documents(args))
     meta = _metadata(ctx)
     try:
         outcome = optimizer.optimize_cache_density(
@@ -365,7 +382,7 @@ def cmd_validate(args):
     if args.trials < 2:
         # one trial has no standard error to hold a z-score to
         raise UsageError(f"--trials must be >= 2, got {args.trials}")
-    ctx = _build_context(args)
+    ctx = _build_context(args, _documents(args))
     rows = _validation_rows(ctx, args.trials, args.seed)
     columns = ["check", "analytic", "estimate", "std_error", "n_samples",
                "criterion", "deviation", "passed", "error",

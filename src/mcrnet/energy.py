@@ -89,7 +89,9 @@ def system_energy(s, em, psi, lambda_e=None):
     entry; the fields that depend on them are then arrays too, each entry
     bitwise equal to the scalar call at that point.
     """
-    if not np.all((0 <= psi) & (psi <= s.k_total)):
+    # np.all on a Python bool costs more than the formula; a reduce over
+    # the flattened verdicts gives the same one for scalars and arrays
+    if not np.logical_and.reduce(np.ravel((0 <= psi) & (psi <= s.k_total))):
         raise ValueError(f"psi {psi} outside [0, {s.k_total}]")
     lam_e = s.lambda_e if lambda_e is None else lambda_e
     mbs = s.lambda_m * ((em.a_m * s.p_m + em.b_m) * em.t_life_m + em.e_em_m)

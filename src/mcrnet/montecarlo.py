@@ -246,45 +246,52 @@ def estimate_deli_success(s, trials=1_000_000, seed=0):
     ScenarioError
         When the scaled noise overflows a float (a huge ``alpha1``).
     """
-    order = s.nt_m * s.nr_e
-    alpha = s.alpha1
-    half = alpha / 2.0
     try:
         noise = (s.nt_m * s.n0 * s.w_mmw / s.p_m
-                 * (math.pi * s.lambda_m) ** -half)
+                 * (math.pi * s.lambda_m) ** (-s.alpha1 / 2.0))
     except OverflowError:
         raise ScenarioError(
             "delivery stage: its sampled noise overflows a float at this "
             "path-loss exponent and macro density") from None
+
+    def count(chunk_idx, m):
+        return sum(
+            int(np.count_nonzero(signal >= s.theta2 * (interference + noise)))
+            for signal, interference in _deli_blocks(s, seed, chunk_idx, m))
+
+    successes = sum(_map_chunks(count, trials, _DELI_CHUNK))
+    return _proportion_estimate(successes, trials)
+
+
+def _deli_blocks(s, seed, chunk_idx, m):
+    """Serving power and interference of each of the ``m`` trials of
+    delivery chunk ``chunk_idx``, in the units of
+    :func:`estimate_deli_success`: one ``(signal, interference)`` pair of
+    arrays per ``_DELI_BLOCK`` row block, ``signal`` a view that the next
+    block overwrites."""
+    order = s.nt_m * s.nr_e
+    alpha = s.alpha1
+    half = alpha / 2.0
     # far-field Gamma shape per unit t_K and scale per unit t_K**-a, each
     # a product of finite ratios for every alpha > 2
     far_shape = (4.0 * order / (order + 1.0) * ((alpha - 1.0) / (alpha - 2.0))
                  / (alpha - 2.0))
     far_scale = (order + 1.0) / 2.0 * ((alpha - 2.0) / (alpha - 1.0))
-
-    def count(chunk_idx, m):
-        dist_rng = substream(seed, 2, chunk_idx, 0)
-        gains_rng = substream(seed, 2, chunk_idx, 1)
-        t = np.empty((min(m, _DELI_BLOCK), _DELI_POINTS))
-        power = np.empty_like(t)
-        far = np.empty(len(t))
-        successes = 0
-        for start in range(0, m, _DELI_BLOCK):
-            n = min(_DELI_BLOCK, m - start)
-            tb, pb, fb = t[:n], power[:n], far[:n]
-            dist_rng.standard_exponential(out=tb)
-            np.cumsum(tb, axis=1, out=tb)
-            gains_rng.standard_gamma(order, out=pb)
-            gains_rng.standard_gamma(far_shape * tb[:, -1], out=fb)
-            pb *= np.power(tb, -half, out=tb)
-            fb *= far_scale * tb[:, -1]
-            interference = pb[:, 1:].sum(axis=1) + fb
-            ok = pb[:, 0] >= s.theta2 * (interference + noise)
-            successes += int(np.count_nonzero(ok))
-        return successes
-
-    successes = sum(_map_chunks(count, trials, _DELI_CHUNK))
-    return _proportion_estimate(successes, trials)
+    dist_rng = substream(seed, 2, chunk_idx, 0)
+    gains_rng = substream(seed, 2, chunk_idx, 1)
+    t = np.empty((min(m, _DELI_BLOCK), _DELI_POINTS))
+    power = np.empty_like(t)
+    far = np.empty(len(t))
+    for start in range(0, m, _DELI_BLOCK):
+        n = min(_DELI_BLOCK, m - start)
+        tb, pb, fb = t[:n], power[:n], far[:n]
+        dist_rng.standard_exponential(out=tb)
+        np.cumsum(tb, axis=1, out=tb)
+        gains_rng.standard_gamma(order, out=pb)
+        gains_rng.standard_gamma(far_shape * tb[:, -1], out=fb)
+        pb *= np.power(tb, -half, out=tb)
+        fb *= far_scale * tb[:, -1]
+        yield pb[:, 0], pb[:, 1:].sum(axis=1) + fb
 
 
 def estimate_shadowing_success(s, trials=1_000_000, seed=0):

@@ -20,6 +20,7 @@ the curve, its closed-form inverse, the densities a plan allows and each
 scheme's path count.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -182,23 +183,43 @@ def continuous_backhaul_coeff(s, b=None):
     ceil(buffer/packet) / (S_b * r_mmw * (1 + erf(...)))``.
     """
     b = s.b_paths if b is None else b
-    s_b = sum(math.sqrt(math.pi)
-              * math.exp(math.lgamma(p) - math.lgamma(p + 0.5))
-              for p in range(1, b + 1))
     # 1 + erf(f / (sqrt(2) * sigma)) is twice the link success, exactly
     erf_term = 2.0 * _link_success(s)
-    return 2.0 * s.tau_mmw * buffer_packets(s) / (s_b * s.r_mmw * erf_term)
+    return 2.0 * s.tau_mmw * buffer_packets(s) / (
+        _path_sum(b) * s.r_mmw * erf_term)
+
+
+# a density sweep's rows ask for b_paths, 1 and up to 16 capped counts
+@functools.lru_cache(maxsize=32)
+def _path_sum(b):
+    # S_b as a sum of its terms: the Gamma-ratio closed form
+    # 2 sqrt(pi) Gamma(b + 1) / Gamma(b + 1/2) - 2 loses about 6.5e-13
+    # relative at b = 1000, the sum about 9e-16
+    return sum(math.sqrt(math.pi)
+               * math.exp(math.lgamma(p) - math.lgamma(p + 0.5))
+               for p in range(1, b + 1))
 
 
 def continuous_backhaul_delay(s, lambda_e, b=None):
     """``A * (1 + coeff * lambda_s / lambda_e) / sqrt(lambda_e)``, the
     continuous-mode delay of ``b`` paths, at a scalar or array density."""
-    return _curve_delay(s, continuous_backhaul_coeff(s, b), lambda_e)
+    return _curve_delay(continuous_backhaul_coeff(s, b), s.relay_coeff,
+                        s.lambda_s, lambda_e)
 
 
-def _curve_delay(s, coeff, lambda_e):
-    # continuous_backhaul_delay with its coefficient A already at hand
-    return coeff * (1.0 + s.relay_coeff * s.lambda_s / lambda_e) / np.sqrt(
+def _curve(s, scheme):
+    """``(lo, hi, A, relay_coeff, lambda_s)``: the :func:`density_bracket`
+    and the scalars of the scheme's continuous delay curve, all that the
+    critical density reads of ``s``."""
+    b = path_count(s, scheme)
+    lo, hi = density_bracket(s)
+    return (lo, hi, continuous_backhaul_coeff(s, b), s.relay_coeff,
+            s.lambda_s)
+
+
+def _curve_delay(coeff, relay_coeff, lambda_s, lambda_e):
+    # continuous_backhaul_delay from the curve's scalars
+    return coeff * (1.0 + relay_coeff * lambda_s / lambda_e) / np.sqrt(
         lambda_e)
 
 
@@ -210,17 +231,18 @@ def continuous_backhaul_density(s, delay, b=None):
     at 0 is negative.  Cardano's one real root ``x = a/3 + c + a^2/(9c)``,
     ``c = cbrt(a^3/27 + k/2 + sqrt(k^2/4 + a^3 k/27))``, has only positive
     terms; a delay met below ``lambda_s`` keeps ``a, k < 1`` (no overflow)."""
-    return _curve_density(s, continuous_backhaul_coeff(s, b), delay)
+    return _curve_density(continuous_backhaul_coeff(s, b), s.relay_coeff,
+                          s.lambda_s, delay)
 
 
-def _curve_density(s, coeff, delay):
-    # continuous_backhaul_density with its coefficient A already at hand
-    a = coeff / (delay * math.sqrt(s.lambda_s))
-    k = a * s.relay_coeff
+def _curve_density(coeff, relay_coeff, lambda_s, delay):
+    # continuous_backhaul_density from the curve's scalars
+    a = coeff / (delay * math.sqrt(lambda_s))
+    k = a * relay_coeff
     a3 = a * a * a / 27.0
     c = np.cbrt(a3 + 0.5 * k + np.sqrt(0.25 * k * k + a3 * k))
     x = a / 3.0 + c + a * a / (9.0 * c)
-    return s.lambda_s * x * x
+    return lambda_s * x * x
 
 
 def multipath_backhaul_delay(s, mode=CONTINUOUS, b=None, lambda_e=None):

@@ -4,12 +4,15 @@ Step 1 turns the delay budget into a per-cache-size critical edge
 density: the cache size fixes the fiber-miss term, and the density whose
 continuous backhaul delay fills the rest of the budget comes from the
 closed-form inverse in ``multipath``: one array call for every size, or
-one scalar call for a lone size, through the same code.  Step 2 scores
-all feasible pairs in one array evaluation of the areal system energy
-and takes its minimum.  Denser deployments also meet the budget but
-always cost more energy, so only critical pairs need scoring.
+one scalar call for a lone size, through the same code.  A lone solve is
+memoised on the scalars it reads (the curve, the fiber-miss term and the
+budget), so the rows of a sweep that moves none of them solve once.
+Step 2 scores all feasible pairs in one array evaluation of the areal
+system energy and takes its minimum.  Denser deployments also meet the
+budget but always cost more energy, so only critical pairs need scoring.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +26,9 @@ from .popularity import hit_probability, zipf
 # status of one cache size in _critical_densities (_SKIPPED is 0: an
 # empty bracket zeroes the status by multiplication)
 _SKIPPED, _ROOTED, _CLAMPED = 0, 1, 2
+# lone solves _critical_density keeps: one per scheme and scenario a
+# command reuses, far fewer than a cache-size grid has
+_SOLVE_CACHE_SIZE = 8
 
 
 class NoFeasiblePairError(RuntimeError):
@@ -91,24 +97,22 @@ def _fiber_terms(s):
     return latency.fiber_delay(s) * (1.0 - zipf(s.beta, s.k_total).cum)
 
 
-def _critical_densities(s, fiber_terms, budget, scheme):
+def _critical_densities(curve, fiber_terms, budget):
     """Critical density, residual and status for each fiber-miss term.
 
-    The continuous backhaul delay falls with the density, so its values at
-    both ends of ``multipath.density_bracket`` sort ``fiber_terms`` (a
-    float or a numpy array, each entry on its own): ``_CLAMPED`` where the
-    budget is slack at the sparse end (``lam`` is that end, ``residual``
-    0), ``_SKIPPED`` where the bracket is empty or its dense end still
-    misses (both 0), and otherwise ``_ROOTED``, at the closed-form density
-    whose delay is ``budget - fiber_term`` (``residual`` is the absolute
-    mismatch).  Returns ``(lam, residual, status)``, each shaped like
-    ``fiber_terms``.
+    ``curve`` is ``multipath._curve(s, scheme)``.  The continuous backhaul
+    delay falls with the density, so its values at both ends of the
+    bracket sort ``fiber_terms`` (a float or a numpy array, each entry on
+    its own): ``_CLAMPED`` where the budget is slack at the sparse end
+    (``lam`` is that end, ``residual`` 0), ``_SKIPPED`` where the bracket
+    is empty or its dense end still misses (both 0), and otherwise
+    ``_ROOTED``, at the closed-form density whose delay is ``budget -
+    fiber_term`` (``residual`` is the absolute mismatch).  Returns ``(lam,
+    residual, status)``, each shaped like ``fiber_terms``.
     """
-    b = multipath.path_count(s, scheme)
-    lo, hi = multipath.density_bracket(s)
-    coeff = multipath.continuous_backhaul_coeff(s, b)
-    d_lo = multipath._curve_delay(s, coeff, lo)
-    d_hi = multipath._curve_delay(s, coeff, hi)
+    lo, hi, *shape = curve
+    d_lo = multipath._curve_delay(*shape, lo)
+    d_hi = multipath._curve_delay(*shape, hi)
     status = (lo < hi) * np.where(
         d_lo + fiber_terms - budget <= 0.0, _CLAMPED,
         np.where(d_hi + fiber_terms - budget <= 0.0, _ROOTED, _SKIPPED))
@@ -117,12 +121,22 @@ def _critical_densities(s, fiber_terms, budget, scheme):
     # input whose root is then dropped; the clip keeps a rounded root
     # inside the bracket, a valid scenario
     root = multipath._curve_density(
-        s, coeff, np.where(rooted, budget - fiber_terms, d_hi)).clip(
+        *shape, np.where(rooted, budget - fiber_terms, d_hi)).clip(
             lo, math.nextafter(hi, 0.0))
     lam = np.where(rooted, root, np.where(status == _CLAMPED, lo, 0.0))
     residual = np.where(rooted, abs(
-        multipath._curve_delay(s, coeff, root) + fiber_terms - budget), 0.0)
+        multipath._curve_delay(*shape, root) + fiber_terms - budget), 0.0)
     return lam, residual, status
+
+
+@functools.lru_cache(maxsize=_SOLVE_CACHE_SIZE)
+def _critical_density(curve, fiber_term, budget):
+    # one cache size's _critical_densities as Python scalars, keyed on
+    # every input it reads: a density sweep's rows share the curve, the
+    # fiber-miss term and the budget, and two cache sizes may share a
+    # fiber-miss term, so the pair is built by the caller
+    lam, residual, status = _critical_densities(curve, fiber_term, budget)
+    return float(lam), float(residual), int(status)
 
 
 def critical_edc_density(s, psi, budget, scheme=MULTIPATH):
@@ -138,15 +152,14 @@ def critical_edc_density(s, psi, budget, scheme=MULTIPATH):
     """
     if not 1 <= psi <= s.k_total:
         raise ValueError(f"psi {psi} outside [1, {s.k_total}]")
+    curve = multipath._curve(s, scheme)
     fiber_term = latency.fiber_delay(s) * (
         1.0 - hit_probability(zipf(s.beta, s.k_total), psi))
-    lam, residual, status = _critical_densities(s, fiber_term, budget,
-                                                scheme)
+    lam, residual, status = _critical_density(curve, fiber_term, budget)
     if status == _SKIPPED:
         return None
-    return FeasiblePair(psi=psi, lambda_e_crit=float(lam),
-                        residual=float(residual),
-                        at_lower_bound=bool(status == _CLAMPED))
+    return FeasiblePair(psi=psi, lambda_e_crit=lam, residual=residual,
+                        at_lower_bound=status == _CLAMPED)
 
 
 def optimize_cache_density(s, em, scheme=MULTIPATH):
@@ -173,9 +186,8 @@ def optimize_cache_density(s, em, scheme=MULTIPATH):
     budget = reduced_delay_budget(s)
     if budget <= 0.0:
         raise NoFeasiblePairError(budget)
-    fiber_terms = _fiber_terms(s)
-    lam, residual, status = _critical_densities(s, fiber_terms, budget,
-                                                scheme)
+    lam, residual, status = _critical_densities(
+        multipath._curve(s, scheme), _fiber_terms(s), budget)
     feasible = status != _SKIPPED
     if not feasible.any():
         raise NoFeasiblePairError(budget)

@@ -9,6 +9,7 @@ or ``p_s_dbm``.
 
 import hashlib
 import math
+import operator
 import warnings
 from dataclasses import dataclass, fields, replace
 
@@ -321,8 +322,12 @@ def scenario_to_config(s):
     return {name: getattr(s, name) for name in _FIELD_NAMES}
 
 
+# the hash payload "name=value,..." over _FIELD_NAMES, each value as .17g
+_HASH_TEMPLATE = ",".join(f"{name}=%.17g" for name in _FIELD_NAMES)
+_hash_values = operator.attrgetter(*_FIELD_NAMES)
+
+
 def scenario_hash(s):
     """Short content hash over the SI parameter values."""
-    payload = ",".join(
-        f"{name}={getattr(s, name):.17g}" for name in _FIELD_NAMES)
+    payload = _HASH_TEMPLATE % _hash_values(s)
     return hashlib.sha256(payload.encode()).hexdigest()[:12]

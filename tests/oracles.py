@@ -3,14 +3,16 @@
 ``find_root_monotone`` is the bracketing oracle for the optimiser's
 closed-form critical density; ``per_packet_path_delay`` is the scalar
 reference for the backhaul delay of one relay chain; ``gamma_fn`` and
-``erf_fn`` are contract-checked wrappers over ``math``.
+``erf_fn`` are contract-checked wrappers over ``math``;
+``scenario_hash_payload`` is the text ``scenario_hash`` digests, built
+field by field.
 """
 
 import math
 
 from scipy import optimize
 
-from mcrnet import multipath
+from mcrnet import multipath, scenario
 from mcrnet.multipath import CONTINUOUS
 from mcrnet.numerics import NumericsError
 
@@ -83,3 +85,10 @@ def per_packet_path_delay(s, r_p, mode=CONTINUOUS, lambda_e=None):
     p2_first = multipath.mmwave_success_prob(s, tx_power_w=s.p_e)
     return s.tau_mmw * (1.0 / (p1 * p2_first)
                         + (hops - 1) / (p1 * p2_relay))
+
+
+def scenario_hash_payload(s):
+    """``name=value`` over the scenario's sorted SI fields, each value
+    formatted on its own as ``.17g``, joined by commas."""
+    return ",".join(f"{name}={getattr(s, name):.17g}"
+                    for name in scenario._FIELD_NAMES)

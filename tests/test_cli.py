@@ -18,6 +18,7 @@ from mcrnet.multipath import MULTIPATH, SCHEMES, SINGLE_PATH
 from mcrnet.optimizer import FeasiblePair
 from mcrnet.popularity import zipf
 from mcrnet.scenario import load_scenario, scenario_hash
+from memos import clear_memos, misses
 
 
 def run_cli(capsys, *argv):
@@ -200,7 +201,7 @@ def _reference_optimize(d_max_ms, scheme, fmt):
         fiber_terms = latency.fiber_delay(s) * (
             1.0 - zipf(s.beta, s.k_total).q.cumsum())
         lam, residual, status = optimizer._critical_densities(
-            s, fiber_terms, budget, scheme)
+            multipath._curve(s, scheme), fiber_terms, budget)
         feasible = [
             FeasiblePair(psi=psi, lambda_e_crit=lam_psi, residual=res_psi,
                          at_lower_bound=st == optimizer._CLAMPED)
@@ -275,7 +276,7 @@ def test_psi_sweep_shares_one_context(capsys, monkeypatch):
     args = cli._parser().parse_args(argv)
     rows = []
     for value in map(float, args.values.split(",")):
-        ctx = cli._build_context(args, ("psi", value))
+        ctx = cli._build_context(args, cli._documents(args), ("psi", value))
         row = {"psi": value, "error": "", **cli._metadata(ctx)}
         for t in targets:
             try:
@@ -293,11 +294,11 @@ def test_psi_sweep_shares_one_context(capsys, monkeypatch):
         return load_scenario(*a, **kw)
 
     monkeypatch.setattr(cli, "load_scenario", counted_load)
-    popularity._zipf_model.cache_clear()
+    clear_memos()
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(loads) == 1
-    assert popularity._zipf_model.cache_info().misses <= 1
+    assert misses(popularity._zipf_model) <= 1
     assert rows[0]["error"] and math.isnan(rows[0]["see_single"])
     assert out.splitlines(keepends=True) == expected.splitlines(keepends=True)
 
@@ -351,6 +352,57 @@ def test_missing_config_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "optimize", "--config", "/no/such/file")
     assert code == 1
     assert "error:" in err
+
+
+SWEEPS = {
+    "psi": ("sweep", "psi", "--values", "10,20"),
+    "density": ("sweep", "lambda_e_per_km2", "--values", "6,10,20"),
+    "beta": ("sweep", "beta", "--values", "0.4,0.8"),
+}
+
+
+@pytest.mark.parametrize("flag", ["--config", "--energy"])
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_unreadable_document_fails_every_sweep(tmp_path, capsys, sweep,
+                                               flag):
+    # read once, before any row: exit 1 and no rows, never a NaN row per
+    # value
+    missing = tmp_path / "missing.cfg"
+    code, out, err = run_cli(capsys, *SWEEPS[sweep], "--targets",
+                             "e_sys,see_multipath", flag, str(missing))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "missing.cfg" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("optimize",), ("validate", "--trials", "10"),
+    SWEEPS["density"] + ("--targets", "e_sys")])
+def test_non_utf8_document_is_usage_error(tmp_path, capsys, argv):
+    doc = tmp_path / "binary.cfg"
+    doc.write_bytes(b"\xff\xfe\x00lambda_e = 1e-5\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(doc))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_sweep_reads_each_document_once(tmp_path, capsys, monkeypatch,
+                                        sweep):
+    reads = []
+
+    def counted_read(path):
+        reads.append(path)
+        return pathlib.Path(path).read_text("utf-8")
+
+    monkeypatch.setattr(cli, "_read_document", counted_read)
+    config, energy = tmp_path / "scenario.cfg", tmp_path / "energy.cfg"
+    config.write_text("b_paths = 2\n")
+    energy.write_text("e_storage = 1.6e7\n")
+    code, out, _ = run_cli(capsys, *SWEEPS[sweep], "--targets", "e_sys",
+                           "--config", str(config), "--energy", str(energy))
+    assert code == 0
+    assert sorted(reads) == sorted([str(config), str(energy)])
+    assert all(not r["error"] for r in parse_csv(out))
 
 
 def test_bad_param_syntax_is_usage_error(capsys):

@@ -16,6 +16,7 @@ from mcrnet.latency import (DelayBreakdown, LatencyError, access_delay,
                             uplink_success_prob)
 from mcrnet.numerics import NumericsError, integrate_semi_infinite
 from mcrnet.scenario import ScenarioError, load_scenario
+from memos import STAGE_CACHES, clear_memos, misses
 
 # frozen module outputs at the documented defaults (regression guards)
 DELI_RHO_DEFAULT = 0.5282701969743324
@@ -386,18 +387,12 @@ def test_deli_monotone_in_threshold():
 
 # --- memoised stage success probabilities ---------------------------------
 
-STAGE_CACHES = (latency._nearest_tx_success, latency._deli_success)
 ANTENNAS_4 = {key: 4 for key in ("nt_u", "nr_m", "nt_m", "nr_e", "nt_s",
                                  "nr_u")}
 
 
-def clear_stage_caches():
-    for cache in STAGE_CACHES:
-        cache.cache_clear()
-
-
 def stage_misses():
-    return sum(cache.cache_info().misses for cache in STAGE_CACHES)
+    return misses(*STAGE_CACHES)
 
 
 def stage_values(s):
@@ -410,7 +405,7 @@ def stage_values(s):
 def test_memoised_stages_equal_fresh_evaluation(overrides):
     s = load_scenario(overrides=overrides)
     before = stage_values(s)
-    clear_stage_caches()
+    clear_memos()
     fresh = stage_values(s)
     assert stage_misses() == 3
     again = stage_values(s)
@@ -436,7 +431,7 @@ def test_edge_density_adds_no_stage_miss():
 
 
 def test_psi_sweep_integrates_each_stage_once(capsys):
-    clear_stage_caches()
+    clear_memos()
     values = ",".join(str(10 * i) for i in range(50))
     code = main(["sweep", "psi", "--values", values,
                  "--targets", ",".join(TARGETS)])
@@ -447,7 +442,7 @@ def test_psi_sweep_integrates_each_stage_once(capsys):
 
 def test_failed_quadrature_is_not_memoised(monkeypatch):
     s = load_scenario()
-    clear_stage_caches()
+    clear_memos()
     monkeypatch.setattr(numerics, "_MAX_SUBDIVISIONS", 1)
     sizes = [cache.cache_info().currsize for cache in STAGE_CACHES]
     for prob_fn in (uplink_success_prob, access_success_prob):

@@ -469,13 +469,14 @@ def test_simulator_reproducible():
 
 def _serial_deli_success(s, trials, seed):
     # the distances as one whole-chunk array; the gains substream in the
-    # oracle's order, each row block's gains and then its far-field draws
+    # oracle's order, each row block's gains and then its far-field draws;
+    # returns the estimate and every trial's serving power and interference
     order = s.nt_m * s.nr_e
     alpha = s.alpha1
     half = alpha / 2.0
     noise = s.nt_m * s.n0 * s.w_mmw / s.p_m * (math.pi * s.lambda_m) ** -half
     far_shape, far_scale = _far_field_gamma(order, alpha)
-    successes = 0
+    successes, signals, interferences = 0, [], []
     chunk, block = montecarlo._DELI_CHUNK, montecarlo._DELI_BLOCK
     for chunk_idx, start in enumerate(range(0, trials, chunk)):
         m = min(chunk, trials - start)
@@ -493,7 +494,23 @@ def _serial_deli_success(s, trials, seed):
         interference = power[:, 1:].sum(axis=1) + far
         ok = power[:, 0] >= s.theta2 * (interference + noise)
         successes += int(np.count_nonzero(ok))
-    return montecarlo._proportion_estimate(successes, trials)
+        signals.append(power[:, 0])
+        interferences.append(interference)
+    return (montecarlo._proportion_estimate(successes, trials),
+            np.concatenate(signals), np.concatenate(interferences))
+
+
+def _oracle_deli_terms(s, trials, seed):
+    # the oracle's per-trial serving power and interference, chunk by
+    # chunk and block by block
+    signals, interferences = [], []
+    chunk = montecarlo._DELI_CHUNK
+    for chunk_idx, start in enumerate(range(0, trials, chunk)):
+        for signal, interference in montecarlo._deli_blocks(
+                s, seed, chunk_idx, min(chunk, trials - start)):
+            signals.append(signal.copy())
+            interferences.append(interference)
+    return np.concatenate(signals), np.concatenate(interferences)
 
 
 def _serial_simulate_backhaul(s, scheme, trials, seed):
@@ -530,11 +547,22 @@ def _chunk_edges(chunk):
     return [1, 2, chunk - 1, chunk, chunk + 1, 3 * chunk + 17]
 
 
+def _assert_deli_oracle_is_serial_reference(s, trials):
+    # bit for bit per trial, not only the success count: a far-field draw
+    # with the right mean and another variance flips few decisions
+    est = _without_warnings(estimate_deli_success, s, trials, SEED)
+    signal, interference = _without_warnings(_oracle_deli_terms, s, trials,
+                                             SEED)
+    ref_est, ref_signal, ref_interference = _serial_deli_success(s, trials,
+                                                                 SEED)
+    assert est == ref_est
+    assert signal.tobytes() == ref_signal.tobytes()
+    assert interference.tobytes() == ref_interference.tobytes()
+
+
 @pytest.mark.parametrize("trials", _chunk_edges(DELI_CHUNK))
 def test_deli_oracle_equals_serial_reference(trials):
-    s = load_scenario()
-    est = _without_warnings(estimate_deli_success, s, trials, SEED)
-    assert est == _serial_deli_success(s, trials, SEED)
+    _assert_deli_oracle_is_serial_reference(load_scenario(), trials)
 
 
 # gain orders 1, 4 (default) and 16, alpha1 at both ends of its range,
@@ -556,9 +584,8 @@ def test_deli_oracle_equals_serial_reference_per_model(monkeypatch, model,
                                                        trials):
     # a small chunk puts every chunk edge within a few thousand trials
     monkeypatch.setattr(montecarlo, "_DELI_CHUNK", SMALL_DELI_CHUNK)
-    s = load_scenario(overrides=DELI_MODELS[model])
-    est = _without_warnings(estimate_deli_success, s, trials, SEED)
-    assert est == _serial_deli_success(s, trials, SEED)
+    _assert_deli_oracle_is_serial_reference(
+        load_scenario(overrides=DELI_MODELS[model]), trials)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcrnet import multipath
 from mcrnet.multipath import (CONTINUOUS, EXACT_CEIL, InfeasiblePlanError,
                               build_plan, buffer_packets,
                               continuous_backhaul_coeff,
@@ -17,6 +19,7 @@ from mcrnet.multipath import (CONTINUOUS, EXACT_CEIL, InfeasiblePlanError,
                               single_path_backhaul_delay)
 from mcrnet.numerics import integrate_semi_infinite
 from mcrnet.scenario import load_scenario, min_edge_density, watt_to_dbm
+from memos import clear_memos, misses
 from oracles import per_packet_path_delay
 
 # frozen closed-form mean distances at lambda_e = 1e-5 per m^2
@@ -401,3 +404,26 @@ def test_bounds_preconditions():
     s = load_scenario()
     with pytest.raises(ValueError, match="b_paths"):
         delay_bounds(s.with_params(b_paths=1))
+
+
+@pytest.mark.parametrize("b", [1, 4, 16, 1000])
+def test_path_sum_matches_mpmath(b):
+    # the sum of S_b's terms stays within 9e-16 relative at b = 1000,
+    # where the Gamma-ratio closed form 2 sqrt(pi) Gamma(b + 1) /
+    # Gamma(b + 1/2) - 2 is 6.5e-13 off
+    with mpmath.workdps(40):
+        ref = float(mpmath.fsum(
+            mpmath.sqrt(mpmath.pi) * mpmath.gamma(p)
+            / mpmath.gamma(p + mpmath.mpf(1) / 2) for p in range(1, b + 1)))
+    assert abs(multipath._path_sum(b) - ref) <= 2e-15 * ref
+
+
+def test_path_sum_is_memoised_on_the_path_count():
+    s = load_scenario()
+    clear_memos()
+    coeffs = [continuous_backhaul_coeff(scen, b)
+              for scen in (s, s.with_params(tau_mmw=2e-5))
+              for b in (4, 1, 4, 1)]
+    assert misses(multipath._path_sum) == 2
+    assert coeffs[0] == coeffs[2] and coeffs[1] == coeffs[3]
+    assert coeffs[4] == pytest.approx(4.0 * coeffs[0], rel=1e-15)

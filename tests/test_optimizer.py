@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcrnet import latency, multipath, optimizer
+from mcrnet import cli, latency, multipath, optimizer
 from mcrnet.energy import load_energy_model, system_energy
 from mcrnet.multipath import MULTIPATH, SCHEMES, SINGLE_PATH
 from mcrnet.optimizer import (FeasiblePair, NoFeasiblePairError,
@@ -12,6 +12,7 @@ from mcrnet.optimizer import (FeasiblePair, NoFeasiblePairError,
                               reduced_delay_budget)
 from mcrnet.popularity import hit_probability, zipf
 from mcrnet.scenario import load_scenario
+from memos import clear_memos, misses
 from oracles import find_root_monotone
 
 # frozen root for psi = 144 at the documented defaults
@@ -262,7 +263,7 @@ def test_cubic_root_matches_root_finder_property(d_max, beta, b_paths,
     fiber_terms = latency.fiber_delay(s) * (
         1.0 - zipf(beta, s.k_total).q.cumsum())
     lam, residual, status = optimizer._critical_densities(
-        s, fiber_terms, budget, MULTIPATH)
+        multipath._curve(s, MULTIPATH), fiber_terms, budget)
     fiber_term = fiber_terms[psi - 1]
 
     def g(x):
@@ -340,7 +341,7 @@ def test_lone_solve_is_the_array_entry_bit_for_bit(scheme, budget_of):
         "zero": 0.0, "negative": -1e-3, "all_clamped": 10.0,
         "fiber_only": float(fiber_terms[143])}[budget_of]
     lam, residual, status = optimizer._critical_densities(
-        s, fiber_terms, budget, scheme)
+        multipath._curve(s, scheme), fiber_terms, budget)
     if budget_of == "all_clamped":
         assert (status == optimizer._CLAMPED).all()
     if budget_of in ("zero", "negative", "fiber_only"):
@@ -348,8 +349,8 @@ def test_lone_solve_is_the_array_entry_bit_for_bit(scheme, budget_of):
     for psi in range(1, s.k_total + 1):
         i = psi - 1
         pair = critical_edc_density(s, psi, budget, scheme)
-        lone = optimizer._critical_densities(s, float(fiber_terms[i]),
-                                             budget, scheme)
+        lone = optimizer._critical_densities(
+            multipath._curve(s, scheme), float(fiber_terms[i]), budget)
         assert [float(v) for v in lone] == [lam[i], residual[i], status[i]]
         if status[i] == optimizer._SKIPPED:
             assert pair is None
@@ -359,3 +360,96 @@ def test_lone_solve_is_the_array_entry_bit_for_bit(scheme, budget_of):
                 psi=psi, lambda_e_crit=lam[i], residual=residual[i],
                 at_lower_bound=bool(status[i] == optimizer._CLAMPED))
 
+
+
+# --- the memoised lone solve ----------------------------------------------
+
+def _pair_bits(pair):
+    # every field of a pair to the bit, the sign of a zero included
+    if pair is None:
+        return None
+    return (pair.psi, pair.lambda_e_crit.hex(), pair.residual.hex(),
+            pair.at_lower_bound)
+
+
+def test_density_sweep_solves_each_scheme_once(capsys):
+    # the swept nominal density enters neither the curve, the budget nor
+    # the fiber-miss term of step 1
+    clear_memos()
+    values = ",".join(str(6 + i) for i in range(50))
+    code = cli.main(["sweep", "lambda_e_per_km2", "--values", values,
+                     "--targets", "see_multipath,see_single"])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 51
+    assert misses(optimizer._critical_density) <= 2
+
+
+def test_memo_does_not_hold_a_cache_size_grid(scenario):
+    # a grid of cache sizes misses on every pass, so a repeated psi sweep
+    # gains nothing that a single run would not
+    budget = reduced_delay_budget(scenario)
+    grid = range(1, 500, 10)
+    clear_memos()
+    for _ in range(2):
+        for psi in grid:
+            critical_edc_density(scenario, psi, budget)
+    info = optimizer._critical_density.cache_info()
+    assert (info.hits, info.misses) == (0, 2 * len(grid))
+    assert info.currsize == info.maxsize == optimizer._SOLVE_CACHE_SIZE
+
+
+@pytest.mark.parametrize("psi,scheme", [
+    (0, MULTIPATH), (501, MULTIPATH), (144, "two-path")])
+def test_bad_psi_or_scheme_raises_before_the_memo(scenario, psi, scheme):
+    clear_memos()
+    with pytest.raises(ValueError):
+        critical_edc_density(scenario, psi, reduced_delay_budget(scenario),
+                             scheme)
+    info = optimizer._critical_density.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(psi=st.integers(1, 60), psi2=st.integers(1, 60),
+       scheme=st.sampled_from(SCHEMES),
+       d_max=st.floats(4e-3, 0.1), beta=st.sampled_from([0.0, 0.8, 40.0]),
+       b_paths=st.integers(1, 16),
+       l_fiber=st.sampled_from([-0.0, 0.0, 1e3, 1e6]),
+       budget_of=st.sampled_from(["reduced", 0.0, -0.0, -1e-3, 10.0]))
+def test_memo_hit_is_the_cold_solve_bit_for_bit_property(
+        psi, psi2, scheme, d_max, beta, b_paths, l_fiber, budget_of):
+    # two solves through one memo against each solved after clearing it.
+    # The second scenario carries the other zero sign of l_fiber, and
+    # ties with the first whenever their fiber-miss terms compare equal:
+    # l_fiber = +-0, or beta = 40, where the running popularity sum is
+    # 1.0 from the second content on
+    base = load_scenario()
+    r_min = math.sqrt(b_paths / (math.pi * base.lambda_e))
+    s = base.with_params(d_max=d_max, beta=beta, b_paths=b_paths,
+                         r_max=max(base.r_max, 1.001 * r_min), k_total=60,
+                         l_fiber=l_fiber)
+    twin = s.with_params(l_fiber=-l_fiber) if l_fiber == 0.0 else s
+    budget = reduced_delay_budget(s) if budget_of == "reduced" else budget_of
+    solves = ((s, psi), (twin, psi2))
+    cold = []
+    for scen, p in solves:
+        clear_memos()
+        cold.append(_pair_bits(critical_edc_density(scen, p, budget, scheme)))
+    clear_memos()
+    warm = [_pair_bits(critical_edc_density(scen, p, budget, scheme))
+            for scen, p in solves]
+    assert warm == cold
+    fiber = [optimizer._fiber_terms(scen)[p - 1] for scen, p in solves]
+    info = optimizer._critical_density.cache_info()
+    assert (info.hits, info.misses) == ((1, 1) if fiber[0] == fiber[1]
+                                        else (0, 2))
+    # and the array path, entry by entry
+    for (scen, p), bits in zip(solves, warm):
+        lam, residual, status = optimizer._critical_densities(
+            multipath._curve(scen, scheme), optimizer._fiber_terms(scen),
+            budget)
+        i = p - 1
+        array_bits = None if status[i] == optimizer._SKIPPED else (
+            p, float(lam[i]).hex(), float(residual[i]).hex(),
+            bool(status[i] == optimizer._CLAMPED))
+        assert bits == array_bits

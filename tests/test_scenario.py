@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mcrnet import scenario
 from mcrnet.energy import ENERGY_KEYS
 from mcrnet.scenario import (MAX_GAIN_ORDER, MAX_K_TOTAL, MEGABYTE,
                              SCENARIO_KEYS, NetworkScenario,
                              ScenarioError, db_to_linear, dbm_to_watt,
                              linear_to_db, load_scenario, min_edge_density,
                              scenario_hash, scenario_to_config, watt_to_dbm)
+from oracles import scenario_hash_payload
 
 
 def test_empty_document_is_all_defaults():
@@ -311,6 +314,28 @@ def test_hash_tracks_values_only():
     assert a.lambda_e == b.lambda_e
     assert scenario_hash(a) == scenario_hash(b)
     assert scenario_hash(a.with_params(lambda_e=2e-5)) != scenario_hash(a)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(l_fiber=st.one_of(st.just(-0.0), st.floats(0.0, 1e12)),
+       theta2=st.floats(min_value=5e-324, max_value=1e300),
+       d_max=st.floats(1e-9, 1e9),
+       b_paths=st.one_of(st.integers(1, 8), st.integers(2 ** 53, 10 ** 200)),
+       k_total=st.integers(1, MAX_K_TOTAL))
+def test_hash_template_is_the_field_by_field_payload_property(
+        l_fiber, theta2, d_max, b_paths, k_total):
+    # one %-template over all fields against each field formatted on its
+    # own: the same text for a negative zero, a subnormal, an int field
+    # and an int beyond a float's 53 bits
+    s = load_scenario().with_params(
+        l_fiber=l_fiber, theta2=theta2, d_max=d_max, b_paths=b_paths,
+        k_total=k_total, r_max=1e150)
+    payload = scenario_hash_payload(s)
+    assert scenario._HASH_TEMPLATE % scenario._hash_values(s) == payload
+    assert scenario_hash(s) == hashlib.sha256(
+        payload.encode()).hexdigest()[:12]
+    if l_fiber == 0.0:
+        assert ("l_fiber=-0," in payload) == (math.copysign(1, l_fiber) < 0)
 
 
 def test_direct_construction_validates():
