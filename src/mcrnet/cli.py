@@ -141,10 +141,9 @@ def _documents(args):
     return _read_document(args.config), _read_document(energy)
 
 
-def _build_context(args, documents, sweep_override=None):
-    """The run's scenario, energy model and cache size: the
-    ``documents`` (from :func:`_documents`), then each ``--param`` key,
-    then the swept key.
+def _overrides(args, sweep_override=None):
+    """Scenario overrides, energy overrides and cache size: each
+    ``--param`` key, then the swept key.
 
     Every command reads the scenario keys, ``sweep`` and ``optimize`` the
     energy keys too, and only ``sweep`` reads ``psi``; any other key is a
@@ -162,10 +161,22 @@ def _build_context(args, documents, sweep_override=None):
             psi = _parse_psi(value)
         else:
             raise UsageError(f"{args.command} reads no key {key!r}")
-    config, energy = documents
+    return scenario_overrides, energy_overrides, psi
+
+
+def _build_context(args, documents, sweep_override=None, energy=None):
+    """The run's scenario, energy model and cache size: the
+    ``documents`` (from :func:`_documents`), then the
+    :func:`_overrides`.  ``energy``, when given, is used in place of
+    building the energy model.
+    """
+    scenario_overrides, energy_overrides, psi = _overrides(args,
+                                                           sweep_override)
+    config, energy_text = documents
     s = load_scenario(config, scenario_overrides)
-    em = load_energy_model(energy, energy_overrides) if reads_energy else None
-    return RunContext(scenario=s, energy=em, psi=psi)
+    if energy is None and args.command != "validate":
+        energy = load_energy_model(energy_text, energy_overrides)
+    return RunContext(scenario=s, energy=energy, psi=psi)
 
 
 def _fmt_value(v):
@@ -237,10 +248,21 @@ def cmd_sweep(args):
             if not 0 <= psi <= k_total:
                 raise UsageError(f"psi {psi} outside [0, {k_total}]")
 
+    shared_energy = None
+    if param != "psi" and param not in ENERGY_KEYS:
+        # the swept value cannot change the energy model, so every row
+        # shares one; an invalid model is left for each row to report
+        try:
+            shared_energy = load_energy_model(documents[1],
+                                              _overrides(args)[1])
+        except ScenarioError:
+            pass
+
     def context(value):
         if param == "psi":
             return replace(base, psi=_parse_psi(value)), base_meta
-        ctx = _build_context(args, documents, sweep_override=(param, value))
+        ctx = _build_context(args, documents, sweep_override=(param, value),
+                             energy=shared_energy)
         return ctx, _metadata(ctx)
 
     def one_row(value):

@@ -12,7 +12,7 @@ Poisson process on the line.  So the k-th nearest squared distance is
 ``Gamma(k, 1) / (pi * lam)``, the nearest is ``Exp(1) / (pi * lam)``,
 and the ordered squared distances are cumulative sums of Exp(1) draws
 over ``pi * lam``; no trial samples a point count or a disc.  The
-delivery oracle samples its 16 nearest macro cells this way and draws
+delivery oracle samples its 8 nearest macro cells this way and draws
 the interference beyond them as one Gamma variable with that shot
 noise's exact mean and variance.
 
@@ -47,15 +47,16 @@ _CHUNK = 50_000
 # macro cells sampled per delivery trial; interference beyond the last
 # is a moment-matched Gamma draw, which biases the estimate far less
 # than its standard error at 1e6 trials
-_DELI_POINTS = 16
+_DELI_POINTS = 8
 # delivery trials per chunk, not derived from _DELI_POINTS: 1e5 trials
 # make four full chunks and a short one, which keep two workers busy to
-# the end; chunks of 5e6 draws (312,500 trials at 16 cells) would hold
+# the end; chunks of 5e6 draws (625,000 trials at 8 cells) would hold
 # them all in one and leave the other worker idle
 _DELI_CHUNK = 24_752
 # delivery trials per row block: a block of distances and one of gains
-# (64 KiB each) stay in cache and are reused across a chunk
-_DELI_BLOCK = 512
+# (8192 float64 values, 64 KiB, each) stay in cache and are reused
+# across a chunk
+_DELI_BLOCK = 8192 // _DELI_POINTS
 # CPUs this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -207,7 +208,7 @@ def estimate_access_success(s, trials=1_000_000, seed=0):
 def estimate_deli_success(s, trials=1_000_000, seed=0):
     """Oracle for the routing-info delivery success probability.
 
-    Each trial takes the 16 (``_DELI_POINTS``) nearest macro cells,
+    Each trial takes the 8 (``_DELI_POINTS``) nearest macro cells,
     serves from the nearest and treats the others as interferers, each
     link with an independent Gamma(order, 1) aggregate gain.  In distance
     order the values ``t = pi * lambda_m * r**2`` are the arrivals of a
@@ -228,16 +229,16 @@ def estimate_deli_success(s, trials=1_000_000, seed=0):
     and ``theta = (order + 1) * (alpha - 2) / (2 * (alpha - 1)) * t_K**-a``.
     Against the 202 nearest cells (the mean count of a disc of radius
     ``8 / sqrt(lambda_m)``) with the mean beyond them, 4e6 paired trials
-    put the bias at 2.7e-5 or less, within 1.1 paired standard errors
-    (4e-5) of 0, at orders 1, 4 and 16, at ``alpha`` 2.2, 2.5 and 6 and
-    on a noise-limited link; the standard error at 1e6 trials is about
-    5e-4.  The mean alone in place of the draw biases it by -2.0e-4 at
-    order 1.
+    put the bias at 9.6e-5 or less, within 1.7 paired standard errors
+    (at most 6.2e-5) of 0, at orders 1, 4 and 16, at ``alpha`` 2.2, 2.5
+    and 6 and on a noise-limited link; the standard error at 1e6 trials
+    is about 5e-4.  The mean alone in place of the draw biases it by
+    -7.1e-4 at order 1.
 
-    A chunk draws its ``(m, 16)`` Exp(1) distances from substream
+    A chunk draws its ``(m, 8)`` Exp(1) distances from substream
     ``(seed, 2, chunk, 0)`` and its gains from ``(seed, 2, chunk, 1)``,
     both in blocks of ``_DELI_BLOCK`` trials: the distances are those of
-    one ``(m, 16)`` array; each block takes its ``(n, 16)`` gains and
+    one ``(m, 8)`` array; each block takes its ``(n, 8)`` gains and
     then its ``n`` far-field Gamma(k) draws from the gains substream, so
     no chunk-sized array is held.
 
@@ -270,13 +271,8 @@ def _deli_blocks(s, seed, chunk_idx, m):
     arrays per ``_DELI_BLOCK`` row block, ``signal`` a view that the next
     block overwrites."""
     order = s.nt_m * s.nr_e
-    alpha = s.alpha1
-    half = alpha / 2.0
-    # far-field Gamma shape per unit t_K and scale per unit t_K**-a, each
-    # a product of finite ratios for every alpha > 2
-    far_shape = (4.0 * order / (order + 1.0) * ((alpha - 1.0) / (alpha - 2.0))
-                 / (alpha - 2.0))
-    far_scale = (order + 1.0) / 2.0 * ((alpha - 2.0) / (alpha - 1.0))
+    half = s.alpha1 / 2.0
+    far_shape, far_scale = _far_field_gamma(order, s.alpha1)
     dist_rng = substream(seed, 2, chunk_idx, 0)
     gains_rng = substream(seed, 2, chunk_idx, 1)
     t = np.empty((min(m, _DELI_BLOCK), _DELI_POINTS))
@@ -292,6 +288,15 @@ def _deli_blocks(s, seed, chunk_idx, m):
         pb *= np.power(tb, -half, out=tb)
         fb *= far_scale * tb[:, -1]
         yield pb[:, 0], pb[:, 1:].sum(axis=1) + fb
+
+
+def _far_field_gamma(order, alpha):
+    """Shape per unit ``t_K`` and scale per unit ``t_K**(-alpha/2)`` of
+    the delivery oracle's far-field Gamma draw, each a product of finite
+    ratios for every ``alpha > 2``."""
+    shape = (4.0 * order / (order + 1.0) * ((alpha - 1.0) / (alpha - 2.0))
+             / (alpha - 2.0))
+    return shape, (order + 1.0) / 2.0 * ((alpha - 2.0) / (alpha - 1.0))
 
 
 def estimate_shadowing_success(s, trials=1_000_000, seed=0):

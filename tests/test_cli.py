@@ -405,6 +405,46 @@ def test_sweep_reads_each_document_once(tmp_path, capsys, monkeypatch,
     assert all(not r["error"] for r in parse_csv(out))
 
 
+def test_sweep_over_energy_key_moves_e_sys(capsys):
+    # each row builds its own energy model from the swept value
+    values = (4e6, 8e6, 1.6e7)
+    code, out, _ = run_cli(capsys, "sweep", "e_storage", "--values",
+                           ",".join(map(str, values)), "--targets", "e_sys")
+    assert code == 0
+    s = load_scenario()
+    e_sys = [float(r["e_sys"]) for r in parse_csv(out)]
+    assert e_sys == [system_energy(s, load_energy_model(
+        None, {"e_storage": v}), cli.DEFAULT_PSI).total for v in values]
+    assert e_sys[0] < e_sys[1] < e_sys[2]
+
+
+@pytest.mark.parametrize("sweep", ["density", "beta"])
+def test_sweep_over_scenario_key_builds_one_energy_model(capsys, monkeypatch,
+                                                         sweep):
+    built = []
+
+    def counted_load(*args):
+        built.append(args)
+        return load_energy_model(*args)
+
+    monkeypatch.setattr(cli, "load_energy_model", counted_load)
+    code, out, _ = run_cli(capsys, *SWEEPS[sweep], "--targets", "e_sys",
+                           "--param", "e_storage=1.6e7")
+    assert code == 0 and len(built) == 1
+    assert all(not r["error"] for r in parse_csv(out))
+
+
+def test_invalid_energy_model_is_an_error_in_every_sweep_row(capsys):
+    # the last row's scenario fails first, as when each row built both
+    code, out, _ = run_cli_without_warnings(
+        capsys, "sweep", "lambda_e_per_km2", "--values", "10,20,70",
+        "--targets", "e_sys", "--param", "e_storage=-1")
+    assert code == 0
+    errors = [r["error"] for r in parse_csv(out)]
+    assert errors[:2] == ["constraint violated: e_storage >= 0"] * 2
+    assert "lambda_e" in errors[2] and "e_storage" not in errors[2]
+
+
 def test_bad_param_syntax_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "sweep", "psi", "--values", "1",
                            "--targets", "p_in_edc", "--param", "psi:3")

@@ -8,6 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from mcrnet import latency, montecarlo, multipath
@@ -18,7 +20,7 @@ from mcrnet.montecarlo import (McEstimate, estimate_access_success,
                                kth_nearest_distances, proportion_z,
                                simulate_backhaul, substream)
 from mcrnet.multipath import EXACT_CEIL, MULTIPATH, SCHEMES, SINGLE_PATH
-from mcrnet.scenario import ScenarioError, load_scenario
+from mcrnet.scenario import MAX_GAIN_ORDER, ScenarioError, load_scenario
 
 SEED = 1234
 DELI_CHUNK = montecarlo._DELI_CHUNK
@@ -232,7 +234,7 @@ class _FixedDistanceChunk:
                                          (4, 2.2), (4, 6.0)])
 def test_deli_far_field_matches_shot_noise_moments(monkeypatch, order,
                                                    alpha):
-    t_k, trials = 16.0, 200_000
+    t_k, trials = float(montecarlo._DELI_POINTS), 200_000
     mean, var = _far_field_moments(order, alpha, t_k)
     s = load_scenario(overrides={"nt_m": 1, "nr_e": order, "alpha1": alpha})
 
@@ -270,6 +272,22 @@ def test_deli_far_field_matches_shot_noise_moments(monkeypatch, order,
     fourth = ((shot - shot.mean()) ** 4).mean()
     assert (abs(shot.var(ddof=1) - window_var)
             <= 4.0 * math.sqrt((fourth - window_var ** 2) / tails))
+
+
+@settings(max_examples=300, deadline=None)
+@given(order=st.integers(1, MAX_GAIN_ORDER),
+       alpha=st.floats(2.0, sys.float_info.max, exclude_min=True))
+@example(order=1, alpha=math.nextafter(2.0, 3.0))
+@example(order=MAX_GAIN_ORDER, alpha=math.nextafter(2.0, 3.0))
+@example(order=1, alpha=sys.float_info.max)
+@example(order=MAX_GAIN_ORDER, alpha=sys.float_info.max)
+def test_deli_far_field_coefficients_finite_and_positive(order, alpha):
+    # every gain order and path-loss exponent the scenario accepts
+    s = load_scenario(overrides={"nt_m": 1, "nr_e": order, "alpha1": alpha})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coefficients = montecarlo._far_field_gamma(s.nt_m * s.nr_e, s.alpha1)
+    assert all(math.isfinite(c) and c > 0.0 for c in coefficients)
 
 
 def test_deli_oracle_names_noise_overflow():
@@ -575,15 +593,19 @@ DELI_MODELS = {
     "alpha6": {"alpha1": 6.0},
     "noisy": {"n0": 4e-15},
 }
-SMALL_DELI_CHUNK = 990  # two row blocks: 512 + 478
+SMALL_DELI_CHUNK = 990
+SMALL_DELI_BLOCK = 512  # two row blocks per small chunk: 512 + 478
 
 
 @pytest.mark.parametrize("trials", _chunk_edges(SMALL_DELI_CHUNK))
 @pytest.mark.parametrize("model", DELI_MODELS)
 def test_deli_oracle_equals_serial_reference_per_model(monkeypatch, model,
                                                        trials):
-    # a small chunk puts every chunk edge within a few thousand trials
+    # a small chunk puts every chunk edge within a few thousand trials;
+    # test_deli_oracle_equals_serial_reference covers the oracle's own
+    # row block
     monkeypatch.setattr(montecarlo, "_DELI_CHUNK", SMALL_DELI_CHUNK)
+    monkeypatch.setattr(montecarlo, "_DELI_BLOCK", SMALL_DELI_BLOCK)
     _assert_deli_oracle_is_serial_reference(
         load_scenario(overrides=DELI_MODELS[model]), trials)
 
