@@ -23,6 +23,8 @@ import pathlib
 import sys
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import latency, montecarlo, multipath, optimizer
 from .energy import ENERGY_KEYS, load_energy_model, system_energy
 from .multipath import MULTIPATH, SCHEMES, SINGLE_PATH
@@ -59,6 +61,15 @@ def _fiber_miss(ctx):
     return latency.fiber_delay(ctx.scenario) * (1.0 - _p_hit(ctx))
 
 
+def _no_density(ctx, budget):
+    """The error of a cache size that no density in the bracket serves."""
+    lo, hi = multipath.density_bracket(ctx.scenario)
+    return RuntimeError(
+        f"no feasible density for psi={ctx.psi}: reduced budget "
+        f"{budget:.4g} s, fiber-miss term {_fiber_miss(ctx):.4g} s, "
+        f"searched [{lo:.4g}, {hi:.4g}] per m^2")
+
+
 def _see(ctx, scheme):
     """Service effective energy at the critical density for this cache
     size: the delay budget binds exactly, so the QoS gate is 1 and the
@@ -68,11 +79,7 @@ def _see(ctx, scheme):
     budget = optimizer.reduced_delay_budget(s)
     pair = optimizer.critical_edc_density(s, ctx.psi, budget, scheme)
     if pair is None:
-        lo, hi = multipath.density_bracket(s)
-        raise RuntimeError(
-            f"no feasible density for psi={ctx.psi}: reduced budget "
-            f"{budget:.4g} s, fiber-miss term {_fiber_miss(ctx):.4g} s, "
-            f"searched [{lo:.4g}, {hi:.4g}] per m^2")
+        raise _no_density(ctx, budget)
     return system_energy(s, ctx.energy, ctx.psi,
                          lambda_e=pair.lambda_e_crit).total
 
@@ -109,6 +116,76 @@ TARGETS = {
     "see_multipath": lambda ctx: _see(ctx, MULTIPATH),
     "see_single": lambda ctx: _see(ctx, SINGLE_PATH),
 }
+# the targets that read no cache size, so a psi sweep evaluates each once
+_PSI_FREE_TARGETS = frozenset({
+    "fiber_delay", "uplink_delay", "deli_delay", "access_delay",
+    "backhaul_delay_multipath", "backhaul_delay_single", "backhaul_gain",
+    "backhaul_delay_bmax", "delay_lower_bound", "delay_upper_bound"})
+_SEE_SCHEMES = {"see_multipath": MULTIPATH, "see_single": SINGLE_PATH}
+
+
+def _cell(target, ctx):
+    """``(value, error)`` of one target: its value and ``None``, or NaN
+    and the message of what it raised."""
+    try:
+        return float(TARGETS[target](ctx)), None
+    except Exception as exc:
+        return math.nan, str(exc)
+
+
+def _see_column(ctx, psis, target):
+    """The ``_cell`` of a ``see_*`` target at each cache size of ``psis``.
+
+    The sizes in ``[1, k_total]`` share one ``optimizer._critical_energies``
+    pass, whose entries have the bits of ``_see``'s lone solves; any other
+    size takes ``_see`` itself, which names it.
+    """
+    s = ctx.scenario
+    sizes = [psi for psi in psis if 1 <= psi <= s.k_total]
+    try:
+        budget = optimizer.reduced_delay_budget(s)
+        _, _, status, e_sys = optimizer._critical_energies(
+            s, ctx.energy, np.array(sizes, dtype=np.int64), budget,
+            _SEE_SCHEMES[target])
+    except Exception as exc:
+        # what _see raises at every size it would solve
+        solved = [(math.nan, str(exc))] * len(sizes)
+    else:
+        solved = [(math.nan, str(_no_density(replace(ctx, psi=psi), budget)))
+                  if st == optimizer._SKIPPED else (e, None)
+                  for psi, st, e in zip(sizes, status.tolist(),
+                                        e_sys.tolist())]
+    solved = iter(solved)
+    return [next(solved) if 1 <= psi <= s.k_total
+            else _cell(target, replace(ctx, psi=psi)) for psi in psis]
+
+
+def _psi_columns(ctx, psis, targets):
+    """Each distinct target's ``_cell`` at every cache size of ``psis``,
+    all on the shared context ``ctx``: a psi-free target is evaluated
+    once, a ``see_*`` target in one array pass, any other per size."""
+    distinct = dict.fromkeys(targets)
+    columns = {t: [_cell(t, ctx)] * len(psis)
+               for t in distinct if t in _PSI_FREE_TARGETS}
+    columns.update((t, _see_column(ctx, psis, t))
+                   for t in distinct if t in _SEE_SCHEMES)
+    per_size = [t for t in distinct if t not in columns]
+    if per_size:
+        sized = [replace(ctx, psi=psi) for psi in psis]
+        columns.update((t, [_cell(t, c) for c in sized]) for t in per_size)
+    return columns
+
+
+def _row(param, value, meta, cells):
+    """A sweep row: the swept value, the error cell, the metadata, then
+    each ``(target, (value, error))`` of ``cells`` in turn; the error
+    cell holds the message of the last target that failed."""
+    row = {param: value, "error": "", **meta}
+    for t, (v, error) in cells:
+        row[t] = v
+        if error is not None:
+            row["error"] = error
+    return row
 
 
 def _parse_psi(value):
@@ -222,6 +299,11 @@ def _metadata(ctx):
 
 
 def cmd_sweep(args):
+    """One row per grid value: the swept value, the metadata and each
+    target; a target that raises leaves NaN in its cell and its message
+    in the row's error cell.  A psi sweep shares one context and
+    evaluates its targets as columns (:func:`_psi_rows`); any other
+    sweep builds each row's own context (:func:`_value_rows`)."""
     try:
         grid = tuple(float(v) for v in args.values.split(","))
     except ValueError:
@@ -237,19 +319,35 @@ def cmd_sweep(args):
             f"unknown targets {unknown}; available: {sorted(TARGETS)}")
     documents = _documents(args)
     if param == "psi":
-        # the grid moves only the cache size: every row shares one context
-        # and its metadata, and every value is checked against its
-        # scenario before any row is evaluated
-        base = _build_context(args, documents)
-        base_meta = _metadata(base)
-        k_total = base.scenario.k_total
-        for value in grid:
-            psi = _parse_psi(value)
-            if not 0 <= psi <= k_total:
-                raise UsageError(f"psi {psi} outside [0, {k_total}]")
+        rows = _psi_rows(args, documents, grid, targets)
+    else:
+        rows = _value_rows(args, documents, param, grid, targets)
+    columns = [param] + targets + ["scenario_hash", "assumed_defaults",
+                                   "error"]
+    _emit(rows, columns, args.format, args.out)
+    return 0
 
+
+def _psi_rows(args, documents, grid, targets):
+    # the grid moves only the cache size: every row shares one context
+    # and its metadata, and every value is checked against its scenario
+    # before any target is evaluated
+    ctx = _build_context(args, documents)
+    k_total = ctx.scenario.k_total
+    psis = []
+    for value in grid:
+        psis.append(_parse_psi(value))
+        if not 0 <= psis[-1] <= k_total:
+            raise UsageError(f"psi {psis[-1]} outside [0, {k_total}]")
+    columns = _psi_columns(ctx, psis, targets)
+    meta = _metadata(ctx)
+    return [_row("psi", value, meta, ((t, columns[t][i]) for t in targets))
+            for i, value in enumerate(grid)]
+
+
+def _value_rows(args, documents, param, grid, targets):
     shared_energy = None
-    if param != "psi" and param not in ENERGY_KEYS:
+    if param not in ENERGY_KEYS:
         # the swept value cannot change the energy model, so every row
         # shares one; an invalid model is left for each row to report
         try:
@@ -258,38 +356,20 @@ def cmd_sweep(args):
         except ScenarioError:
             pass
 
-    def context(value):
-        if param == "psi":
-            return replace(base, psi=_parse_psi(value)), base_meta
-        ctx = _build_context(args, documents, sweep_override=(param, value),
-                             energy=shared_energy)
-        return ctx, _metadata(ctx)
-
     def one_row(value):
-        row = {param: value, "error": ""}
         try:
-            ctx, meta = context(value)
+            ctx = _build_context(args, documents,
+                                 sweep_override=(param, value),
+                                 energy=shared_energy)
         except UsageError:
             raise
         except Exception as exc:  # row-level failure, run continues
-            row["error"] = str(exc)
-            for t in targets:
-                row[t] = math.nan
-            return row
-        row.update(meta)
-        for t in targets:
-            try:
-                row[t] = float(TARGETS[t](ctx))
-            except Exception as exc:
-                row[t] = math.nan
-                row["error"] = str(exc)
-        return row
+            return _row(param, value, {},
+                        ((t, (math.nan, str(exc))) for t in targets))
+        return _row(param, value, _metadata(ctx),
+                    ((t, _cell(t, ctx)) for t in targets))
 
-    rows = [one_row(v) for v in grid]
-    columns = [param] + targets + ["scenario_hash", "assumed_defaults",
-                                   "error"]
-    _emit(rows, columns, args.format, args.out)
-    return 0
+    return [one_row(v) for v in grid]
 
 
 def cmd_optimize(args):

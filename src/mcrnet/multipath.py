@@ -84,15 +84,28 @@ def mmwave_link_margin(s, tx_power_w=None):
     data center.
     """
     tx = s.p_s if tx_power_w is None else tx_power_w
-    return (watt_to_dbm(tx) - watt_to_dbm(s.theta4)
-            - watt_to_dbm(s.n0 * s.w_mmw)
-            - 70.0 - 20.0 * math.log10(s.r_mmw))
+    return _link_margin(tx, s.theta4, s.n0, s.w_mmw, s.r_mmw)
+
+
+def _link_margin(tx, theta4, n0, w_mmw, r_mmw):
+    # mmwave_link_margin from the scalars it reads
+    return (watt_to_dbm(tx) - watt_to_dbm(theta4) - watt_to_dbm(n0 * w_mmw)
+            - 70.0 - 20.0 * math.log10(r_mmw))
 
 
 def mmwave_success_prob(s, tx_power_w=None):
     """Per-slot mmWave link success under log-normal shadowing."""
-    f = mmwave_link_margin(s, tx_power_w)
-    return 0.5 * (1.0 + math.erf(f / (math.sqrt(2.0) * s.sigma_db)))
+    tx = s.p_s if tx_power_w is None else tx_power_w
+    return _mmwave_success(tx, s.theta4, s.n0, s.w_mmw, s.r_mmw, s.sigma_db)
+
+
+# a density sweep's rows ask for two transmit powers, the SBS and the edge
+# node, a dozen times each
+@functools.lru_cache(maxsize=128)
+def _mmwave_success(tx, theta4, n0, w_mmw, r_mmw, sigma_db):
+    # mmwave_success_prob, memoised on every scalar it reads
+    f = _link_margin(tx, theta4, n0, w_mmw, r_mmw)
+    return 0.5 * (1.0 + math.erf(f / (math.sqrt(2.0) * sigma_db)))
 
 
 def _link_success(s, tx_power_w=None):

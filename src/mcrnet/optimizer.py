@@ -3,13 +3,15 @@
 Step 1 turns the delay budget into a per-cache-size critical edge
 density: the cache size fixes the fiber-miss term, and the density whose
 continuous backhaul delay fills the rest of the budget comes from the
-closed-form inverse in ``multipath``: one array call for every size, or
-one scalar call for a lone size, through the same code.  A lone solve is
-memoised on the scalars it reads (the curve, the fiber-miss term and the
-budget), so the rows of a sweep that moves none of them solve once.
-Step 2 scores all feasible pairs in one array evaluation of the areal
-system energy and takes its minimum.  Denser deployments also meet the
-budget but always cost more energy, so only critical pairs need scoring.
+closed-form inverse in ``multipath``: one array call for many sizes
+(every size for ``optimize_cache_density``, a psi sweep's grid for the
+command line), or one scalar call for a lone size, through the same
+code.  A lone solve is memoised on the scalars it reads (the curve, the
+fiber-miss term and the budget), so the rows of a sweep that moves none
+of them solve once.  Step 2 scores the feasible pairs of an array call
+in one array evaluation of the areal system energy; the optimiser takes
+its minimum.  Denser deployments also meet the budget but always cost
+more energy, so only critical pairs need scoring.
 """
 
 import functools
@@ -91,10 +93,13 @@ def reduced_delay_budget(s):
             - latency.access_delay(s))
 
 
-def _fiber_terms(s):
-    # fiber-miss delay of every cache size; the running sum gives each the
-    # bits of popularity.hit_probability, so sweep targets agree with it
-    return latency.fiber_delay(s) * (1.0 - zipf(s.beta, s.k_total).cum)
+def _fiber_terms(s, psi=None):
+    # fiber-miss delay of each cache size in the int array psi (default
+    # every size); the running sum gives each the bits of
+    # popularity.hit_probability, so sweep targets agree with it
+    cum = zipf(s.beta, s.k_total).cum
+    return latency.fiber_delay(s) * (1.0 - (cum if psi is None
+                                            else cum[psi - 1]))
 
 
 def _critical_densities(curve, fiber_terms, budget):
@@ -127,6 +132,24 @@ def _critical_densities(curve, fiber_terms, budget):
     residual = np.where(rooted, abs(
         multipath._curve_delay(*shape, root) + fiber_terms - budget), 0.0)
     return lam, residual, status
+
+
+def _critical_energies(s, em, psi, budget, scheme):
+    """Step 1 for the cache sizes in the int array ``psi``, scored.
+
+    Returns ``(lam, residual, status, e_sys)``, each shaped like ``psi``:
+    :func:`_critical_densities` of each size's fiber-miss term, and the
+    areal system energy at its critical density (NaN where ``_SKIPPED``).
+    Every entry has the bits of a lone solve of its size, so a subset of
+    ``1..k_total`` reads what ``optimize_cache_density`` reads there.
+    """
+    lam, residual, status = _critical_densities(
+        multipath._curve(s, scheme), _fiber_terms(s, psi), budget)
+    feasible = status != _SKIPPED
+    e_sys = np.full(psi.shape, np.nan)
+    e_sys[feasible] = system_energy(s, em, psi[feasible],
+                                    lambda_e=lam[feasible]).total
+    return lam, residual, status, e_sys
 
 
 @functools.lru_cache(maxsize=_SOLVE_CACHE_SIZE)
@@ -165,10 +188,10 @@ def critical_edc_density(s, psi, budget, scheme=MULTIPATH):
 def optimize_cache_density(s, em, scheme=MULTIPATH):
     """Minimise areal system energy over feasible (psi, density) pairs.
 
-    Solves every cache size's critical density in one pass (skipping
-    sizes whose fiber-miss term already busts the budget or that need a
-    denser deployment than allowed), scores the feasible pairs in one
-    ``system_energy`` evaluation and returns the energy-minimising pair.
+    Solves every cache size's critical density and scores the feasible
+    pairs in one :func:`_critical_energies` pass (skipping sizes whose
+    fiber-miss term already busts the budget or that need a denser
+    deployment than allowed) and returns the energy-minimising pair.
     Ties break towards the smaller cache size.
 
     Parameters
@@ -186,15 +209,15 @@ def optimize_cache_density(s, em, scheme=MULTIPATH):
     budget = reduced_delay_budget(s)
     if budget <= 0.0:
         raise NoFeasiblePairError(budget)
-    lam, residual, status = _critical_densities(
-        multipath._curve(s, scheme), _fiber_terms(s), budget)
+    psi = np.arange(1, s.k_total + 1)
+    lam, residual, status, e_sys = _critical_energies(s, em, psi, budget,
+                                                      scheme)
     feasible = status != _SKIPPED
     if not feasible.any():
         raise NoFeasiblePairError(budget)
-    psi = np.flatnonzero(feasible) + 1
-    lam, residual = lam[feasible], residual[feasible]
+    psi, lam, residual, e_sys = (psi[feasible], lam[feasible],
+                                 residual[feasible], e_sys[feasible])
     at_lower_bound = status[feasible] == _CLAMPED
-    e_sys = system_energy(s, em, psi, lambda_e=lam).total
     # psi increases along the columns, so the first minimum is the
     # smallest cache size among equal energies
     best = int(e_sys.argmin())

@@ -6,9 +6,9 @@ from mcrnet import latency, multipath, optimizer, popularity
 # the fixed-stage success probabilities
 STAGE_CACHES = (latency._nearest_tx_success, latency._deli_success)
 # every memo: the stages, the popularity model, the lone critical-density
-# solve and the path sum S_b
+# solve, the path sum S_b and the mmWave per-slot success
 MEMOS = STAGE_CACHES + (popularity._zipf_model, optimizer._critical_density,
-                        multipath._path_sum)
+                        multipath._path_sum, multipath._mmwave_success)
 
 
 def clear_memos():

@@ -1,3 +1,5 @@
+import collections
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +11,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcrnet
 from mcrnet import cli, latency, multipath, optimizer, popularity
@@ -265,6 +269,28 @@ def test_optimize_csv_blocks_join_to_the_reference(capsys, monkeypatch,
     assert out.splitlines(keepends=True) == expected.splitlines(keepends=True)
 
 
+def _reference_sweep(argv):
+    """Output of ``mcrnet sweep`` built one row at a time: each row from
+    its own context, each target through ``cli.TARGETS`` (for a see_*
+    target, one lone critical-density solve), the error cell holding the
+    message of the last target that failed."""
+    args = cli._parser().parse_args(argv)
+    param, targets = args.sweep_param, args.targets.split(",")
+    rows = []
+    for value in map(float, args.values.split(",")):
+        ctx = cli._build_context(args, cli._documents(args), (param, value))
+        row = {param: value, "error": "", **cli._metadata(ctx)}
+        for t in targets:
+            try:
+                row[t] = float(cli.TARGETS[t](ctx))
+            except Exception as exc:
+                row[t], row["error"] = math.nan, str(exc)
+        rows.append(row)
+    return _reference_text(
+        rows, [param] + targets + ["scenario_hash", "assumed_defaults",
+                                   "error"], args.format)
+
+
 def test_psi_sweep_shares_one_context(capsys, monkeypatch):
     # 50 rows, psi 0 among them (its see_* cells fail), at a budget that
     # skips some sizes: one scenario load, one popularity model, and the
@@ -273,20 +299,8 @@ def test_psi_sweep_shares_one_context(capsys, monkeypatch):
                "e_sys", "see_multipath", "see_single"]
     argv = ["sweep", "psi", "--values", ",".join(map(str, range(0, 500, 10))),
             "--targets", ",".join(targets), "--param", "d_max_ms=12"]
-    args = cli._parser().parse_args(argv)
-    rows = []
-    for value in map(float, args.values.split(",")):
-        ctx = cli._build_context(args, cli._documents(args), ("psi", value))
-        row = {"psi": value, "error": "", **cli._metadata(ctx)}
-        for t in targets:
-            try:
-                row[t] = float(cli.TARGETS[t](ctx))
-            except Exception as exc:
-                row[t], row["error"] = math.nan, str(exc)
-        rows.append(row)
-    expected = _reference_text(
-        rows, ["psi"] + targets + ["scenario_hash", "assumed_defaults",
-                                   "error"], "csv")
+    expected = _reference_sweep(argv)
+    rows = parse_csv(expected)
     loads = []
 
     def counted_load(*a, **kw):
@@ -299,8 +313,91 @@ def test_psi_sweep_shares_one_context(capsys, monkeypatch):
     assert code == 0
     assert len(loads) == 1
     assert misses(popularity._zipf_model) <= 1
-    assert rows[0]["error"] and math.isnan(rows[0]["see_single"])
+    assert rows[0]["error"] and math.isnan(float(rows[0]["see_single"]))
     assert out.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sizes=st.sets(st.integers(0, 500), min_size=1, max_size=12),
+       descending=st.booleans(),
+       targets=st.lists(st.sampled_from(sorted(cli.TARGETS)), min_size=1,
+                        max_size=8),
+       d_max_ms=st.sampled_from(["1", "4", "12", "20", "100"]),
+       b_paths=st.sampled_from(["1", "4"]),
+       fmt=st.sampled_from(["csv", "json"]))
+def test_psi_sweep_equals_row_wise_reference_property(
+        sizes, descending, targets, d_max_ms, b_paths, fmt):
+    # any grid of the library's sizes, psi 0 included, in either order;
+    # repeated targets in any order; budgets that no size, some sizes or
+    # every size meets; a path count at which the bounds fail
+    argv = ["sweep", "psi",
+            "--values", ",".join(map(str, sorted(sizes, reverse=descending))),
+            "--targets", ",".join(targets), "--param", f"d_max_ms={d_max_ms}",
+            "--param", f"b_paths={b_paths}", "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == _reference_sweep(argv)
+
+
+@pytest.mark.parametrize("values", [range(1, 500, 10), range(1, 501)],
+                         ids=["50_rows", "500_rows"])
+def test_psi_sweep_solves_see_targets_as_columns(capsys, monkeypatch,
+                                                 values):
+    # no lone solve, one array pass per scheme, and the psi-free bounds
+    # evaluated once per target whatever the grid length
+    calls = collections.Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(optimizer, "critical_edc_density")
+    counted(optimizer, "_critical_energies")
+    counted(multipath, "delay_bounds")
+    code, out, _ = run_cli(capsys, "sweep", "psi",
+                           "--values", ",".join(map(str, values)),
+                           "--targets", ",".join(cli.TARGETS))
+    assert code == 0 and len(parse_csv(out)) == len(values)
+    assert calls == collections.Counter(_critical_energies=2, delay_bounds=2)
+    assert calls["critical_edc_density"] == 0
+
+
+BOUNDS_ERROR = ("bounds need 1 < b_paths <= lambda_e * pi * r_max^2 "
+                "(got b_paths=1)")
+# the see_* errors of psi 0, 1, 144 and 300 at b_paths=1 and d_max_ms=12
+SEE_ERRORS = [
+    "psi 0 outside [1, 500]",
+    "no feasible density for psi=1: reduced budget 0.009681 s, fiber-miss "
+    "term 0.009224 s, searched [5e-06, 5e-05] per m^2",
+    "no feasible density for psi=144: reduced budget 0.009681 s, "
+    "fiber-miss term 0.002957 s, searched [5e-06, 5e-05] per m^2",
+    None]
+
+
+@pytest.mark.parametrize("bounds_first", [True, False])
+def test_psi_sweep_error_cell_holds_the_last_failure(capsys, bounds_first):
+    # delay_lower_bound fails on every row, the see_* targets where psi is
+    # 0 or skipped: the error cell names whichever failed last
+    see = ["see_multipath", "see_single"]
+    targets = ["delay_lower_bound"] + see if bounds_first else (
+        see + ["delay_lower_bound"])
+    code, out, _ = run_cli(capsys, "sweep", "psi", "--values", "0,1,144,300",
+                           "--targets", ",".join(targets),
+                           "--param", "b_paths=1", "--param", "d_max_ms=12")
+    assert code == 0
+    rows = parse_csv(out)
+    assert [r["error"] for r in rows] == (
+        [e or BOUNDS_ERROR for e in SEE_ERRORS] if bounds_first
+        else [BOUNDS_ERROR] * 4)
+    assert all(r["delay_lower_bound"] == "nan" for r in rows)
+    assert [r["see_single"] for r in rows] == [
+        "nan", "nan", "nan", "2585951.5234037484"]
 
 
 def test_reused_parser_starts_each_call_fresh(capsys):

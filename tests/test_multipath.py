@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcrnet import multipath
+from mcrnet.cli import TARGETS, main
 from mcrnet.multipath import (CONTINUOUS, EXACT_CEIL, InfeasiblePlanError,
                               build_plan, buffer_packets,
                               continuous_backhaul_coeff,
@@ -427,3 +428,30 @@ def test_path_sum_is_memoised_on_the_path_count():
     assert misses(multipath._path_sum) == 2
     assert coeffs[0] == coeffs[2] and coeffs[1] == coeffs[3]
     assert coeffs[4] == pytest.approx(4.0 * coeffs[0], rel=1e-15)
+
+
+POSITIVE = st.floats(min_value=1e-18, max_value=1e6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(tx=POSITIVE, theta4=POSITIVE, n0=POSITIVE, w_mmw=POSITIVE,
+       r_mmw=POSITIVE, sigma_db=st.floats(min_value=1e-3, max_value=50.0))
+def test_memoised_mmwave_success_equals_uncached_property(
+        tx, theta4, n0, w_mmw, r_mmw, sigma_db):
+    args = (tx, theta4, n0, w_mmw, r_mmw, sigma_db)
+    fresh = multipath._mmwave_success.__wrapped__(*args)
+    assert multipath._mmwave_success(*args) == fresh
+    assert multipath._mmwave_success(*args) == fresh
+    assert 0.0 <= fresh <= 1.0
+
+
+def test_mmwave_success_is_memoised_on_its_scalars(capsys):
+    # a density sweep moves none of the link's inputs: one miss for the
+    # SBS transmit power and at most one for the edge node's
+    values = ",".join(format(v, ".17g") for v in np.linspace(6.0, 49.0, 50))
+    clear_memos()
+    code = main(["sweep", "lambda_e_per_km2", "--values", values,
+                 "--targets", ",".join(TARGETS)])
+    capsys.readouterr()
+    assert code == 0
+    assert 1 <= misses(multipath._mmwave_success) <= 2

@@ -385,8 +385,9 @@ def test_density_sweep_solves_each_scheme_once(capsys):
 
 
 def test_memo_does_not_hold_a_cache_size_grid(scenario):
-    # a grid of cache sizes misses on every pass, so a repeated psi sweep
-    # gains nothing that a single run would not
+    # a grid of cache sizes misses on every pass, so an API caller that
+    # solves sizes one at a time gains nothing from a repeat (a psi sweep
+    # solves its grid in one array pass and never asks the memo)
     budget = reduced_delay_budget(scenario)
     grid = range(1, 500, 10)
     clear_memos()
