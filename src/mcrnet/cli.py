@@ -14,9 +14,7 @@ optimisation, 3 validation failures present.
 """
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import pathlib
@@ -34,7 +32,7 @@ from .scenario import (SCENARIO_KEYS, ScenarioError, load_scenario,
                        scenario_hash)
 
 DEFAULT_PSI = 144
-# rows of optimize's CSV formatted and written at a time
+# rows of CSV formatted and written at a time
 _CSV_BLOCK_ROWS = 4096
 
 
@@ -61,12 +59,12 @@ def _fiber_miss(ctx):
     return latency.fiber_delay(ctx.scenario) * (1.0 - _p_hit(ctx))
 
 
-def _no_density(ctx, budget):
+def _no_density(s, psi, budget, fiber_miss):
     """The error of a cache size that no density in the bracket serves."""
-    lo, hi = multipath.density_bracket(ctx.scenario)
+    lo, hi = multipath.density_bracket(s)
     return RuntimeError(
-        f"no feasible density for psi={ctx.psi}: reduced budget "
-        f"{budget:.4g} s, fiber-miss term {_fiber_miss(ctx):.4g} s, "
+        f"no feasible density for psi={psi}: reduced budget "
+        f"{budget:.4g} s, fiber-miss term {fiber_miss:.4g} s, "
         f"searched [{lo:.4g}, {hi:.4g}] per m^2")
 
 
@@ -79,11 +77,14 @@ def _see(ctx, scheme):
     budget = optimizer.reduced_delay_budget(s)
     pair = optimizer.critical_edc_density(s, ctx.psi, budget, scheme)
     if pair is None:
-        raise _no_density(ctx, budget)
+        raise _no_density(s, ctx.psi, budget, _fiber_miss(ctx))
     return system_energy(s, ctx.energy, ctx.psi,
                          lambda_e=pair.lambda_e_crit).total
 
 
+# a target that reads psi, but for the see_* targets, also takes a context
+# whose psi is an int array of cache sizes and returns one value per size,
+# so a psi sweep evaluates it once for its whole grid
 TARGETS = {
     "p_in_edc": _p_hit,
     "fiber_delay": lambda ctx: latency.fiber_delay(ctx.scenario),
@@ -133,46 +134,78 @@ def _cell(target, ctx):
         return math.nan, str(exc)
 
 
-def _see_column(ctx, psis, target):
-    """The ``_cell`` of a ``see_*`` target at each cache size of ``psis``.
+def _array_cells(target, ctx):
+    """The ``_cell`` of a target at each cache size of ``ctx.psi``, from
+    one evaluation on the whole array: its entries, or its error in
+    every cell."""
+    try:
+        values = TARGETS[target](ctx)
+    except Exception as exc:
+        return [(math.nan, str(exc))] * len(ctx.psi)
+    return [(v, None) for v in values.tolist()]
 
-    The sizes in ``[1, k_total]`` share one ``optimizer._critical_energies``
-    pass, whose entries have the bits of ``_see``'s lone solves; any other
-    size takes ``_see`` itself, which names it.
+
+def _latency_cells(ctx):
+    """``total_latency_multipath`` at each cache size of ``ctx.psi``.
+
+    Rounding carries the running sum of a full library past 1, where
+    ``latency.total_latency`` rejects the hit probability: such a size
+    takes that error, unless the backhaul delay (evaluated first) fails,
+    and the others share one array evaluation.
     """
-    s = ctx.scenario
-    sizes = [psi for psi in psis if 1 <= psi <= s.k_total]
+    over = _p_hit(ctx) > 1.0
+    if not over.any():
+        return _array_cells("total_latency_multipath", ctx)
+    cells = iter(_array_cells("total_latency_multipath",
+                              replace(ctx, psi=ctx.psi[~over])))
+    return [_cell("total_latency_multipath", replace(ctx, psi=int(psi)))
+            if past else next(cells)
+            for psi, past in zip(ctx.psi.tolist(), over.tolist())]
+
+
+def _see_cells(ctx, target):
+    """The ``_cell`` of a ``see_*`` target at each cache size of
+    ``ctx.psi``, all in ``[0, k_total]``.
+
+    The sizes from 1 share one ``optimizer._critical_energies`` pass,
+    whose entries have the bits of ``_see``'s lone solves; psi 0 takes
+    ``_see`` itself, which names it.
+    """
+    s, psi = ctx.scenario, ctx.psi
+    solved = psi > 0
     try:
         budget = optimizer.reduced_delay_budget(s)
         _, _, status, e_sys = optimizer._critical_energies(
-            s, ctx.energy, np.array(sizes, dtype=np.int64), budget,
-            _SEE_SCHEMES[target])
+            s, ctx.energy, psi[solved], budget, _SEE_SCHEMES[target])
     except Exception as exc:
         # what _see raises at every size it would solve
-        solved = [(math.nan, str(exc))] * len(sizes)
+        cells = [(math.nan, str(exc))] * np.count_nonzero(solved)
     else:
-        solved = [(math.nan, str(_no_density(replace(ctx, psi=psi), budget)))
-                  if st == optimizer._SKIPPED else (e, None)
-                  for psi, st, e in zip(sizes, status.tolist(),
-                                        e_sys.tolist())]
-    solved = iter(solved)
-    return [next(solved) if 1 <= psi <= s.k_total
-            else _cell(target, replace(ctx, psi=psi)) for psi in psis]
+        fiber_miss = _fiber_miss(ctx)[solved].tolist()
+        cells = [(math.nan, str(_no_density(s, p, budget, f)))
+                 if st == optimizer._SKIPPED else (e, None)
+                 for p, f, st, e in zip(psi[solved].tolist(), fiber_miss,
+                                        status.tolist(), e_sys.tolist())]
+    cells = iter(cells)
+    return [next(cells) if p else _cell(target, replace(ctx, psi=0))
+            for p in psi.tolist()]
 
 
 def _psi_columns(ctx, psis, targets):
     """Each distinct target's ``_cell`` at every cache size of ``psis``,
-    all on the shared context ``ctx``: a psi-free target is evaluated
-    once, a ``see_*`` target in one array pass, any other per size."""
-    distinct = dict.fromkeys(targets)
-    columns = {t: [_cell(t, ctx)] * len(psis)
-               for t in distinct if t in _PSI_FREE_TARGETS}
-    columns.update((t, _see_column(ctx, psis, t))
-                   for t in distinct if t in _SEE_SCHEMES)
-    per_size = [t for t in distinct if t not in columns]
-    if per_size:
-        sized = [replace(ctx, psi=psi) for psi in psis]
-        columns.update((t, [_cell(t, c) for c in sized]) for t in per_size)
+    on the shared context ``ctx``: a target that reads no cache size is
+    evaluated once, any other on the sizes as one array."""
+    sized = replace(ctx, psi=np.array(psis, dtype=np.int64))
+    columns = {}
+    for t in dict.fromkeys(targets):
+        if t in _PSI_FREE_TARGETS:
+            columns[t] = [_cell(t, ctx)] * len(psis)
+        elif t in _SEE_SCHEMES:
+            columns[t] = _see_cells(sized, t)
+        elif t == "total_latency_multipath":
+            columns[t] = _latency_cells(sized)
+        else:
+            columns[t] = _array_cells(t, sized)
     return columns
 
 
@@ -256,26 +289,69 @@ def _build_context(args, documents, sweep_override=None, energy=None):
     return RunContext(scenario=s, energy=energy, psi=psi)
 
 
-def _fmt_value(v):
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+def _csv_quoted(text):
+    # csv.writer's minimal quoting: a cell holding the delimiter, the
+    # quote character or the line terminator
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _csv_text(rows):
-    """Lines of CSV, each row's cells quoted as ``csv.writer`` needs."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+def _csv_cells(cells):
+    """The CSV text of each cell of one column block, as ``csv.writer``
+    writes a float formatted ``.17g`` and any other value as ``str``.
+
+    A column of floats formats each distinct value once, in one ``%``
+    over a template (when no value repeats, those texts are the
+    column's); 0.0 and -0.0 are one key, so a column that repeats a
+    value and holds a zero formats its zeros on their own.  A column of
+    strings quotes each distinct string once.
+    """
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        distinct = tuple(dict.fromkeys(cells))
+        texts = ("%.17g," * len(distinct) % distinct).split(",")
+        if len(distinct) == len(cells):
+            return texts[:-1]
+        texts = dict(zip(distinct, texts))
+        out = list(map(texts.__getitem__, cells))
+        if 0.0 in texts:
+            out = [t if v else "%.17g" % v for t, v in zip(out, cells)]
+        return out
+    if kinds <= {int, bool}:
+        return [str(v) for v in cells]
+    if kinds == {str}:
+        texts = {v: _csv_quoted(v) for v in dict.fromkeys(cells)}
+        return list(map(texts.__getitem__, cells))
+    return [_csv_quoted("%.17g" % v if isinstance(v, float) else str(v))
+            for v in cells]
+
+
+def _csv_lines(columns):
+    # the rows of equal-length columns of cell texts, one line each;
+    # csv.writer quotes the empty cell of a one-column row
+    if len(columns) == 1:
+        columns = [['""' if t == "" else t for t in columns[0]]]
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
+def _csv_blocks(names, columns):
+    """The bytes ``csv.writer`` writes for a header row ``names`` and
+    equal-length ``columns`` of cells: one text for the header, then one
+    per block of ``_CSV_BLOCK_ROWS`` rows, so a long table never sits in
+    memory as one string."""
+    yield _csv_lines([[_csv_quoted(name)] for name in names])
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        yield _csv_lines([_csv_cells(col[start:start + _CSV_BLOCK_ROWS])
+                          for col in columns])
 
 
 def _emit(rows, columns, fmt, out):
     if fmt == "json":
         _write([json.dumps(rows, indent=2) + "\n"], out)
     else:
-        _write([_csv_text([columns] + [[_fmt_value(row.get(c, ""))
-                                        for c in columns] for row in rows])],
-               out)
+        _write(_csv_blocks(columns, [[row.get(c, "") for row in rows]
+                                     for c in columns]), out)
 
 
 def _write(chunks, out):
@@ -406,22 +482,10 @@ def cmd_optimize(args):
         }]
         _emit(payload, [], "json", args.out)
         return 0
-    # every row ends in the same metadata cells and every cell of a
-    # column has one type, so each column slice of a block of rows is
-    # formatted at once and only one block is held as text
-    tail = _csv_text([list(meta.values())])
-
-    def blocks():
-        yield _csv_text([list(columns) + list(meta)])
-        for start in range(0, len(outcome.psi), _CSV_BLOCK_ROWS):
-            cells = [[format(v, ".17g") for v in block]
-                     if isinstance(block[0], float)
-                     else [str(v) for v in block]
-                     for block in (col[start:start + _CSV_BLOCK_ROWS]
-                                   for col in columns.values())]
-            yield "".join(f"{','.join(row)},{tail}" for row in zip(*cells))
-
-    _write(blocks(), args.out)
+    n = len(outcome.psi)
+    _write(_csv_blocks(list(columns) + list(meta),
+                       list(columns.values())
+                       + [[v] * n for v in meta.values()]), args.out)
     return 0
 
 

@@ -223,16 +223,23 @@ def total_latency(s, p_hit, d_bh):
     Parameters
     ----------
     s : NetworkScenario
-    p_hit : float
-        Probability the content is cached at the edge, in [0, 1].
+    p_hit : float or numpy.ndarray
+        Probability the content is cached at the edge, in [0, 1]; an
+        array holds one probability per operating point.
     d_bh : float
         Cooperative backhaul delay in seconds (>= 0).
 
     Returns
     -------
     DelayBreakdown
+        ``d_fiber_term`` and ``total`` are shaped like ``p_hit``, each
+        entry bitwise equal to the scalar call at that probability.
     """
-    if not 0.0 <= p_hit <= 1.0:
+    # checked like energy.system_energy's psi: a scalar as is, an array
+    # at every entry
+    in_range = (0.0 <= p_hit) & (p_hit <= 1.0)
+    if not (in_range.all() if isinstance(in_range, np.ndarray)
+            else in_range):
         raise ValueError(f"p_hit must be in [0, 1], got {p_hit}")
     if d_bh < 0.0:
         raise ValueError(f"d_bh must be >= 0, got {d_bh}")

@@ -73,7 +73,14 @@ def hit_probability(model, psi):
     summed in popularity order: ``model.cum[psi - 1]``, the entry of the
     running sum the optimiser reads for every cache size at once.  0 for
     an empty cache, 1 up to rounding when the whole library fits.
+    ``psi`` may be an int array: each entry of the result is then the
+    probability of the scalar call there.
     """
+    if isinstance(psi, np.ndarray):
+        if not ((0 <= psi) & (psi <= model.k_total)).all():
+            raise ValueError(
+                f"cache size {psi} outside [0, {model.k_total}]")
+        return np.where(psi > 0, model.cum[psi - 1], 0.0)
     if not 0 <= psi <= model.k_total:
         raise ValueError(
             f"cache size {psi} outside [0, {model.k_total}]")

@@ -7,6 +7,7 @@ documents are flat ``key = value`` text where a key is either a field name
 or ``p_s_dbm``.
 """
 
+import functools
 import hashlib
 import math
 import operator
@@ -135,62 +136,87 @@ _GAIN_ORDERS = (("uplink", "nt_u", "nr_m"), ("delivery", "nt_m", "nr_e"),
                 ("access", "nt_s", "nr_u"))
 
 
-def _check(ok, message, *args):
-    # the message is formatted only on failure: a sweep validates a
-    # scenario per row
-    if not ok:
-        raise ScenarioError(f"constraint violated: {message.format(*args)}")
+_float_values = operator.attrgetter(*_FLOAT_FIELDS)
+_int_values = operator.attrgetter(*_INT_FIELDS)
+_DENSITIES = ("lambda_m", "lambda_s", "lambda_u", "lambda_e")
+_densities = operator.attrgetter(*_DENSITIES)
+_POSITIVE_FIELDS = (
+    "p_m", "p_s", "p_e", "p_u", "theta1", "theta2", "theta3", "theta4", "n0",
+    "w_mmw", "tau_mmw", "r_mmw", "sigma_db", "packet_l", "buffer_omega",
+    "v_fiber", "mu", "chi", "r_max", "relay_coeff", "t_ul_req", "t_dl_deli",
+    "t_dl_as", "d_max")
+_positive_values = operator.attrgetter(*_POSITIVE_FIELDS)
+_is_positive = functools.partial(operator.lt, 0.0)
+
+
+def _is_count(value):
+    return isinstance(value, int) and value >= 1
+
+
+def _fail(message, *args):
+    raise ScenarioError(f"constraint violated: {message.format(*args)}")
+
+
+def _first(names, values, holds):
+    # the first of names whose value fails holds
+    return next(n for n, v in zip(names, values) if not holds(v))
 
 
 def _validate(s):
+    # each group of like constraints is tested in one pass over its
+    # fields, and a message is formatted only for the first constraint
+    # that fails, in the order below: a sweep validates a scenario per row
+    floats = _float_values(s)
     # an infinite or NaN value overflows or divides by zero downstream
-    for name in _FLOAT_FIELDS:
-        _check(math.isfinite(getattr(s, name)), "{} finite", name)
-    for name in ("lambda_m", "lambda_s", "lambda_u", "lambda_e"):
-        _check(getattr(s, name) > 0, "{} > 0", name)
-    _check(s.lambda_m < s.lambda_e < s.lambda_s,
-           "lambda_m < lambda_e < lambda_s (got {:g}, {:g}, {:g} per m^2)",
-           s.lambda_m, s.lambda_e, s.lambda_s)
-    _check(s.p_m > s.p_s > s.p_u, "p_m > p_s > p_u (got {:g}, {:g}, {:g} W)",
-           s.p_m, s.p_s, s.p_u)
-    for name in ("p_m", "p_s", "p_e", "p_u", "theta1", "theta2", "theta3",
-                 "theta4", "n0", "w_mmw", "tau_mmw", "r_mmw", "sigma_db",
-                 "packet_l", "buffer_omega", "v_fiber", "mu", "chi", "r_max",
-                 "relay_coeff", "t_ul_req", "t_dl_deli", "t_dl_as", "d_max"):
-        _check(getattr(s, name) > 0, "{} > 0", name)
+    if not all(map(math.isfinite, floats)):
+        _fail("{} finite", _first(_FLOAT_FIELDS, floats, math.isfinite))
+    densities = _densities(s)
+    if not all(map(_is_positive, densities)):
+        _fail("{} > 0", _first(_DENSITIES, densities, _is_positive))
+    if not s.lambda_m < s.lambda_e < s.lambda_s:
+        _fail("lambda_m < lambda_e < lambda_s (got {:g}, {:g}, {:g} per m^2)",
+              s.lambda_m, s.lambda_e, s.lambda_s)
+    if not s.p_m > s.p_s > s.p_u:
+        _fail("p_m > p_s > p_u (got {:g}, {:g}, {:g} W)", s.p_m, s.p_s, s.p_u)
+    positive = _positive_values(s)
+    if not all(map(_is_positive, positive)):
+        _fail("{} > 0", _first(_POSITIVE_FIELDS, positive, _is_positive))
     # the largest relay factor any density above lambda_m can reach
-    _check(math.isfinite(s.relay_coeff * s.lambda_s / s.lambda_m),
-           "relay_coeff * lambda_s / lambda_m finite "
-           "(got relay_coeff = {:g})", s.relay_coeff)
-    _check(s.l_fiber >= 0, "l_fiber >= 0")
-    _check(s.mu > s.chi * s.lambda_u,
-           "mu > chi * lambda_u (queue stability; arrival rate {:g} 1/s vs "
-           "service rate {:g} 1/s)", s.chi * s.lambda_u, s.mu)
-    for name in _INT_FIELDS:
-        value = getattr(s, name)
-        _check(isinstance(value, int) and value >= 1, "{} integer >= 1",
-               name)
+    if not math.isfinite(s.relay_coeff * s.lambda_s / s.lambda_m):
+        _fail("relay_coeff * lambda_s / lambda_m finite "
+              "(got relay_coeff = {:g})", s.relay_coeff)
+    if not s.l_fiber >= 0:
+        _fail("l_fiber >= 0")
+    if not s.mu > s.chi * s.lambda_u:
+        _fail("mu > chi * lambda_u (queue stability; arrival rate {:g} 1/s "
+              "vs service rate {:g} 1/s)", s.chi * s.lambda_u, s.mu)
+    counts = _int_values(s)
+    if not all(map(_is_count, counts)):
+        _fail("{} integer >= 1", _first(_INT_FIELDS, counts, _is_count))
     for stage, tx, rx in _GAIN_ORDERS:
         order = getattr(s, tx) * getattr(s, rx)
-        _check(order <= MAX_GAIN_ORDER,
-               "{} * {} <= {} (the {} aggregate gain order; every stage "
-               "shares the bound of the delivery series, whose cost is "
-               "quadratic in it; got {:g})",
-               tx, rx, MAX_GAIN_ORDER, stage, order)
-    _check(s.k_total <= MAX_K_TOTAL,
-           "k_total <= {} (the popularity model holds one probability per "
-           "content; got {:g})", MAX_K_TOTAL, s.k_total)
+        if order > MAX_GAIN_ORDER:
+            _fail("{} * {} <= {} (the {} aggregate gain order; every "
+                  "stage shares the bound of the delivery series, whose "
+                  "cost is quadratic in it; got {:g})",
+                  tx, rx, MAX_GAIN_ORDER, stage, order)
+    if s.k_total > MAX_K_TOTAL:
+        _fail("k_total <= {} (the popularity model holds one probability "
+              "per content; got {:g})", MAX_K_TOTAL, s.k_total)
     # r_max * r_max overflows to inf where r_max ** 2 would raise
     disc = s.lambda_e * math.pi * s.r_max * s.r_max
-    _check(math.isfinite(disc),
-           "lambda_e * pi * r_max^2 finite (got r_max = {:g} m)", s.r_max)
-    _check(s.b_paths <= disc,
-           "b_paths <= lambda_e * pi * r_max^2 (got {} > {:g})",
-           s.b_paths, disc)
-    _check(s.alpha1 > 2, "alpha1 > 2")
+    if not math.isfinite(disc):
+        _fail("lambda_e * pi * r_max^2 finite (got r_max = {:g} m)", s.r_max)
+    if not s.b_paths <= disc:
+        _fail("b_paths <= lambda_e * pi * r_max^2 (got {} > {:g})",
+              s.b_paths, disc)
+    if not s.alpha1 > 2:
+        _fail("alpha1 > 2")
     # free-space alpha2 == 2 is the line-of-sight default for the access hop
-    _check(s.alpha2 >= 2, "alpha2 >= 2")
-    _check(s.beta >= 0, "beta >= 0")
+    if not s.alpha2 >= 2:
+        _fail("alpha2 >= 2")
+    if not s.beta >= 0:
+        _fail("beta >= 0")
 
 
 def min_edge_density(s):
@@ -322,12 +348,37 @@ def scenario_to_config(s):
     return {name: getattr(s, name) for name in _FIELD_NAMES}
 
 
-# the hash payload "name=value,..." over _FIELD_NAMES, each value as .17g
-_HASH_TEMPLATE = ",".join(f"{name}=%.17g" for name in _FIELD_NAMES)
+class _FieldText(dict):
+    """``{value: "name=value"}`` of one hash field, the value as ``.17g``.
+
+    It holds the field's last nonzero value only: the scenarios of a
+    sweep's rows share all but a few values, and a zero is never kept,
+    as 0.0 and -0.0 are one key but not one text.
+    """
+
+    __slots__ = ("template",)
+
+    def __init__(self, name):
+        super().__init__()
+        self.template = f"{name}=%.17g"
+
+    def __missing__(self, value):
+        text = self.template % value
+        self.clear()
+        if value:
+            self[value] = text
+        return text
+
+
+_FIELD_TEXTS = tuple(map(_FieldText, _FIELD_NAMES))
 _hash_values = operator.attrgetter(*_FIELD_NAMES)
+
+
+def _hash_payload(s):
+    # "name=value,..." over _FIELD_NAMES
+    return ",".join(map(operator.getitem, _FIELD_TEXTS, _hash_values(s)))
 
 
 def scenario_hash(s):
     """Short content hash over the SI parameter values."""
-    payload = _HASH_TEMPLATE % _hash_values(s)
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+    return hashlib.sha256(_hash_payload(s).encode()).hexdigest()[:12]

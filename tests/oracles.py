@@ -5,9 +5,13 @@ closed-form critical density; ``per_packet_path_delay`` is the scalar
 reference for the backhaul delay of one relay chain; ``gamma_fn`` and
 ``erf_fn`` are contract-checked wrappers over ``math``;
 ``scenario_hash_payload`` is the text ``scenario_hash`` digests, built
-field by field.
+field by field; ``csv_text`` is the command line's CSV written a cell at
+a time through ``csv.writer``; ``validate_scenario`` checks a scenario's
+constraints one field at a time, each message formatted on failure.
 """
 
+import csv
+import io
 import math
 
 from scipy import optimize
@@ -15,6 +19,7 @@ from scipy import optimize
 from mcrnet import multipath, scenario
 from mcrnet.multipath import CONTINUOUS
 from mcrnet.numerics import NumericsError
+from mcrnet.scenario import MAX_GAIN_ORDER, MAX_K_TOTAL, ScenarioError
 
 
 def gamma_fn(x):
@@ -92,3 +97,67 @@ def scenario_hash_payload(s):
     formatted on its own as ``.17g``, joined by commas."""
     return ",".join(f"{name}={getattr(s, name):.17g}"
                     for name in scenario._FIELD_NAMES)
+
+
+def csv_text(header, rows):
+    """CSV of the cell lists ``header`` and ``rows``: a float cell as
+    ``.17g``, any other as ``str``, each row through ``csv.writer``."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [format(v, ".17g") if isinstance(v, float) else str(v) for v in row]
+        for row in [header] + list(rows))
+    return buf.getvalue()
+
+
+def _check(ok, message, *args):
+    if not ok:
+        raise ScenarioError(f"constraint violated: {message.format(*args)}")
+
+
+def validate_scenario(s):
+    """Raise the ``ScenarioError`` of the first constraint ``s`` breaks,
+    checking one field or relation at a time."""
+    for name in scenario._FLOAT_FIELDS:
+        _check(math.isfinite(getattr(s, name)), "{} finite", name)
+    for name in ("lambda_m", "lambda_s", "lambda_u", "lambda_e"):
+        _check(getattr(s, name) > 0, "{} > 0", name)
+    _check(s.lambda_m < s.lambda_e < s.lambda_s,
+           "lambda_m < lambda_e < lambda_s (got {:g}, {:g}, {:g} per m^2)",
+           s.lambda_m, s.lambda_e, s.lambda_s)
+    _check(s.p_m > s.p_s > s.p_u, "p_m > p_s > p_u (got {:g}, {:g}, {:g} W)",
+           s.p_m, s.p_s, s.p_u)
+    for name in ("p_m", "p_s", "p_e", "p_u", "theta1", "theta2", "theta3",
+                 "theta4", "n0", "w_mmw", "tau_mmw", "r_mmw", "sigma_db",
+                 "packet_l", "buffer_omega", "v_fiber", "mu", "chi", "r_max",
+                 "relay_coeff", "t_ul_req", "t_dl_deli", "t_dl_as", "d_max"):
+        _check(getattr(s, name) > 0, "{} > 0", name)
+    _check(math.isfinite(s.relay_coeff * s.lambda_s / s.lambda_m),
+           "relay_coeff * lambda_s / lambda_m finite "
+           "(got relay_coeff = {:g})", s.relay_coeff)
+    _check(s.l_fiber >= 0, "l_fiber >= 0")
+    _check(s.mu > s.chi * s.lambda_u,
+           "mu > chi * lambda_u (queue stability; arrival rate {:g} 1/s vs "
+           "service rate {:g} 1/s)", s.chi * s.lambda_u, s.mu)
+    for name in scenario._INT_FIELDS:
+        value = getattr(s, name)
+        _check(isinstance(value, int) and value >= 1, "{} integer >= 1",
+               name)
+    for stage, tx, rx in scenario._GAIN_ORDERS:
+        order = getattr(s, tx) * getattr(s, rx)
+        _check(order <= MAX_GAIN_ORDER,
+               "{} * {} <= {} (the {} aggregate gain order; every stage "
+               "shares the bound of the delivery series, whose cost is "
+               "quadratic in it; got {:g})",
+               tx, rx, MAX_GAIN_ORDER, stage, order)
+    _check(s.k_total <= MAX_K_TOTAL,
+           "k_total <= {} (the popularity model holds one probability per "
+           "content; got {:g})", MAX_K_TOTAL, s.k_total)
+    disc = s.lambda_e * math.pi * s.r_max * s.r_max
+    _check(math.isfinite(disc),
+           "lambda_e * pi * r_max^2 finite (got r_max = {:g} m)", s.r_max)
+    _check(s.b_paths <= disc,
+           "b_paths <= lambda_e * pi * r_max^2 (got {} > {:g})",
+           s.b_paths, disc)
+    _check(s.alpha1 > 2, "alpha1 > 2")
+    _check(s.alpha2 >= 2, "alpha2 >= 2")
+    _check(s.beta >= 0, "beta >= 0")

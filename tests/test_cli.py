@@ -9,7 +9,10 @@ import pathlib
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,7 @@ from mcrnet.optimizer import FeasiblePair
 from mcrnet.popularity import zipf
 from mcrnet.scenario import load_scenario, scenario_hash
 from memos import clear_memos, misses
+from oracles import csv_text
 
 
 def run_cli(capsys, *argv):
@@ -180,13 +184,43 @@ def test_optimize_csv_has_single_best(capsys):
 def _reference_text(rows, columns, fmt):
     if fmt == "json":
         return json.dumps(rows, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([format(v, ".17g") if isinstance(v, float) else str(v)
-                         for v in (row.get(c, "") for c in columns)])
-    return buf.getvalue()
+    return csv_text(columns, ([row.get(c, "") for c in columns]
+                              for row in rows))
+
+
+_CSV_TEXTS = st.text(st.sampled_from('ab ,"\n\r'), max_size=4)
+# each kind of column: floats with the signed zeros, NaN, the infinities,
+# subnormals and values that repeat; ints and bools; strings that need
+# quoting, and empty ones; any mix of these
+_CSV_COLUMNS = {
+    "float": st.one_of(
+        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                         -2.5e-310, 1.0, 0.1, 1e300]),
+        st.floats()),
+    "int": st.one_of(st.booleans(), st.integers(), st.integers(-3, 3)),
+    "str": _CSV_TEXTS,
+}
+_CSV_COLUMNS["mixed"] = st.one_of(*_CSV_COLUMNS.values())
+
+
+@st.composite
+def _csv_tables(draw):
+    rows = draw(st.integers(0, 20))
+    names = draw(st.lists(_CSV_TEXTS, min_size=1, max_size=4))
+    columns = [draw(st.lists(_CSV_COLUMNS[draw(st.sampled_from(
+        sorted(_CSV_COLUMNS)))], min_size=rows, max_size=rows))
+        for _ in names]
+    return names, columns
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, cli._CSV_BLOCK_ROWS])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(table=_csv_tables())
+def test_csv_writer_equals_the_cell_wise_writer_property(table, block_rows):
+    names, columns = table
+    with mock.patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):
+        text = "".join(cli._csv_blocks(names, columns))
+    assert text == csv_text(names, zip(*columns))
 
 
 def _reference_optimize(d_max_ms, scheme, fmt):
@@ -398,6 +432,48 @@ def test_psi_sweep_error_cell_holds_the_last_failure(capsys, bounds_first):
     assert all(r["delay_lower_bound"] == "nan" for r in rows)
     assert [r["see_single"] for r in rows] == [
         "nan", "nan", "nan", "2585951.5234037484"]
+
+
+def test_every_target_is_a_psi_column():
+    # a psi sweep evaluates each target once: one that reads no cache
+    # size on the shared context, a see_* one in one array pass, and any
+    # other on the grid's sizes as one array, which it must return
+    ctx = cli._build_context(cli._parser().parse_args(
+        ["sweep", "psi", "--values", "1", "--targets", "e_sys"]),
+        (None, None))
+    sizes = np.array([0, 1, 144, 500])
+    arrays = set(cli.TARGETS) - cli._PSI_FREE_TARGETS - set(cli._SEE_SCHEMES)
+    assert arrays == {"p_in_edc", "fiber_link_delay",
+                      "total_latency_multipath", "e_sys"}
+    for t in cli._PSI_FREE_TARGETS:
+        assert isinstance(cli.TARGETS[t](replace(ctx, psi=None)), float)
+    for t in arrays:
+        column = cli.TARGETS[t](replace(ctx, psi=sizes))
+        assert column.shape == sizes.shape
+        assert column.tolist() == [cli.TARGETS[t](replace(ctx, psi=psi))
+                                   for psi in sizes.tolist()]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("params,values,failing", [
+    # no backhaul slot ever succeeds: every target that reads the backhaul
+    # fails at every size, and so does each see_* target
+    (["--param", "theta4_dbm=200"], "0,10,144,500", [0, 10, 144, 500]),
+    # rounding carries the full library's hit probability past 1, which
+    # total_latency rejects at psi 9 alone
+    (["--param", "beta=0", "--param", "k_total=9"], "0,3,8,9", [9])],
+    ids=["theta4", "beta0"])
+def test_psi_sweep_with_failing_targets_equals_the_reference(
+        capsys, params, values, failing, fmt):
+    argv = (["sweep", "psi", "--values", values, "--targets",
+             ",".join(cli.TARGETS), "--format", fmt] + params)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines(keepends=True) == (
+        _reference_sweep(argv).splitlines(keepends=True))
+    rows = json.loads(out) if fmt == "json" else parse_csv(out)
+    assert [int(float(r["psi"])) for r in rows
+            if math.isnan(float(r["total_latency_multipath"]))] == failing
 
 
 def test_reused_parser_starts_each_call_fresh(capsys):

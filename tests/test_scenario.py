@@ -2,9 +2,10 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import types
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mcrnet import scenario
@@ -14,7 +15,7 @@ from mcrnet.scenario import (MAX_GAIN_ORDER, MAX_K_TOTAL, MEGABYTE,
                              ScenarioError, db_to_linear, dbm_to_watt,
                              linear_to_db, load_scenario, min_edge_density,
                              scenario_hash, scenario_to_config, watt_to_dbm)
-from oracles import scenario_hash_payload
+from oracles import scenario_hash_payload, validate_scenario
 
 
 def test_empty_document_is_all_defaults():
@@ -85,6 +86,54 @@ def test_constraint_messages(overrides, message):
     with pytest.raises(ScenarioError) as caught:
         load_scenario(overrides=overrides)
     assert str(caught.value) == f"constraint violated: {message}"
+
+
+def _raised(check, s):
+    try:
+        check(s)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_FLOAT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1.0, 2.0, 1e-300, 1e300, math.nan,
+                     math.inf, -math.inf]),
+    st.floats())
+_INT_VALUES = st.one_of(st.integers(-2, 200),
+                        st.integers(10 ** 5, 10 ** 7),
+                        st.sampled_from([2.0, 2.5]))
+
+
+# one override that breaks each constraint after the per-field ones
+_BREAK_ONE = [
+    [("lambda_e", 6e-5)], [("p_s", 100.0)], [("relay_coeff", 1e308)],
+    [("l_fiber", -1.0)], [("mu", 1e4)], [("nt_s", 128), ("nr_u", 129)],
+    [("k_total", 2 * 10 ** 6)], [("r_max", 1e200)], [("b_paths", 9)],
+    [("alpha1", 2.0)], [("alpha2", 1.5)], [("beta", -0.5)]]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(overrides=st.lists(
+    st.one_of(st.tuples(st.sampled_from(scenario._FLOAT_FIELDS),
+                        _FLOAT_VALUES),
+              st.tuples(st.sampled_from(scenario._INT_FIELDS),
+                        _INT_VALUES)),
+    max_size=4))
+def test_validate_raises_the_first_broken_constraint_property(overrides):
+    # the defaults with no, one or several fields set to values that break
+    # any of the constraints: the grouped checks raise what checking one
+    # field at a time raises first, or nothing
+    values = {f.name: f.default for f in dataclasses.fields(NetworkScenario)}
+    values.update(overrides)
+    s = types.SimpleNamespace(**values)
+    assert _raised(scenario._validate, s) == _raised(validate_scenario, s)
+
+
+for _overrides in _BREAK_ONE:
+    test_validate_raises_the_first_broken_constraint_property = example(
+        overrides=_overrides)(
+            test_validate_raises_the_first_broken_constraint_property)
 
 
 @pytest.mark.parametrize("tx,rx", [("nt_u", "nr_m"), ("nt_m", "nr_e"),
@@ -324,18 +373,30 @@ def test_hash_tracks_values_only():
        k_total=st.integers(1, MAX_K_TOTAL))
 def test_hash_template_is_the_field_by_field_payload_property(
         l_fiber, theta2, d_max, b_paths, k_total):
-    # one %-template over all fields against each field formatted on its
-    # own: the same text for a negative zero, a subnormal, an int field
-    # and an int beyond a float's 53 bits
+    # the payload from the per-field texts kept between calls against
+    # each field formatted on its own: the same text for a negative zero,
+    # a subnormal, an int field and an int beyond a float's 53 bits
     s = load_scenario().with_params(
         l_fiber=l_fiber, theta2=theta2, d_max=d_max, b_paths=b_paths,
         k_total=k_total, r_max=1e150)
     payload = scenario_hash_payload(s)
-    assert scenario._HASH_TEMPLATE % scenario._hash_values(s) == payload
+    assert scenario._hash_payload(s) == payload
     assert scenario_hash(s) == hashlib.sha256(
         payload.encode()).hexdigest()[:12]
     if l_fiber == 0.0:
         assert ("l_fiber=-0," in payload) == (math.copysign(1, l_fiber) < 0)
+
+
+def test_hash_keeps_no_text_across_a_zero_sign():
+    # 0.0 and -0.0 are one dict key but two texts; equal values of an int
+    # and a float field share one
+    base = load_scenario()
+    for l_fiber in (0.0, -0.0, -0.0, 0.0, 1e6, 1e6, -0.0):
+        s = base.with_params(l_fiber=l_fiber)
+        assert scenario._hash_payload(s) == scenario_hash_payload(s)
+    for d_max in (2, 2.0, 2):
+        s = base.with_params(d_max=d_max)
+        assert scenario._hash_payload(s) == scenario_hash_payload(s)
 
 
 def test_direct_construction_validates():
