@@ -43,11 +43,13 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class RunContext:
     """Scenario, energy model (``None`` for ``validate``, which reads
-    none) and cache size used to evaluate targets."""
+    none), cache size and edge density (``None`` reads the scenario's)
+    used to evaluate targets."""
 
     scenario: object
     energy: object
     psi: int
+    lambda_e: float = None
 
 
 def _p_hit(ctx):
@@ -57,6 +59,38 @@ def _p_hit(ctx):
 
 def _fiber_miss(ctx):
     return latency.fiber_delay(ctx.scenario) * (1.0 - _p_hit(ctx))
+
+
+def _backhaul(ctx, b=None):
+    return multipath.multipath_backhaul_delay(ctx.scenario, b=b,
+                                              lambda_e=ctx.lambda_e)
+
+
+def _backhaul_gain(ctx):
+    single, multi = _backhaul(ctx, 1), _backhaul(ctx)
+    # inf - inf is NaN without a warning, as Python floats make it
+    with np.errstate(invalid="ignore"):
+        return single - multi
+
+
+def _bmax_backhaul(ctx):
+    """The backhaul delay over as many paths as the density supports
+    within ``r_max``, at most 16; an array of densities takes one call
+    per distinct path count."""
+    s, lam = ctx.scenario, ctx.lambda_e
+
+    def paths(lambda_e):
+        return min(multipath.max_cooperative_paths(lambda_e, s.r_max), 16)
+
+    if lam is None:
+        return _backhaul(ctx, paths(s.lambda_e))
+    counts = np.array([paths(v) for v in lam.tolist()])
+    delay = np.empty(lam.shape)
+    for b in np.unique(counts).tolist():
+        at = counts == b
+        delay[at] = multipath.multipath_backhaul_delay(s, b=b,
+                                                       lambda_e=lam[at])
+    return delay
 
 
 def _no_density(s, psi, budget, fiber_miss):
@@ -83,8 +117,10 @@ def _see(ctx, scheme):
 
 
 # a target that reads psi, but for the see_* targets, also takes a context
-# whose psi is an int array of cache sizes and returns one value per size,
-# so a psi sweep evaluates it once for its whole grid
+# whose psi is an int array of cache sizes, and one that reads the edge
+# density a context whose lambda_e is a float array of densities; each
+# returns one value per entry, so a sweep over either evaluates it once
+# for its whole grid
 TARGETS = {
     "p_in_edc": _p_hit,
     "fiber_delay": lambda ctx: latency.fiber_delay(ctx.scenario),
@@ -92,37 +128,39 @@ TARGETS = {
     "uplink_delay": lambda ctx: latency.uplink_request_delay(ctx.scenario),
     "deli_delay": lambda ctx: latency.deli_delay(ctx.scenario),
     "access_delay": lambda ctx: latency.access_delay(ctx.scenario),
-    "backhaul_delay_multipath":
-        lambda ctx: multipath.multipath_backhaul_delay(ctx.scenario),
-    "backhaul_delay_single":
-        lambda ctx: multipath.single_path_backhaul_delay(ctx.scenario),
-    "backhaul_gain":
-        lambda ctx: (multipath.single_path_backhaul_delay(ctx.scenario)
-                     - multipath.multipath_backhaul_delay(ctx.scenario)),
-    "backhaul_delay_bmax":
-        lambda ctx: multipath.multipath_backhaul_delay(
-            ctx.scenario,
-            b=min(multipath.max_cooperative_paths(
-                ctx.scenario.lambda_e, ctx.scenario.r_max), 16)),
+    "backhaul_delay_multipath": _backhaul,
+    "backhaul_delay_single": lambda ctx: _backhaul(ctx, 1),
+    "backhaul_gain": _backhaul_gain,
+    "backhaul_delay_bmax": _bmax_backhaul,
     "delay_lower_bound":
         lambda ctx: multipath.delay_bounds(ctx.scenario)[0],
     "delay_upper_bound":
         lambda ctx: multipath.delay_bounds(ctx.scenario)[1],
     "total_latency_multipath":
-        lambda ctx: latency.total_latency(
-            ctx.scenario, _p_hit(ctx),
-            multipath.multipath_backhaul_delay(ctx.scenario)).total,
-    "e_sys":
-        lambda ctx: system_energy(ctx.scenario, ctx.energy, ctx.psi).total,
+        lambda ctx: latency.total_latency(ctx.scenario, _p_hit(ctx),
+                                          _backhaul(ctx)).total,
+    "e_sys": lambda ctx: system_energy(ctx.scenario, ctx.energy, ctx.psi,
+                                       lambda_e=ctx.lambda_e).total,
     "see_multipath": lambda ctx: _see(ctx, MULTIPATH),
     "see_single": lambda ctx: _see(ctx, SINGLE_PATH),
 }
-# the targets that read no cache size, so a psi sweep evaluates each once
-_PSI_FREE_TARGETS = frozenset({
-    "fiber_delay", "uplink_delay", "deli_delay", "access_delay",
-    "backhaul_delay_multipath", "backhaul_delay_single", "backhaul_gain",
-    "backhaul_delay_bmax", "delay_lower_bound", "delay_upper_bound"})
+# for each context field a sweep evaluates as columns, the targets that
+# read none of it: the sweep evaluates each of them once
+_FREE_TARGETS = {
+    "psi": frozenset({
+        "fiber_delay", "uplink_delay", "deli_delay", "access_delay",
+        "backhaul_delay_multipath", "backhaul_delay_single", "backhaul_gain",
+        "backhaul_delay_bmax", "delay_lower_bound", "delay_upper_bound"}),
+    # the see_* targets solve for their own density
+    "lambda_e": frozenset({
+        "p_in_edc", "fiber_delay", "fiber_link_delay", "uplink_delay",
+        "deli_delay", "access_delay", "delay_lower_bound",
+        "delay_upper_bound", "see_multipath", "see_single"}),
+}
 _SEE_SCHEMES = {"see_multipath": MULTIPATH, "see_single": SINGLE_PATH}
+# the sweep keys that set the edge density
+_DENSITY_KEYS = frozenset(key for key, (field, _) in SCENARIO_KEYS.items()
+                          if field == "lambda_e")
 
 
 def _cell(target, ctx):
@@ -134,33 +172,15 @@ def _cell(target, ctx):
         return math.nan, str(exc)
 
 
-def _array_cells(target, ctx):
-    """The ``_cell`` of a target at each cache size of ``ctx.psi``, from
-    one evaluation on the whole array: its entries, or its error in
-    every cell."""
+def _array_cells(target, ctx, n):
+    """The ``_cell`` of a target at each of the ``n`` entries of a
+    context's array field, from one evaluation on the whole array: its
+    entries, or its error in every cell."""
     try:
         values = TARGETS[target](ctx)
     except Exception as exc:
-        return [(math.nan, str(exc))] * len(ctx.psi)
+        return [(math.nan, str(exc))] * n
     return [(v, None) for v in values.tolist()]
-
-
-def _latency_cells(ctx):
-    """``total_latency_multipath`` at each cache size of ``ctx.psi``.
-
-    Rounding carries the running sum of a full library past 1, where
-    ``latency.total_latency`` rejects the hit probability: such a size
-    takes that error, unless the backhaul delay (evaluated first) fails,
-    and the others share one array evaluation.
-    """
-    over = _p_hit(ctx) > 1.0
-    if not over.any():
-        return _array_cells("total_latency_multipath", ctx)
-    cells = iter(_array_cells("total_latency_multipath",
-                              replace(ctx, psi=ctx.psi[~over])))
-    return [_cell("total_latency_multipath", replace(ctx, psi=int(psi)))
-            if past else next(cells)
-            for psi, past in zip(ctx.psi.tolist(), over.tolist())]
 
 
 def _see_cells(ctx, target):
@@ -191,21 +211,20 @@ def _see_cells(ctx, target):
             for p in psi.tolist()]
 
 
-def _psi_columns(ctx, psis, targets):
-    """Each distinct target's ``_cell`` at every cache size of ``psis``,
-    on the shared context ``ctx``: a target that reads no cache size is
-    evaluated once, any other on the sizes as one array."""
-    sized = replace(ctx, psi=np.array(psis, dtype=np.int64))
+def _columns(ctx, field, values, targets):
+    """Each distinct target's ``_cell`` at every value of ``values`` for
+    the context field ``field`` (``psi`` or ``lambda_e``), all else from
+    ``ctx``: a target that reads no ``field`` is evaluated once on
+    ``ctx``, any other on the values as one array."""
+    swept = replace(ctx, **{field: np.array(values)})
     columns = {}
     for t in dict.fromkeys(targets):
-        if t in _PSI_FREE_TARGETS:
-            columns[t] = [_cell(t, ctx)] * len(psis)
+        if t in _FREE_TARGETS[field]:
+            columns[t] = [_cell(t, ctx)] * len(values)
         elif t in _SEE_SCHEMES:
-            columns[t] = _see_cells(sized, t)
-        elif t == "total_latency_multipath":
-            columns[t] = _latency_cells(sized)
+            columns[t] = _see_cells(swept, t)
         else:
-            columns[t] = _array_cells(t, sized)
+            columns[t] = _array_cells(t, swept, len(values))
     return columns
 
 
@@ -379,7 +398,10 @@ def cmd_sweep(args):
     target; a target that raises leaves NaN in its cell and its message
     in the row's error cell.  A psi sweep shares one context and
     evaluates its targets as columns (:func:`_psi_rows`); any other
-    sweep builds each row's own context (:func:`_value_rows`)."""
+    sweep builds each row's own context (:func:`_value_rows`), and one
+    over the edge density (``lambda_e`` or ``lambda_e_per_km2``) then
+    evaluates its targets as columns over the rows whose context built,
+    each target that reads no density once (:func:`_columns`)."""
     try:
         grid = tuple(float(v) for v in args.values.split(","))
     except ValueError:
@@ -415,13 +437,15 @@ def _psi_rows(args, documents, grid, targets):
         psis.append(_parse_psi(value))
         if not 0 <= psis[-1] <= k_total:
             raise UsageError(f"psi {psis[-1]} outside [0, {k_total}]")
-    columns = _psi_columns(ctx, psis, targets)
+    columns = _columns(ctx, "psi", psis, targets)
     meta = _metadata(ctx)
     return [_row("psi", value, meta, ((t, columns[t][i]) for t in targets))
             for i, value in enumerate(grid)]
 
 
 def _value_rows(args, documents, param, grid, targets):
+    # each row builds its own context; a sweep over the edge density then
+    # evaluates its targets as columns over the rows whose context built
     shared_energy = None
     if param not in ENERGY_KEYS:
         # the swept value cannot change the energy model, so every row
@@ -432,20 +456,33 @@ def _value_rows(args, documents, param, grid, targets):
         except ScenarioError:
             pass
 
-    def one_row(value):
+    def context(value):
         try:
-            ctx = _build_context(args, documents,
-                                 sweep_override=(param, value),
-                                 energy=shared_energy)
+            return _build_context(args, documents,
+                                  sweep_override=(param, value),
+                                  energy=shared_energy)
         except UsageError:
             raise
         except Exception as exc:  # row-level failure, run continues
-            return _row(param, value, {},
-                        ((t, (math.nan, str(exc))) for t in targets))
-        return _row(param, value, _metadata(ctx),
-                    ((t, _cell(t, ctx)) for t in targets))
+            return exc
 
-    return [one_row(v) for v in grid]
+    contexts = [context(v) for v in grid]
+    built = [ctx for ctx in contexts if isinstance(ctx, RunContext)]
+    if built and param in _DENSITY_KEYS:
+        columns = _columns(built[0], "lambda_e",
+                           [ctx.scenario.lambda_e for ctx in built], targets)
+        cells = iter(zip(*(columns[t] for t in targets)))
+    else:
+        cells = (tuple(_cell(t, ctx) for t in targets) for ctx in built)
+    rows = []
+    for value, ctx in zip(grid, contexts):
+        if isinstance(ctx, RunContext):
+            rows.append(_row(param, value, _metadata(ctx),
+                             zip(targets, next(cells))))
+        else:
+            rows.append(_row(param, value, {}, ((t, (math.nan, str(ctx)))
+                                                for t in targets)))
+    return rows
 
 
 def cmd_optimize(args):

@@ -7,6 +7,7 @@ a hard delay-QoS indicator, so an infeasible operating point scores zero
 and must be excluded from minimisation rather than preferred.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, fields
 
@@ -87,7 +88,8 @@ def system_energy(s, em, psi, lambda_e=None):
     evaluates candidate densities without rebuilding scenarios).  ``psi``
     and ``lambda_e`` may be equal-length arrays, one operating point per
     entry; the fields that depend on them are then arrays too, each entry
-    bitwise equal to the scalar call at that point.
+    bitwise equal to the scalar call at that point, and an entry that
+    overflows is ``inf`` without a warning, as a scalar's is.
     """
     # np.all on a Python bool costs more than the formula, so only an
     # array's verdict goes through numpy
@@ -98,10 +100,14 @@ def system_energy(s, em, psi, lambda_e=None):
     lam_e = s.lambda_e if lambda_e is None else lambda_e
     mbs = s.lambda_m * ((em.a_m * s.p_m + em.b_m) * em.t_life_m + em.e_em_m)
     sbs = s.lambda_s * ((em.a_s * s.p_s + em.b_s) * em.t_life_s + em.e_em_s)
-    edc = lam_e * ((em.a_e * s.p_e + em.b_e) * em.t_life_e + em.e_em_e)
-    storage = lam_e * psi * em.e_storage
+    arrays = isinstance(psi, np.ndarray) or isinstance(lam_e, np.ndarray)
+    # only an array warns on overflow: Python float arithmetic gives inf
+    with np.errstate(over="ignore") if arrays else contextlib.nullcontext():
+        edc = lam_e * ((em.a_e * s.p_e + em.b_e) * em.t_life_e + em.e_em_e)
+        storage = lam_e * psi * em.e_storage
+        total = mbs + sbs + edc + storage
     return SystemEnergy(mbs=mbs, sbs=sbs, edc=edc, storage=storage,
-                        total=mbs + sbs + edc + storage)
+                        total=total)
 
 
 def service_effective_energy(e_sys, qos):

@@ -226,14 +226,16 @@ def total_latency(s, p_hit, d_bh):
     p_hit : float or numpy.ndarray
         Probability the content is cached at the edge, in [0, 1]; an
         array holds one probability per operating point.
-    d_bh : float
-        Cooperative backhaul delay in seconds (>= 0).
+    d_bh : float or numpy.ndarray
+        Cooperative backhaul delay in seconds (>= 0); an array holds one
+        delay per operating point, like ``p_hit``.
 
     Returns
     -------
     DelayBreakdown
-        ``d_fiber_term`` and ``total`` are shaped like ``p_hit``, each
-        entry bitwise equal to the scalar call at that probability.
+        ``d_fiber_term`` is shaped like ``p_hit`` and ``total`` like
+        ``p_hit`` and ``d_bh`` together, each entry bitwise equal to the
+        scalar call at that point.
     """
     # checked like energy.system_energy's psi: a scalar as is, an array
     # at every entry
@@ -241,7 +243,8 @@ def total_latency(s, p_hit, d_bh):
     if not (in_range.all() if isinstance(in_range, np.ndarray)
             else in_range):
         raise ValueError(f"p_hit must be in [0, 1], got {p_hit}")
-    if d_bh < 0.0:
+    negative = d_bh < 0.0
+    if (negative.any() if isinstance(negative, np.ndarray) else negative):
         raise ValueError(f"d_bh must be >= 0, got {d_bh}")
     tx, queue = uplink_delay_parts(s)
     deli = deli_delay(s)

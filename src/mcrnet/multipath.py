@@ -20,6 +20,7 @@ the curve, its closed-form inverse, the densities a plan allows and each
 scheme's path count.
 """
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -150,19 +151,22 @@ def buffer_packets(s):
 
 
 def _plan_paths(s, b, lambda_e):
-    """``(b, lambda_e)`` with scenario defaults, once the reach is checked.
+    """``(b, lambda_e)`` with scenario defaults, once the reach is checked
+    (at every density of an array ``lambda_e``).
 
     Raises
     ------
     InfeasiblePlanError
-        If the farthest selected source exceeds ``r_max``.
+        If the farthest selected source exceeds ``r_max`` (at the
+        sparsest density of an array).
     """
     b = s.b_paths if b is None else b
     lam = s.lambda_e if lambda_e is None else lambda_e
-    if lam < _min_plan_density(s, b):
+    short = lam < _min_plan_density(s, b)
+    if short.any() if isinstance(short, np.ndarray) else short:
         raise InfeasiblePlanError(
             f"source {b} at mean distance "
-            f"{mean_kth_edc_distance(lam, b):.1f} m exceeds "
+            f"{mean_kth_edc_distance(np.min(lam), b):.1f} m exceeds "
             f"r_max = {s.r_max:.1f} m")
     return b, lam
 
@@ -231,9 +235,13 @@ def _curve(s, scheme):
 
 
 def _curve_delay(coeff, relay_coeff, lambda_s, lambda_e):
-    # continuous_backhaul_delay from the curve's scalars
-    return coeff * (1.0 + relay_coeff * lambda_s / lambda_e) / np.sqrt(
-        lambda_e)
+    # continuous_backhaul_delay from the curve's scalars; an array entry
+    # that overflows is inf without a warning, as the Python float product
+    # of a scalar density is
+    arrays = isinstance(lambda_e, np.ndarray)
+    with np.errstate(over="ignore") if arrays else contextlib.nullcontext():
+        return coeff * (1.0 + relay_coeff * lambda_s / lambda_e) / np.sqrt(
+            lambda_e)
 
 
 def continuous_backhaul_density(s, delay, b=None):
@@ -263,13 +271,15 @@ def multipath_backhaul_delay(s, mode=CONTINUOUS, b=None, lambda_e=None):
 
     Continuous mode evaluates :func:`continuous_backhaul_delay`, which
     equals the per-path maximum because inverse-distance shares make every
-    path's total identical.  Exact-ceil mode takes the explicit maximum
-    over the paths of :func:`build_plan`, whose first hop leaves the edge
-    node at its own transmit power.
+    path's total identical; an array ``lambda_e`` gives an array, each
+    entry bitwise equal to the scalar call at that density.  Exact-ceil
+    mode takes the explicit maximum over the paths of :func:`build_plan`,
+    whose first hop leaves the edge node at its own transmit power.
     """
     if mode == CONTINUOUS:
         b, lam = _plan_paths(s, b, lambda_e)
-        return float(continuous_backhaul_delay(s, lam, b))
+        delay = continuous_backhaul_delay(s, lam, b)
+        return delay if isinstance(lam, np.ndarray) else float(delay)
     if mode != EXACT_CEIL:
         raise ValueError(f"unknown hop mode {mode!r}")
     plan = build_plan(s, b, lambda_e)

@@ -36,8 +36,13 @@ class PopularityModel:
 
     def __post_init__(self):
         self.q.flags.writeable = False
-        object.__setattr__(self, "cum", self.q.cumsum())
-        self.cum.flags.writeable = False
+        cum = self.q.cumsum()
+        # q is normalised by a pairwise sum and cum sums it in order, so
+        # rounding can carry a full library a few ulps past 1: clamped, a
+        # hit probability is always one
+        np.minimum(cum, 1.0, out=cum)
+        cum.flags.writeable = False
+        object.__setattr__(self, "cum", cum)
 
 
 def zipf(beta, k_total):
@@ -72,7 +77,8 @@ def hit_probability(model, psi):
     Equals the total popularity mass of the ``psi`` most popular contents,
     summed in popularity order: ``model.cum[psi - 1]``, the entry of the
     running sum the optimiser reads for every cache size at once.  0 for
-    an empty cache, 1 up to rounding when the whole library fits.
+    an empty cache, 1 up to rounding (never above) when the whole library
+    fits.
     ``psi`` may be an int array: each entry of the result is then the
     probability of the scalar call there.
     """

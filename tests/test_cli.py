@@ -307,12 +307,21 @@ def _reference_sweep(argv):
     """Output of ``mcrnet sweep`` built one row at a time: each row from
     its own context, each target through ``cli.TARGETS`` (for a see_*
     target, one lone critical-density solve), the error cell holding the
-    message of the last target that failed."""
+    message of the last target that failed, or of the context that
+    failed to build."""
     args = cli._parser().parse_args(argv)
     param, targets = args.sweep_param, args.targets.split(",")
     rows = []
     for value in map(float, args.values.split(",")):
-        ctx = cli._build_context(args, cli._documents(args), (param, value))
+        try:
+            ctx = cli._build_context(args, cli._documents(args),
+                                     (param, value))
+        except Exception as exc:
+            # a row whose context fails: its error in every cell, no
+            # metadata
+            rows.append({param: value, "error": str(exc),
+                         **dict.fromkeys(targets, math.nan)})
+            continue
         row = {param: value, "error": "", **cli._metadata(ctx)}
         for t in targets:
             try:
@@ -442,10 +451,11 @@ def test_every_target_is_a_psi_column():
         ["sweep", "psi", "--values", "1", "--targets", "e_sys"]),
         (None, None))
     sizes = np.array([0, 1, 144, 500])
-    arrays = set(cli.TARGETS) - cli._PSI_FREE_TARGETS - set(cli._SEE_SCHEMES)
+    free = cli._FREE_TARGETS["psi"]
+    arrays = set(cli.TARGETS) - free - set(cli._SEE_SCHEMES)
     assert arrays == {"p_in_edc", "fiber_link_delay",
                       "total_latency_multipath", "e_sys"}
-    for t in cli._PSI_FREE_TARGETS:
+    for t in free:
         assert isinstance(cli.TARGETS[t](replace(ctx, psi=None)), float)
     for t in arrays:
         column = cli.TARGETS[t](replace(ctx, psi=sizes))
@@ -459,9 +469,9 @@ def test_every_target_is_a_psi_column():
     # no backhaul slot ever succeeds: every target that reads the backhaul
     # fails at every size, and so does each see_* target
     (["--param", "theta4_dbm=200"], "0,10,144,500", [0, 10, 144, 500]),
-    # rounding carries the full library's hit probability past 1, which
-    # total_latency rejects at psi 9 alone
-    (["--param", "beta=0", "--param", "k_total=9"], "0,3,8,9", [9])],
+    # rounding would carry the full library's running sum past 1; it is
+    # clamped there, so total_latency serves psi 9 too
+    (["--param", "beta=0", "--param", "k_total=9"], "0,3,8,9", [])],
     ids=["theta4", "beta0"])
 def test_psi_sweep_with_failing_targets_equals_the_reference(
         capsys, params, values, failing, fmt):
@@ -474,6 +484,122 @@ def test_psi_sweep_with_failing_targets_equals_the_reference(
     rows = json.loads(out) if fmt == "json" else parse_csv(out)
     assert [int(float(r["psi"])) for r in rows
             if math.isnan(float(r["total_latency_multipath"]))] == failing
+
+
+def test_full_library_has_a_finite_latency(capsys):
+    # q sums pairwise and cum in order: without the clamp at 1, psi 9
+    # read 1.0000000000000002, which total_latency rejects
+    code, out, err = run_cli(capsys, "sweep", "psi", "--values", "9",
+                             "--targets", "total_latency_multipath",
+                             "--param", "beta=0", "--param", "k_total=9")
+    assert (code, err) == (0, "")
+    [row] = parse_csv(out)
+    assert math.isfinite(float(row["total_latency_multipath"]))
+    assert row["error"] == ""
+
+
+@pytest.mark.parametrize("sweep", [
+    ("psi", "--values", "1,500"),
+    ("lambda_e", "--values", "1e5,1e6", "--param", "psi=500")])
+def test_array_energy_overflows_to_inf_without_a_warning(capsys, sweep):
+    # a row's Python float arithmetic overflows to inf silently; so does
+    # an array column, here under the suite's error::RuntimeWarning
+    code, out, err = run_cli(capsys, "sweep", *sweep, "--targets", "e_sys",
+                             "--param", "lambda_e=1e6", "--param",
+                             "lambda_s=1e7", "--param", "e_storage=1e300")
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    assert [r["e_sys"] for r in rows][-1] == "inf"
+    assert all(r["error"] == "" for r in rows)
+
+
+def test_every_target_is_a_density_column():
+    # a density sweep evaluates each target once: one that reads no edge
+    # density on one row's context, any other on the rows' densities as
+    # one array, which it must return
+    # (backhaul_delay_bmax's path count runs from 1 to its cap of 16)
+    args = cli._parser().parse_args(
+        ["sweep", "lambda_e", "--values", "1e-5", "--targets", "e_sys",
+         "--param", "r_max=400", "--param", "b_paths=1",
+         "--param", "lambda_m=1e-6"])
+    ctx = cli._build_context(args, (None, None))
+    densities = np.array([2.5e-6, 6e-6, 1e-5, 2.2e-5, 4.9e-5])
+    free = cli._FREE_TARGETS["lambda_e"]
+    arrays = set(cli.TARGETS) - free
+    assert arrays == {"backhaul_delay_multipath", "backhaul_delay_single",
+                      "backhaul_gain", "backhaul_delay_bmax",
+                      "total_latency_multipath", "e_sys"}
+    rows = [replace(ctx, scenario=ctx.scenario.with_params(lambda_e=lam))
+            for lam in densities.tolist()]
+    for t in free:
+        assert len({repr(cli._cell(t, row)) for row in rows}) == 1
+    for t in arrays:
+        column = cli.TARGETS[t](replace(ctx, lambda_e=densities))
+        assert column.shape == densities.shape
+        assert column.tolist() == [cli.TARGETS[t](row) for row in rows]
+
+
+# per km^2: lambda_m, lambda_s, the disc floor b_paths / (pi r_max^2) at
+# b_paths 4 and 8 and r_max 500, and either side of each
+_DENSITY_EDGES = [1.0, 4.9, 5.0, 5.0000001, 5.09, 5.1, 6.0, 10.18, 10.2,
+                  20.0, 49.0, 49.999, 50.0, 60.0]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(densities=st.sets(st.one_of(st.sampled_from(_DENSITY_EDGES),
+                                   st.floats(0.5, 80.0)),
+                         min_size=1, max_size=12),
+       descending=st.booleans(),
+       per_km2=st.booleans(),
+       targets=st.lists(st.sampled_from(sorted(cli.TARGETS)), min_size=1,
+                        max_size=8),
+       params=st.lists(st.sampled_from(
+           ["b_paths=1", "b_paths=8", "r_max=250", "r_max=1000",
+            "theta4_dbm=200", "d_max_ms=12", "psi=0", "psi=500"]),
+           max_size=3, unique=True),
+       fmt=st.sampled_from(["csv", "json"]))
+def test_density_sweep_equals_row_wise_reference_property(
+        densities, descending, per_km2, targets, params, fmt):
+    # either key that sets the edge density; grids in either order that
+    # cross lambda_m, lambda_s and the disc floor, so some rows fail to
+    # build; path counts of 1 (the bounds fail) to past 16 for
+    # backhaul_delay_bmax (r_max 250 to 1000); a link that never succeeds;
+    # repeated targets in any order
+    grid = sorted(densities, reverse=descending)
+    values = [repr(v if per_km2 else v / 1e6) for v in grid]
+    argv = ["sweep", "lambda_e_per_km2" if per_km2 else "lambda_e",
+            "--values", ",".join(values), "--targets", ",".join(targets),
+            "--format", fmt]
+    for kv in params:
+        argv += ["--param", kv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == _reference_sweep(argv)
+
+
+def test_density_sweep_derives_the_backhaul_once(capsys, monkeypatch):
+    # every row's density goes into one array call per target, so the
+    # backhaul coefficient is derived as often for 2 rows as for 50 (at
+    # r_max = 1000 m every row caps backhaul_delay_bmax at 16 paths)
+    calls = collections.Counter()
+    coeff = multipath.continuous_backhaul_coeff
+
+    def counted(*args, **kwargs):
+        calls[rows] += 1
+        return coeff(*args, **kwargs)
+
+    monkeypatch.setattr(multipath, "continuous_backhaul_coeff", counted)
+    for rows in (2, 50):
+        values = np.linspace(6.0, 49.0, rows).tolist()
+        code, out, _ = run_cli(capsys, "sweep", "lambda_e_per_km2",
+                               "--values", ",".join(map(repr, values)),
+                               "--targets", ",".join(cli.TARGETS),
+                               "--param", "r_max=1000")
+        assert code == 0
+        assert [r["error"] for r in parse_csv(out)] == [""] * rows
+    assert calls[2] == calls[50] > 0
 
 
 def test_reused_parser_starts_each_call_fresh(capsys):

@@ -358,6 +358,16 @@ def test_total_latency_hit_branches():
         total_latency(s, 0.5, -1e-9)
 
 
+def test_total_latency_takes_a_backhaul_delay_array():
+    s = load_scenario()
+    d_bh = np.array([0.0, 3e-3, 1e-2, math.inf])
+    total = total_latency(s, 0.6, d_bh).total
+    assert total.tolist() == [total_latency(s, 0.6, d).total
+                              for d in d_bh.tolist()]
+    with pytest.raises(ValueError, match="d_bh"):
+        total_latency(s, 0.6, np.array([1e-3, -1e-9]))
+
+
 @pytest.mark.parametrize("prob_fn,theta_key,power_key", [
     (uplink_success_prob, "theta1", "p_u"),
     (access_success_prob, "theta3", "p_s"),

@@ -157,6 +157,22 @@ def test_backhaul_delay_infeasible_below_reach_floor(mode):
     assert "exceeds r_max" in str(delay_err.value)
 
 
+def test_continuous_delay_takes_a_density_array():
+    # one entry per density with the bits of the scalar call; a density
+    # below the plan's reach floor fails the array, named at the sparsest
+    s = load_scenario()
+    lams = np.array([1e-5, 6e-6, 4.9e-5])
+    for b in (None, 1, 2, 4):
+        delay = multipath_backhaul_delay(s, b=b, lambda_e=lams)
+        assert delay.tolist() == [multipath_backhaul_delay(s, b=b, lambda_e=v)
+                                  for v in lams.tolist()]
+    with pytest.raises(InfeasiblePlanError) as scalar_err:
+        multipath_backhaul_delay(s, b=12, lambda_e=6e-6)
+    with pytest.raises(InfeasiblePlanError) as array_err:
+        multipath_backhaul_delay(s, b=12, lambda_e=lams)
+    assert str(array_err.value) == str(scalar_err.value)
+
+
 def test_backhaul_delay_rejects_unknown_mode():
     with pytest.raises(ValueError, match="hop mode"):
         multipath_backhaul_delay(load_scenario(), "rounded")
