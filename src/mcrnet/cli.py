@@ -116,58 +116,65 @@ def _see(ctx, scheme):
                          lambda_e=pair.lambda_e_crit).total
 
 
-# a target that reads psi, but for the see_* targets, also takes a context
-# whose psi is an int array of cache sizes, and one that reads the edge
-# density a context whose lambda_e is a float array of densities; each
-# returns one value per entry, so a sweep over either evaluates it once
-# for its whole grid
+# the fields each library quantity reads: "psi" or a field name of
+# NetworkScenario or EnergyModel (the two models share no name)
+_SCENARIO_FIELDS = frozenset(field for field, _ in SCENARIO_KEYS.values())
+_ENERGY_FIELDS = frozenset(field for field, _ in ENERGY_KEYS.values())
+_HIT = frozenset({"psi", "beta", "k_total"})
+_FIBER = frozenset({"l_fiber", "v_fiber"})
+_UPLINK = frozenset({"lambda_m", "nt_u", "nr_m", "theta1", "p_u", "alpha1",
+                     "t_ul_req", "chi", "lambda_u", "mu"})
+_DELIVERY = frozenset({"nt_m", "nr_e", "theta2", "alpha1", "t_dl_deli"})
+_ACCESS = frozenset({"lambda_s", "nt_s", "nr_u", "theta3", "p_s", "alpha2",
+                     "t_dl_as"})
+# the continuous backhaul curve at a path count, and its r_max check
+_CURVE = frozenset({"tau_mmw", "buffer_omega", "packet_l", "r_mmw",
+                    "relay_coeff", "lambda_s", "p_s", "theta4", "n0", "w_mmw",
+                    "sigma_db", "lambda_e", "r_max"})
+_BOUNDS = _CURVE - {"lambda_e"} | {"b_paths", "lambda_m"}
+_ENERGY = _ENERGY_FIELDS | {"psi", "k_total", "lambda_m", "lambda_s",
+                            "lambda_e", "p_m", "p_s", "p_e"}
+_LATENCY = _HIT | _FIBER | _UPLINK | _DELIVERY | _ACCESS | _CURVE | {"b_paths"}
+# the see_* targets solve for their own density
+_SEE = (_SCENARIO_FIELDS | _ENERGY_FIELDS | {"psi"}) - {"lambda_e"}
+
+# each target's function and the fields it reads.  One that reads psi,
+# but for the see_* targets, also takes a context whose psi is an int
+# array of cache sizes, and one that reads lambda_e a context whose
+# lambda_e is a float array of densities, and returns one value per entry
 TARGETS = {
-    "p_in_edc": _p_hit,
-    "fiber_delay": lambda ctx: latency.fiber_delay(ctx.scenario),
-    "fiber_link_delay": _fiber_miss,
-    "uplink_delay": lambda ctx: latency.uplink_request_delay(ctx.scenario),
-    "deli_delay": lambda ctx: latency.deli_delay(ctx.scenario),
-    "access_delay": lambda ctx: latency.access_delay(ctx.scenario),
-    "backhaul_delay_multipath": _backhaul,
-    "backhaul_delay_single": lambda ctx: _backhaul(ctx, 1),
-    "backhaul_gain": _backhaul_gain,
-    "backhaul_delay_bmax": _bmax_backhaul,
+    "p_in_edc": (_p_hit, _HIT),
+    "fiber_delay": (lambda ctx: latency.fiber_delay(ctx.scenario), _FIBER),
+    "fiber_link_delay": (_fiber_miss, _FIBER | _HIT),
+    "uplink_delay":
+        (lambda ctx: latency.uplink_request_delay(ctx.scenario), _UPLINK),
+    "deli_delay": (lambda ctx: latency.deli_delay(ctx.scenario), _DELIVERY),
+    "access_delay": (lambda ctx: latency.access_delay(ctx.scenario), _ACCESS),
+    "backhaul_delay_multipath": (_backhaul, _CURVE | {"b_paths"}),
+    "backhaul_delay_single": (lambda ctx: _backhaul(ctx, 1), _CURVE),
+    "backhaul_gain": (_backhaul_gain, _CURVE | {"b_paths"}),
+    "backhaul_delay_bmax": (_bmax_backhaul, _CURVE),
     "delay_lower_bound":
-        lambda ctx: multipath.delay_bounds(ctx.scenario)[0],
+        (lambda ctx: multipath.delay_bounds(ctx.scenario)[0], _BOUNDS),
     "delay_upper_bound":
-        lambda ctx: multipath.delay_bounds(ctx.scenario)[1],
+        (lambda ctx: multipath.delay_bounds(ctx.scenario)[1], _BOUNDS),
     "total_latency_multipath":
-        lambda ctx: latency.total_latency(ctx.scenario, _p_hit(ctx),
-                                          _backhaul(ctx)).total,
-    "e_sys": lambda ctx: system_energy(ctx.scenario, ctx.energy, ctx.psi,
-                                       lambda_e=ctx.lambda_e).total,
-    "see_multipath": lambda ctx: _see(ctx, MULTIPATH),
-    "see_single": lambda ctx: _see(ctx, SINGLE_PATH),
+        (lambda ctx: latency.total_latency(ctx.scenario, _p_hit(ctx),
+                                           _backhaul(ctx)).total, _LATENCY),
+    "e_sys": (lambda ctx: system_energy(ctx.scenario, ctx.energy, ctx.psi,
+                                        lambda_e=ctx.lambda_e).total, _ENERGY),
+    "see_multipath": (lambda ctx: _see(ctx, MULTIPATH), _SEE),
+    "see_single": (lambda ctx: _see(ctx, SINGLE_PATH), _SEE),
 }
-# for each context field a sweep evaluates as columns, the targets that
-# read none of it: the sweep evaluates each of them once
-_FREE_TARGETS = {
-    "psi": frozenset({
-        "fiber_delay", "uplink_delay", "deli_delay", "access_delay",
-        "backhaul_delay_multipath", "backhaul_delay_single", "backhaul_gain",
-        "backhaul_delay_bmax", "delay_lower_bound", "delay_upper_bound"}),
-    # the see_* targets solve for their own density
-    "lambda_e": frozenset({
-        "p_in_edc", "fiber_delay", "fiber_link_delay", "uplink_delay",
-        "deli_delay", "access_delay", "delay_lower_bound",
-        "delay_upper_bound", "see_multipath", "see_single"}),
-}
+_ARRAY_FIELDS = ("psi", "lambda_e")
 _SEE_SCHEMES = {"see_multipath": MULTIPATH, "see_single": SINGLE_PATH}
-# the sweep keys that set the edge density
-_DENSITY_KEYS = frozenset(key for key, (field, _) in SCENARIO_KEYS.items()
-                          if field == "lambda_e")
 
 
 def _cell(target, ctx):
     """``(value, error)`` of one target: its value and ``None``, or NaN
     and the message of what it raised."""
     try:
-        return float(TARGETS[target](ctx)), None
+        return float(TARGETS[target][0](ctx)), None
     except Exception as exc:
         return math.nan, str(exc)
 
@@ -177,7 +184,7 @@ def _array_cells(target, ctx, n):
     context's array field, from one evaluation on the whole array: its
     entries, or its error in every cell."""
     try:
-        values = TARGETS[target](ctx)
+        values = TARGETS[target][0](ctx)
     except Exception as exc:
         return [(math.nan, str(exc))] * n
     return [(v, None) for v in values.tolist()]
@@ -211,20 +218,25 @@ def _see_cells(ctx, target):
             for p in psi.tolist()]
 
 
-def _columns(ctx, field, values, targets):
-    """Each distinct target's ``_cell`` at every value of ``values`` for
-    the context field ``field`` (``psi`` or ``lambda_e``), all else from
-    ``ctx``: a target that reads no ``field`` is evaluated once on
-    ``ctx``, any other on the values as one array."""
-    swept = replace(ctx, **{field: np.array(values)})
+def _columns(contexts, field, values, targets):
+    """Each distinct target's ``_cell`` at every value of ``values`` of
+    the swept ``field`` (psi or a model field), from ``contexts``: each
+    row's, or over psi the one all rows share.  A target that reads no
+    ``field`` is evaluated once on the first; over psi or ``lambda_e``
+    any other is one array call, over any other field one per row."""
+    first, n = contexts[0], len(values)
+    if field in _ARRAY_FIELDS:
+        swept = replace(first, **{field: np.array(values)})
     columns = {}
     for t in dict.fromkeys(targets):
-        if t in _FREE_TARGETS[field]:
-            columns[t] = [_cell(t, ctx)] * len(values)
+        if field not in TARGETS[t][1]:
+            columns[t] = [_cell(t, first)] * n
+        elif field not in _ARRAY_FIELDS:
+            columns[t] = [_cell(t, ctx) for ctx in contexts]
         elif t in _SEE_SCHEMES:
             columns[t] = _see_cells(swept, t)
         else:
-            columns[t] = _array_cells(t, swept, len(values))
+            columns[t] = _array_cells(t, swept, n)
     return columns
 
 
@@ -396,12 +408,10 @@ def _metadata(ctx):
 def cmd_sweep(args):
     """One row per grid value: the swept value, the metadata and each
     target; a target that raises leaves NaN in its cell and its message
-    in the row's error cell.  A psi sweep shares one context and
-    evaluates its targets as columns (:func:`_psi_rows`); any other
-    sweep builds each row's own context (:func:`_value_rows`), and one
-    over the edge density (``lambda_e`` or ``lambda_e_per_km2``) then
-    evaluates its targets as columns over the rows whose context built,
-    each target that reads no density once (:func:`_columns`)."""
+    in the row's error cell.  A psi sweep shares one context; any other
+    builds each row's own, and a row whose context fails holds its error
+    in every cell.  Both evaluate each target by one rule
+    (:func:`_columns`): once where it reads no swept field."""
     try:
         grid = tuple(float(v) for v in args.values.split(","))
     except ValueError:
@@ -417,16 +427,22 @@ def cmd_sweep(args):
             f"unknown targets {unknown}; available: {sorted(TARGETS)}")
     documents = _documents(args)
     if param == "psi":
-        rows = _psi_rows(args, documents, grid, targets)
+        metas, columns = _psi_columns(args, documents, grid, targets)
     else:
-        rows = _value_rows(args, documents, param, grid, targets)
+        metas, columns = _value_columns(args, documents, param, grid,
+                                        targets)
+    cells = iter(zip(*(columns[t] for t in targets)))
+    rows = [_row(param, value, meta, zip(targets, next(cells)))
+            if isinstance(meta, dict) else _row(param, value, {}, (
+                (t, (math.nan, str(meta))) for t in targets))
+            for value, meta in zip(grid, metas)]
     columns = [param] + targets + ["scenario_hash", "assumed_defaults",
                                    "error"]
     _emit(rows, columns, args.format, args.out)
     return 0
 
 
-def _psi_rows(args, documents, grid, targets):
+def _psi_columns(args, documents, grid, targets):
     # the grid moves only the cache size: every row shares one context
     # and its metadata, and every value is checked against its scenario
     # before any target is evaluated
@@ -437,15 +453,11 @@ def _psi_rows(args, documents, grid, targets):
         psis.append(_parse_psi(value))
         if not 0 <= psis[-1] <= k_total:
             raise UsageError(f"psi {psis[-1]} outside [0, {k_total}]")
-    columns = _columns(ctx, "psi", psis, targets)
-    meta = _metadata(ctx)
-    return [_row("psi", value, meta, ((t, columns[t][i]) for t in targets))
-            for i, value in enumerate(grid)]
+    return [_metadata(ctx)] * len(grid), _columns([ctx], "psi", psis, targets)
 
 
-def _value_rows(args, documents, param, grid, targets):
-    # each row builds its own context; a sweep over the edge density then
-    # evaluates its targets as columns over the rows whose context built
+def _value_columns(args, documents, param, grid, targets):
+    # each row's metadata or context error, and the built rows' columns
     shared_energy = None
     if param not in ENERGY_KEYS:
         # the swept value cannot change the energy model, so every row
@@ -468,21 +480,13 @@ def _value_rows(args, documents, param, grid, targets):
 
     contexts = [context(v) for v in grid]
     built = [ctx for ctx in contexts if isinstance(ctx, RunContext)]
-    if built and param in _DENSITY_KEYS:
-        columns = _columns(built[0], "lambda_e",
-                           [ctx.scenario.lambda_e for ctx in built], targets)
-        cells = iter(zip(*(columns[t] for t in targets)))
-    else:
-        cells = (tuple(_cell(t, ctx) for t in targets) for ctx in built)
-    rows = []
-    for value, ctx in zip(grid, contexts):
-        if isinstance(ctx, RunContext):
-            rows.append(_row(param, value, _metadata(ctx),
-                             zip(targets, next(cells))))
-        else:
-            rows.append(_row(param, value, {}, ((t, (math.nan, str(ctx)))
-                                                for t in targets)))
-    return rows
+    if not built:
+        return contexts, dict.fromkeys(targets, ())
+    field = (SCENARIO_KEYS.get(param) or ENERGY_KEYS[param])[0]
+    model = "energy" if field in _ENERGY_FIELDS else "scenario"
+    values = [getattr(getattr(ctx, model), field) for ctx in built]
+    return ([_metadata(ctx) if isinstance(ctx, RunContext) else ctx
+             for ctx in contexts], _columns(built, field, values, targets))
 
 
 def cmd_optimize(args):

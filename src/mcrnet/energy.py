@@ -7,7 +7,6 @@ a hard delay-QoS indicator, so an infeasible operating point scores zero
 and must be excluded from minimisation rather than preferred.
 """
 
-import contextlib
 import math
 from dataclasses import dataclass, fields
 
@@ -100,9 +99,8 @@ def system_energy(s, em, psi, lambda_e=None):
     lam_e = s.lambda_e if lambda_e is None else lambda_e
     mbs = s.lambda_m * ((em.a_m * s.p_m + em.b_m) * em.t_life_m + em.e_em_m)
     sbs = s.lambda_s * ((em.a_s * s.p_s + em.b_s) * em.t_life_s + em.e_em_s)
-    arrays = isinstance(psi, np.ndarray) or isinstance(lam_e, np.ndarray)
-    # only an array warns on overflow: Python float arithmetic gives inf
-    with np.errstate(over="ignore") if arrays else contextlib.nullcontext():
+    # numpy warns on overflow where Python float arithmetic gives inf
+    with np.errstate(over="ignore"):
         edc = lam_e * ((em.a_e * s.p_e + em.b_e) * em.t_life_e + em.e_em_e)
         storage = lam_e * psi * em.e_storage
         total = mbs + sbs + edc + storage

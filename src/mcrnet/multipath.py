@@ -20,7 +20,6 @@ the curve, its closed-form inverse, the densities a plan allows and each
 scheme's path count.
 """
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -235,11 +234,9 @@ def _curve(s, scheme):
 
 
 def _curve_delay(coeff, relay_coeff, lambda_s, lambda_e):
-    # continuous_backhaul_delay from the curve's scalars; an array entry
-    # that overflows is inf without a warning, as the Python float product
-    # of a scalar density is
-    arrays = isinstance(lambda_e, np.ndarray)
-    with np.errstate(over="ignore") if arrays else contextlib.nullcontext():
+    # continuous_backhaul_delay from the curve's scalars; a delay that
+    # overflows is inf without a warning, at a scalar or array density
+    with np.errstate(over="ignore"):
         return coeff * (1.0 + relay_coeff * lambda_s / lambda_e) / np.sqrt(
             lambda_e)
 
@@ -295,7 +292,8 @@ def single_path_backhaul_delay(s, mode=CONTINUOUS, lambda_e=None):
 
 def max_cooperative_paths(lambda_e, r_max):
     """Largest path count supported by the density within ``r_max``."""
-    return max(1, math.floor(lambda_e * math.pi * r_max ** 2))
+    # as scenario._validate multiplies: r_max ** 2 raises on overflow
+    return max(1, math.floor(lambda_e * math.pi * r_max * r_max))
 
 
 def delay_bounds(s):
@@ -314,8 +312,8 @@ def delay_bounds(s):
             "bounds need 1 < b_paths <= lambda_e * pi * r_max^2 "
             f"(got b_paths={s.b_paths})")
     # r_mmw * (1 + erf(f / (sqrt(2) * sigma))), as in continuous_backhaul_coeff
-    denom_common = s.r_mmw * (2.0 * _link_success(s))
+    denom = s.r_mmw * (2.0 * _link_success(s))
     lower = ((1.0 + s.relay_coeff) * buffer_packets(s) * s.tau_mmw
-             / (math.pi * s.r_max ** 2 * s.lambda_s ** 1.5 * denom_common))
+             / (math.pi * (s.r_max * s.r_max) * s.lambda_s ** 1.5 * denom))
     # one path at the macro density: the sparsest, slowest deployment
     return lower, float(continuous_backhaul_delay(s, s.lambda_m, 1))

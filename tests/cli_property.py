@@ -4,11 +4,12 @@ property over the command line, run as a script in a process of its own.
 For each scenario and energy key, ``optimize`` and a small ``sweep`` run
 in-process through ``main()`` with the key set to an edge of its range,
 0, a negative value, 1e300, 1e-300, nan, inf, a non-numeric string or a
-drawn float or string.  The exit code must be 0, 1 or 2, no exception may
-escape, and an exit 1 prints exactly one ``error:`` line (any other exit
-prints nothing to stderr).  ``validate --trials 200`` runs the same way,
-with exit code 0, 1 or 3, on the listed values (not the drawn ones) of
-the keys the delivery oracle reads.  The script caps its own address
+drawn float or string, and a ``sweep`` over the key takes that value as
+its grid.  The exit code must be 0, 1 or 2, no exception may escape, and
+an exit 1 prints exactly one ``error:`` line (any other exit prints
+nothing to stderr).  ``validate --trials 200`` runs the same way, with
+exit code 0, 1 or 3, on the listed values (not the drawn ones) of the
+keys the delivery oracle reads.  The script caps its own address
 space first, so a value that slips past the scenario's bounds ends in a
 MemoryError here instead of exhausting the host.
 
@@ -75,6 +76,8 @@ def check_key(key):
         _check(["optimize", "--param", param])
         _check(["sweep", "psi", "--values", "1,144",
                 "--targets", SWEEP_TARGETS, "--param", param])
+        _check(["sweep", key, f"--values={value}",
+                "--targets", SWEEP_TARGETS])
 
     listed = SPECIAL + ("1",) + EDGES.get(key, ())
     for value in listed:

@@ -14,17 +14,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mcrnet
 from mcrnet import cli, latency, multipath, optimizer, popularity
 from mcrnet.cli import main
-from mcrnet.energy import load_energy_model, system_energy
+from mcrnet.energy import ENERGY_KEYS, load_energy_model, system_energy
 from mcrnet.multipath import MULTIPATH, SCHEMES, SINGLE_PATH
 from mcrnet.optimizer import FeasiblePair
 from mcrnet.popularity import zipf
-from mcrnet.scenario import load_scenario, scenario_hash
+from mcrnet.scenario import (SCENARIO_KEYS, ScenarioError, db_to_linear,
+                             dbm_to_watt, linear_to_db, load_scenario,
+                             scenario_hash, watt_to_dbm)
 from memos import clear_memos, misses
 from oracles import csv_text
 
@@ -325,7 +327,7 @@ def _reference_sweep(argv):
         row = {param: value, "error": "", **cli._metadata(ctx)}
         for t in targets:
             try:
-                row[t] = float(cli.TARGETS[t](ctx))
+                row[t] = float(cli.TARGETS[t][0](ctx))
             except Exception as exc:
                 row[t], row["error"] = math.nan, str(exc)
         rows.append(row)
@@ -451,16 +453,16 @@ def test_every_target_is_a_psi_column():
         ["sweep", "psi", "--values", "1", "--targets", "e_sys"]),
         (None, None))
     sizes = np.array([0, 1, 144, 500])
-    free = cli._FREE_TARGETS["psi"]
+    free = {t for t, (_, reads) in cli.TARGETS.items() if "psi" not in reads}
     arrays = set(cli.TARGETS) - free - set(cli._SEE_SCHEMES)
     assert arrays == {"p_in_edc", "fiber_link_delay",
                       "total_latency_multipath", "e_sys"}
     for t in free:
-        assert isinstance(cli.TARGETS[t](replace(ctx, psi=None)), float)
+        assert isinstance(cli.TARGETS[t][0](replace(ctx, psi=None)), float)
     for t in arrays:
-        column = cli.TARGETS[t](replace(ctx, psi=sizes))
+        column = cli.TARGETS[t][0](replace(ctx, psi=sizes))
         assert column.shape == sizes.shape
-        assert column.tolist() == [cli.TARGETS[t](replace(ctx, psi=psi))
+        assert column.tolist() == [cli.TARGETS[t][0](replace(ctx, psi=psi))
                                    for psi in sizes.tolist()]
 
 
@@ -524,7 +526,8 @@ def test_every_target_is_a_density_column():
          "--param", "lambda_m=1e-6"])
     ctx = cli._build_context(args, (None, None))
     densities = np.array([2.5e-6, 6e-6, 1e-5, 2.2e-5, 4.9e-5])
-    free = cli._FREE_TARGETS["lambda_e"]
+    free = {t for t, (_, reads) in cli.TARGETS.items()
+            if "lambda_e" not in reads}
     arrays = set(cli.TARGETS) - free
     assert arrays == {"backhaul_delay_multipath", "backhaul_delay_single",
                       "backhaul_gain", "backhaul_delay_bmax",
@@ -534,9 +537,9 @@ def test_every_target_is_a_density_column():
     for t in free:
         assert len({repr(cli._cell(t, row)) for row in rows}) == 1
     for t in arrays:
-        column = cli.TARGETS[t](replace(ctx, lambda_e=densities))
+        column = cli.TARGETS[t][0](replace(ctx, lambda_e=densities))
         assert column.shape == densities.shape
-        assert column.tolist() == [cli.TARGETS[t](row) for row in rows]
+        assert column.tolist() == [cli.TARGETS[t][0](row) for row in rows]
 
 
 # per km^2: lambda_m, lambda_s, the disc floor b_paths / (pi r_max^2) at
@@ -600,6 +603,157 @@ def test_density_sweep_derives_the_backhaul_once(capsys, monkeypatch):
         assert code == 0
         assert [r["error"] for r in parse_csv(out)] == [""] * rows
     assert calls[2] == calls[50] > 0
+
+
+def _cell_bits(target, ctx):
+    value, error = cli._cell(target, ctx)
+    return np.float64(value).tobytes(), error
+
+
+def _moved(ctx, field, factor):
+    """``ctx`` with ``field`` scaled by ``factor`` (a zero flipped to the
+    other sign), or ``None`` where the model then fails its checks."""
+    if field == "psi":
+        return replace(ctx, psi=int(ctx.psi * factor))
+    model = "energy" if field in cli._ENERGY_FIELDS else "scenario"
+    old = getattr(getattr(ctx, model), field)
+    new = type(old)(old * factor) if old else -old
+    try:
+        return replace(ctx, **{model: replace(getattr(ctx, model),
+                                              **{field: new})})
+    except ScenarioError:
+        return None
+
+
+_FIELDS = sorted(cli._SCENARIO_FIELDS | cli._ENERGY_FIELDS | {"psi"})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(params=st.lists(st.sampled_from(
+           ["b_paths=1", "b_paths=8", "r_max=250", "r_max=1000",
+            "theta4_dbm=200", "d_max_ms=1", "d_max_ms=12", "psi=0",
+            "psi=500", "lambda_e_per_km2=6", "lambda_e_per_km2=45", "beta=0",
+            "alpha1=6", "e_em_e=1e9", "k_total=100"]),
+           max_size=3, unique=True),
+       factor=st.sampled_from([0.5, 0.9, 1.1, 2.0, 16.0]))
+def test_each_target_reads_only_its_declared_fields_property(params, factor):
+    # a sweep copies the cell of a target that reads no swept field to
+    # every row, so moving any field outside the target's reads must keep
+    # its value bits and its error text
+    argv = ["sweep", "psi", "--values", "1", "--targets", "e_sys"]
+    for kv in params:
+        argv += ["--param", kv]
+    try:
+        ctx = cli._build_context(cli._parser().parse_args(argv), (None, None))
+    except ScenarioError:
+        assume(False)
+    cells = {t: _cell_bits(t, ctx) for t in cli.TARGETS}
+    for field in _FIELDS:
+        moved = _moved(ctx, field, factor)
+        for t, (_, reads) in cli.TARGETS.items():
+            if moved is not None and field not in reads:
+                assert _cell_bits(t, moved) == cells[t], (t, field)
+
+
+def test_every_field_is_a_model_field():
+    # a declared field that no model has would never be swept
+    for t, (_, reads) in cli.TARGETS.items():
+        assert reads <= set(_FIELDS), t
+    assert not cli._SCENARIO_FIELDS & cli._ENERGY_FIELDS
+
+
+# the inverse of each unit conversion that is not a scale factor
+_FROM_SI = {dbm_to_watt: watt_to_dbm, db_to_linear: linear_to_db}
+_KEYS = {**SCENARIO_KEYS, **ENERGY_KEYS}
+
+
+def _default_value(key):
+    """The default of a config key's field, in the key's own units."""
+    field, to_si = _KEYS[key]
+    model = load_energy_model() if key in ENERGY_KEYS else load_scenario()
+    default = getattr(model, field)
+    if to_si in _FROM_SI:
+        return _FROM_SI[to_si](default)
+    return default / to_si(1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(sorted(_KEYS)),
+       factors=st.sets(st.sampled_from(
+           [0.25, 0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0, 4.0]),
+           min_size=1, max_size=4),
+       descending=st.booleans(),
+       targets=st.lists(st.sampled_from(sorted(cli.TARGETS)), min_size=1,
+                        max_size=8),
+       params=st.lists(st.sampled_from(
+           ["b_paths=1", "theta4_dbm=200", "d_max_ms=12", "psi=0",
+            "psi=500"]), max_size=2, unique=True),
+       fmt=st.sampled_from(["csv", "json"]))
+def test_value_sweep_equals_row_wise_reference_property(
+        key, factors, descending, targets, params, fmt):
+    # any scenario or energy key, on a short grid around its default (a
+    # whole-number key's fractional values fail their rows); repeated
+    # targets in any order
+    base = _default_value(key) or 1.0
+    grid = sorted((base * f for f in factors), reverse=descending)
+    argv = ["sweep", key, "--values=" + ",".join(map(repr, grid)),
+            "--targets", ",".join(targets), "--format", fmt]
+    for kv in params:
+        argv += ["--param", kv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == _reference_sweep(argv)
+
+
+def test_value_sweep_evaluates_a_target_once_where_it_reads_no_key(
+        capsys, monkeypatch):
+    # the bounds read no delay budget, so a d_max_ms sweep evaluates them
+    # as often for 2 rows as for 50
+    calls = collections.Counter()
+    bounds = multipath.delay_bounds
+
+    def counted(*args, **kwargs):
+        calls[rows] += 1
+        return bounds(*args, **kwargs)
+
+    monkeypatch.setattr(multipath, "delay_bounds", counted)
+    for rows in (2, 50):
+        values = np.linspace(20.0, 40.0, rows).tolist()
+        code, out, _ = run_cli(capsys, "sweep", "d_max_ms",
+                               "--values", ",".join(map(repr, values)),
+                               "--targets", ",".join(cli.TARGETS))
+        assert code == 0
+        assert [r["error"] for r in parse_csv(out)] == [""] * rows
+    assert calls[2] == calls[50] == 2
+
+
+@pytest.mark.parametrize("sweep", [
+    ("lambda_e_per_km2", "--values", "6,10,49"),
+    ("d_max_ms", "--values", "12,20")])
+def test_scalar_backhaul_overflows_to_inf_without_a_warning(capsys, sweep):
+    # the bounds' one-path delay at a scalar density overflows to inf
+    # silently, as an array column does, here under the suite's
+    # error::RuntimeWarning
+    code, out, err = run_cli(capsys, "sweep", *sweep, "--targets",
+                             "delay_upper_bound", "--param", "tau_mmw=1e304")
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    assert [r["delay_upper_bound"] for r in rows] == ["inf"] * len(rows)
+    assert all(r["error"] == "" for r in rows)
+
+
+def test_bounds_and_path_count_hold_at_a_huge_r_max(capsys):
+    # the scenario accepts r_max = 2e156, where r_max ** 2 would raise;
+    # r_max * r_max overflows to inf, so the lower bound reads 0
+    code, out, err = run_cli(capsys, "sweep", "r_max", "--values",
+                             "1e3,2e156", "--targets",
+                             "delay_lower_bound,backhaul_delay_bmax")
+    assert (code, err) == (0, "")
+    first, last = parse_csv(out)
+    assert (last["delay_lower_bound"], last["error"]) == ("0", "")
+    assert last["backhaul_delay_bmax"] == first["backhaul_delay_bmax"]
 
 
 def test_reused_parser_starts_each_call_fresh(capsys):
