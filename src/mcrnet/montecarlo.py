@@ -8,13 +8,13 @@ results can be checked to within sampling noise.
 The distance-based oracles use the ordered construction of a planar
 Poisson field of density ``lam`` (mapping theorem): the values
 ``pi * lam * r**2`` over its points in distance order form a unit-rate
-Poisson process on the line.  So the k-th nearest squared distance is
-``Gamma(k, 1) / (pi * lam)``, the nearest is ``Exp(1) / (pi * lam)``,
-and the ordered squared distances are cumulative sums of Exp(1) draws
-over ``pi * lam``; no trial samples a point count or a disc.  The
-delivery oracle samples its 8 nearest macro cells this way and draws
-the interference beyond them as one Gamma variable with that shot
-noise's exact mean and variance.
+Poisson process on the line (Haenggi, "On distances in uniformly random
+networks", IEEE Trans. Inf. Theory 51(10), 2005).  So the ordered
+squared distances are cumulative sums of Exp(1) draws over
+``pi * lam``, the k-th of them ``Gamma(k, 1) / (pi * lam)``; no trial
+samples a point count or a disc.  The delivery oracle samples its 8
+nearest macro cells this way and draws the interference beyond them as
+one Gamma variable with that shot noise's exact mean and variance.
 
 The packet-level backhaul simulator is the oracle for the integer-hop
 (``EXACT_CEIL``) backhaul delay.  It takes its paths and their per-slot
@@ -38,6 +38,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import multipath
 from .multipath import MULTIPATH
@@ -53,10 +54,14 @@ _DELI_POINTS = 8
 # the end; chunks of 5e6 draws (625,000 trials at 8 cells) would hold
 # them all in one and leave the other worker idle
 _DELI_CHUNK = 24_752
-# delivery trials per row block: a block of distances and one of gains
-# (8192 float64 values, 64 KiB, each) stay in cache and are reused
-# across a chunk
+# delivery trials per draw block: each block takes its gains and then its
+# far-field draws from the gains substream, so this constant and
+# _DELI_CHUNK fix every stream
 _DELI_BLOCK = 8192 // _DELI_POINTS
+# draw blocks per pass: the distances, powers and sums of a pass (512 KiB
+# per array) are each one numpy call, and it moves no draw; passes of 4
+# to 8 blocks timed fastest, a whole chunk in one pass slower
+_DELI_PASS = 8
 # CPUs this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -127,44 +132,92 @@ def _proportion_estimate(successes, trials):
     return McEstimate(mean=p, std_error=se, n_samples=trials)
 
 
+def mean_estimate(samples):
+    """Sample mean of a 1-D array with its standard error."""
+    n = len(samples)
+    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return McEstimate(mean=float(samples.mean()), std_error=se, n_samples=n)
+
+
 def proportion_z(est, analytic):
     """z-score of a sampled proportion against an analytic probability.
 
-    Uses the binomial standard error under the analytic value, which
-    stays meaningful when the sample happens to contain no failures (or
-    no successes) and the empirical standard error degenerates to zero.
+    The mid-p value of the success count ``k`` under ``X ~ Binomial(n,
+    analytic)``, ``P(X < k) + P(X = k) / 2``, mapped through the inverse
+    normal CDF; it is taken from the smaller tail, so it stays finite
+    where that tail is tiny.  Unlike the normal approximation it holds
+    where ``n * analytic * (1 - analytic)`` is far below 1: one failure
+    in 1e5 trials at a failure probability of 8.3e-9 has probability
+    8.3e-4 and reads z = -3.34, not -34.7.  Where ``n * p * (1 - p)``
+    is large the two agree, up to the binomial's skewness.  A tail that
+    underflows (a count dozens of standard errors out) falls back to
+    the normal z, as does an analytic value of 0 or 1, which has no
+    spread: 0 when the sample equals it, else infinite.
     """
     var = analytic * (1.0 - analytic)
     if var == 0.0:
         return 0.0 if est.mean == analytic else math.inf
-    return (est.mean - analytic) / math.sqrt(var / est.n_samples)
+    n = est.n_samples
+    k = round(est.mean * n)
+    # the binomial tails as regularised incomplete Beta functions, of
+    # 1 - analytic for P(X <= j) and of analytic for P(X >= j); 1 -
+    # analytic is exact where it is small.  scipy's bdtr, through Cephes,
+    # is off by 1e-3 in a central tail at n = 1e7
+    below = special.betainc(n - k + 1, k, 1.0 - analytic) if k else 0.0
+    at_most = special.betainc(n - k, k + 1, 1.0 - analytic) if k < n else 1.0
+    above = special.betainc(k + 1, n - k, analytic) if k < n else 0.0
+    at_least = special.betainc(k, n - k + 1, analytic) if k else 1.0
+    # the mid-p value of each tail: P(X < k) or P(X > k), plus P(X = k) / 2
+    lower, upper = 0.5 * (below + at_most), 0.5 * (above + at_least)
+    tail = min(lower, upper)
+    if tail > 0.0:
+        z = float(special.ndtri(tail))
+        return z if lower <= upper else -z
+    return (est.mean - analytic) / math.sqrt(var / n)
 
 
-def kth_nearest_distances(lambda_e, k, trials, seed=0):
-    """Sampled distances to the k-th nearest point of a Poisson field.
+def nearest_distances(lambda_e, k, trials, seed=0):
+    """Sampled distances to the 1st..k-th nearest points of a Poisson field.
 
-    ``pi * lambda_e * r_k**2`` is the k-th arrival of a unit-rate Poisson
-    process on the line, so it is drawn directly as Gamma(k, 1).
+    Returns a ``(k, trials)`` array, row ``j`` the ``(j + 1)``-th nearest
+    distance of each trial.  Each ``_CHUNK`` chunk of trials fills its
+    rows one after another from substream ``(seed, 0, chunk)``: row 0 is
+    Exp(1) draws, row ``j`` row ``j - 1`` plus fresh Exp(1) draws, the
+    arrivals of a unit-rate Poisson process; then the chunk is divided
+    by ``pi * lambda_e`` and square-rooted in place.  So the first ``j``
+    rows do not depend on ``k``, and each trial's distances never
+    decrease from row to row.  Holds ``k * trials`` floats.
     """
     if k < 1 or lambda_e <= 0:
         raise ValueError("need k >= 1 and lambda_e > 0")
-    out = np.empty(trials)
+    out = np.empty((k, trials))
+    scale = math.pi * lambda_e
 
     def draw(chunk_idx, m):
         start = chunk_idx * _CHUNK
-        substream(seed, 0, chunk_idx).standard_gamma(
-            k, out=out[start:start + m])
+        rows = out[:, start:start + m]
+        rng = substream(seed, 0, chunk_idx)
+        for j, row in enumerate(rows):
+            rng.standard_exponential(out=row)
+            if j:
+                row += rows[j - 1]
+        rows /= scale
+        np.sqrt(rows, out=rows)
 
     _map_chunks(draw, trials, _CHUNK)
-    return np.sqrt(out / (math.pi * lambda_e))
+    return out
+
+
+def kth_nearest_distances(lambda_e, k, trials, seed=0):
+    """Sampled distances to the k-th nearest point of a Poisson field: the
+    last row of :func:`nearest_distances`, whose ``pi * lambda_e * r**2``
+    is a sum of ``k`` Exp(1) draws, a Gamma(k, 1) variable."""
+    return nearest_distances(lambda_e, k, trials, seed)[-1]
 
 
 def estimate_kth_nearest(lambda_e, k, trials, seed=0):
     """Mean distance to the k-th nearest edge node, sampled."""
-    dist = kth_nearest_distances(lambda_e, k, trials, seed)
-    se = float(dist.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return McEstimate(mean=float(dist.mean()), std_error=se,
-                      n_samples=trials)
+    return mean_estimate(kth_nearest_distances(lambda_e, k, trials, seed))
 
 
 def _nearest_threshold_successes(lam, order, threshold_scale, alpha,
@@ -236,11 +289,12 @@ def estimate_deli_success(s, trials=1_000_000, seed=0):
     -7.1e-4 at order 1.
 
     A chunk draws its ``(m, 8)`` Exp(1) distances from substream
-    ``(seed, 2, chunk, 0)`` and its gains from ``(seed, 2, chunk, 1)``,
-    both in blocks of ``_DELI_BLOCK`` trials: the distances are those of
-    one ``(m, 8)`` array; each block takes its ``(n, 8)`` gains and
-    then its ``n`` far-field Gamma(k) draws from the gains substream, so
-    no chunk-sized array is held.
+    ``(seed, 2, chunk, 0)``, those of one ``(m, 8)`` array, and its
+    gains from ``(seed, 2, chunk, 1)`` in draw blocks of ``_DELI_BLOCK``
+    trials: each block takes its ``(n, 8)`` gains and then its ``n``
+    far-field Gamma(k) draws.  It computes a pass of ``_DELI_PASS``
+    blocks at a time, so no chunk-sized array is held; the pass size
+    moves no draw and no result bit.
 
     Raises
     ------
@@ -268,35 +322,38 @@ def _deli_blocks(s, seed, chunk_idx, m):
     """Serving power and interference of each of the ``m`` trials of
     delivery chunk ``chunk_idx``, in the units of
     :func:`estimate_deli_success`: one ``(signal, interference)`` pair of
-    arrays per ``_DELI_BLOCK`` row block, ``signal`` a view that the next
-    block overwrites."""
+    arrays per pass of ``_DELI_PASS`` draw blocks, ``signal`` a view that
+    the next pass overwrites."""
     order = s.nt_m * s.nr_e
     half = s.alpha1 / 2.0
     far_shape, far_scale = _far_field_gamma(order, s.alpha1)
     dist_rng = substream(seed, 2, chunk_idx, 0)
     gains_rng = substream(seed, 2, chunk_idx, 1)
-    t = np.empty((min(m, _DELI_BLOCK), _DELI_POINTS))
+    rows = _DELI_PASS * _DELI_BLOCK
+    t = np.empty((min(m, rows), _DELI_POINTS))
     power = np.empty_like(t)
     far = np.empty(len(t))
-    for start in range(0, m, _DELI_BLOCK):
-        n = min(_DELI_BLOCK, m - start)
-        tb, pb, fb = t[:n], power[:n], far[:n]
-        dist_rng.standard_exponential(out=tb)
+    for start in range(0, m, rows):
+        n = min(rows, m - start)
+        tp, pp, fp = t[:n], power[:n], far[:n]
+        dist_rng.standard_exponential(out=tp)
         # running sums and the interference sum as column adds, in the
         # order of np.cumsum and of sum(axis=1): on 8 columns those
         # short-axis reductions cost more than the adds
         for j in range(1, _DELI_POINTS):
-            tb[:, j] += tb[:, j - 1]
-        gains_rng.standard_gamma(order, out=pb)
-        gains_rng.standard_gamma(far_shape * tb[:, -1], out=fb)
-        pb *= np.power(tb, -half, out=tb)
-        fb *= far_scale * tb[:, -1]
-        # a copy: the next block overwrites pb, and callers keep this
-        interference = pb[:, 1].copy()
+            tp[:, j] += tp[:, j - 1]
+        for b in range(0, n, _DELI_BLOCK):
+            gains_rng.standard_gamma(order, out=pp[b:b + _DELI_BLOCK])
+            gains_rng.standard_gamma(far_shape * tp[b:b + _DELI_BLOCK, -1],
+                                     out=fp[b:b + _DELI_BLOCK])
+        pp *= np.power(tp, -half, out=tp)
+        fp *= far_scale * tp[:, -1]
+        # a copy: the next pass overwrites pp, and callers keep this
+        interference = pp[:, 1].copy()
         for j in range(2, _DELI_POINTS):
-            interference += pb[:, j]
-        interference += fb
-        yield pb[:, 0], interference
+            interference += pp[:, j]
+        interference += fp
+        yield pp[:, 0], interference
 
 
 def _far_field_gamma(order, alpha):
@@ -386,7 +443,4 @@ def simulate_backhaul(s, scheme=MULTIPATH, trials=1000, seed=0):
                 slots[:, path] += n + rng.negative_binomial(n, p, size=trials)
 
     _pool_map(draw, [(path,) for path in range(plan.b)])
-    delays = slots.max(axis=1) * s.tau_mmw
-    se = float(delays.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return McEstimate(mean=float(delays.mean()), std_error=se,
-                      n_samples=trials)
+    return mean_estimate(slots.max(axis=1) * s.tau_mmw)

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mcrnet
-from mcrnet import cli, latency, multipath, optimizer, popularity
+from mcrnet import cli, latency, montecarlo, multipath, optimizer, popularity
 from mcrnet.cli import main
 from mcrnet.energy import ENERGY_KEYS, load_energy_model, system_energy
 from mcrnet.multipath import MULTIPATH, SCHEMES, SINGLE_PATH
@@ -1109,6 +1109,62 @@ def test_validate_names_delivery_noise_overflow(capsys):
     assert rows["deli_success"]["error"] == (
         "delivery stage: its sampled noise overflows a float at this "
         "path-loss exponent and macro density")
+
+
+def test_validate_reads_one_rare_failure_by_its_binomial_mid_p(capsys):
+    # one uplink failure in 1e5 trials at an analytic failure probability
+    # of 8.27e-9, which has probability 8.3e-4: the mid-p z reads -3.34
+    # (the normal approximation read -34.7), so the row still fails its
+    # |z| <= 3 gate
+    code, out, err = run_cli_without_warnings(
+        capsys, "validate", "--trials", "100000", "--seed", "602457599")
+    uplink = {r["check"]: r for r in parse_csv(out)}["uplink_success"]
+    assert float(uplink["estimate"]) == 0.99999
+    assert float(uplink["deviation"]) == pytest.approx(-3.3436, abs=1e-4)
+    assert uplink["passed"] == "False"
+    assert code == 3
+    assert err == ""
+
+
+def test_geometry_rows_share_one_ordered_draw(capsys, monkeypatch):
+    # one draw at k = 3 serves all three rows; its j-th row is the
+    # sample estimate_kth_nearest draws at k = j
+    s = load_scenario()
+    expected = [montecarlo.estimate_kth_nearest(s.lambda_e, p, 3000, 9)
+                for p in (1, 2, 3)]
+    calls = []
+    draw = montecarlo.nearest_distances
+
+    def recording(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(montecarlo, "nearest_distances", recording)
+    code, out, _ = run_cli(capsys, "validate", "--trials", "3000",
+                           "--seed", "9")
+    rows = {r["check"]: r for r in parse_csv(out)}
+    assert calls == [(s.lambda_e, 3, 3000, 9)]
+    for p, est in zip((1, 2, 3), expected):
+        row = rows[f"kth_nearest_distance_p{p}"]
+        assert float(row["estimate"]) == est.mean
+        assert float(row["std_error"]) == est.std_error
+    assert code == 0
+
+
+def test_failing_geometry_draw_fails_each_geometry_row(capsys, monkeypatch):
+    def failing(*args):
+        raise MemoryError("cannot hold the draw")
+
+    monkeypatch.setattr(montecarlo, "nearest_distances", failing)
+    code, out, _ = run_cli(capsys, "validate", "--trials", "3000",
+                           "--seed", "9")
+    rows = {r["check"]: r for r in parse_csv(out)}
+    geometry = [f"kth_nearest_distance_p{p}" for p in (1, 2, 3)]
+    assert all(rows[name]["error"] == "cannot hold the draw"
+               and rows[name]["passed"] == "False" for name in geometry)
+    assert all(r["passed"] == "True" for name, r in rows.items()
+               if name not in geometry)
+    assert code == 3
 
 
 def test_out_file_writing(tmp_path, capsys):

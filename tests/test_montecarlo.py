@@ -6,9 +6,10 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -17,7 +18,8 @@ from mcrnet.montecarlo import (McEstimate, estimate_access_success,
                                estimate_deli_success, estimate_kth_nearest,
                                estimate_shadowing_success,
                                estimate_uplink_success,
-                               kth_nearest_distances, proportion_z,
+                               kth_nearest_distances, mean_estimate,
+                               nearest_distances, proportion_z,
                                simulate_backhaul, substream)
 from mcrnet.multipath import EXACT_CEIL, MULTIPATH, SCHEMES, SINGLE_PATH
 from mcrnet.scenario import MAX_GAIN_ORDER, ScenarioError, load_scenario
@@ -79,6 +81,43 @@ def test_kth_nearest_matches_brute_force_disc_sampling():
         assert stats.ks_2samp(brute, ordered).pvalue > 1e-3, k
 
 
+@pytest.mark.parametrize("trials", [1, montecarlo._CHUNK - 1,
+                                    montecarlo._CHUNK + 1,
+                                    2 * montecarlo._CHUNK + 3])
+def test_nearest_distances_are_an_ordered_prefix(trials):
+    # the first j rows do not depend on k, bit for bit, and each trial's
+    # distances do not decrease from row to row
+    lam, k = 1e-5, 4
+    rows = nearest_distances(lam, k, trials, SEED)
+    assert rows.shape == (k, trials)
+    for j in range(1, k + 1):
+        prefix = nearest_distances(lam, j, trials, SEED)
+        assert prefix.tobytes() == rows[:j].tobytes(), j
+        assert (kth_nearest_distances(lam, j, trials, SEED).tobytes()
+                == rows[j - 1].tobytes())
+    assert (np.diff(rows, axis=0) >= 0.0).all()
+
+
+def test_nearest_distance_is_a_direct_exponential_draw():
+    # k = 1: chunk by chunk, Exp(1) draws from substream (seed, 0, chunk)
+    # over pi * lambda, square-rooted
+    lam, trials, chunk = 1e-5, 2 * montecarlo._CHUNK + 3, montecarlo._CHUNK
+    direct = np.concatenate([
+        np.sqrt(substream(SEED, 0, i).standard_exponential(
+            min(chunk, trials - start)) / (math.pi * lam))
+        for i, start in enumerate(range(0, trials, chunk))])
+    assert (nearest_distances(lam, 1, trials, SEED)[0].tobytes()
+            == direct.tobytes())
+
+
+def test_mean_estimate_is_the_mean_with_its_standard_error():
+    x = np.array([1.0, 2.0, 4.0, 9.0])
+    est = mean_estimate(x)
+    assert est == McEstimate(mean=4.0, std_error=float(x.std(ddof=1)) / 2.0,
+                             n_samples=4)
+    assert mean_estimate(np.array([3.0])) == McEstimate(3.0, 0.0, 1)
+
+
 def _brute_force_deli_successes(s, trials, rng):
     # every macro cell in a disc of radius 8 / sqrt(lambda_m), the nearest
     # serving; interference beyond the disc enters as its mean
@@ -133,13 +172,15 @@ def _ref_deli_successes(s, t, gains):
 class _PairedDeliChunk:
     """Both substreams of one delivery chunk, drawn over the reference cells.
 
-    The oracle receives the leading cells of each reference trial, and
-    the reference decides the trial when the block's gains are served.
-    A trial whose serving cell already loses to the interference of those
-    leading cells and the noise fails whatever lies beyond them, so only
-    the other trials draw their remaining REF_DELI_POINTS cells, from
-    where the leading ones end.  The oracle's far-field Gamma draws come
-    from the same generator.
+    The oracle receives the leading cells of each reference trial, a
+    pass of draw blocks at a time, and the reference decides a draw
+    block's trials when its gains are served, taking their distances at
+    a running row offset into the pass.  A trial whose serving cell
+    already loses to the interference of those leading cells and the
+    noise fails whatever lies beyond them, so only the other trials draw
+    their remaining REF_DELI_POINTS cells, from where the leading ones
+    end.  The oracle's far-field Gamma draws come from the same
+    generator.
     """
 
     def __init__(self, s, chunk_idx):
@@ -149,20 +190,22 @@ class _PairedDeliChunk:
 
     def standard_exponential(self, out):
         self.rng.standard_exponential(out=out)
-        self.exp = out.copy()
+        self.pass_exp, self.row = out.copy(), 0
 
     def standard_gamma(self, shape, out):
         self.rng.standard_gamma(shape, out=out)
         if out.ndim == 1:  # the far field beyond the oracle's cells
             return
         s, (n, k) = self.s, out.shape
+        exp = self.pass_exp[self.row:self.row + n]
+        self.row += n
         half = s.alpha1 / 2.0
         noise = (s.nt_m * s.n0 * s.w_mmw / s.p_m
                  * (math.pi * s.lambda_m) ** -half)
-        power = out * np.cumsum(self.exp, axis=1) ** -half
+        power = out * np.cumsum(exp, axis=1) ** -half
         open_ = power[:, 0] >= s.theta2 * (power[:, 1:].sum(axis=1) + noise)
         rest = (int(np.count_nonzero(open_)), REF_DELI_POINTS - k)
-        exp = np.hstack([self.exp[open_], self.rng.standard_exponential(rest)])
+        exp = np.hstack([exp[open_], self.rng.standard_exponential(rest)])
         gains = np.hstack([out[open_], self.rng.standard_gamma(shape, rest)])
         self.successes += _ref_deli_successes(s, np.cumsum(exp, axis=1),
                                               gains)
@@ -238,8 +281,8 @@ def test_deli_far_field_matches_shot_noise_moments(monkeypatch, order,
     mean, var = _far_field_moments(order, alpha, t_k)
     s = load_scenario(overrides={"nt_m": 1, "nr_e": order, "alpha1": alpha})
 
-    # the oracle's draw at a fixed t_K, all trials in one chunk and one
-    # row block, so the stand-in holds every scaled draw.  Its
+    # the oracle's draw at a fixed t_K, all trials in one chunk, one draw
+    # block and one pass, so the stand-in holds every scaled draw.  Its
     # sample variance has a standard error of var * sqrt((kurtosis - 1) /
     # trials), the kurtosis of a Gamma(k) draw being 3 + 6 / k
     stand_in = _FixedDistanceChunk(t_k, np.random.default_rng(SEED))
@@ -299,6 +342,68 @@ def test_deli_oracle_names_noise_overflow():
 def test_kth_nearest_validates_args():
     with pytest.raises(ValueError):
         estimate_kth_nearest(1e-5, 0, 100)
+
+
+def _mid_p_z(k, n, p):
+    # the mid-p value of the smaller tail of Binomial(n, p) at k, its
+    # terms summed one by one at 50 digits, through the inverse normal CDF
+    with mpmath.workdps(50):
+        p = mpmath.mpf(p)
+        pmf = [mpmath.binomial(n, j) * p ** j * (1 - p) ** (n - j)
+               for j in range(n + 1)]
+        lower = mpmath.fsum(pmf[:k]) + pmf[k] / 2
+        upper = mpmath.fsum(pmf[k + 1:]) + pmf[k] / 2
+        z = mpmath.sqrt(2) * mpmath.erfinv(2 * min(lower, upper) - 1)
+        return float(z if lower <= upper else -z)
+
+
+@pytest.mark.parametrize("k,n,p", [
+    (0, 50, 0.3), (50, 50, 0.3), (7, 50, 0.3), (31, 50, 0.3),
+    (0, 1000, 1e-3), (4, 1000, 1e-3), (999, 1000, 1.0 - 8.27e-9),
+    (1000, 1000, 1.0 - 8.27e-9), (400, 1000, 0.5), (1, 1, 0.25)])
+def test_proportion_z_is_the_mid_p_binomial_z(k, n, p):
+    est = McEstimate(mean=k / n, std_error=0.0, n_samples=n)
+    assert proportion_z(est, p) == pytest.approx(_mid_p_z(k, n, p),
+                                                 rel=1e-12, abs=1e-12)
+
+
+def test_proportion_z_falls_back_to_the_normal_z():
+    # an analytic value of 0 or 1 has no spread
+    assert proportion_z(McEstimate(1.0, 0.0, 10), 1.0) == 0.0
+    assert proportion_z(McEstimate(0.9, 0.1, 10), 1.0) == math.inf
+    assert proportion_z(McEstimate(0.0, 0.0, 10), 0.0) == 0.0
+    # a tail that underflows: 7850 successes in 20000 trials at 0.7956
+    est = McEstimate(mean=7850 / 20000, std_error=0.0, n_samples=20000)
+    normal = (est.mean - 0.7956) / math.sqrt(0.7956 * 0.2044 / 20000)
+    assert proportion_z(est, 0.7956) == normal < -141.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1_000, 10 ** 9),
+       q=st.floats(1e-9, 0.5),
+       upper=st.booleans(),
+       z_target=st.floats(-6.0, 6.0))
+def test_mid_p_z_agrees_with_normal_z_where_the_spread_is_large(n, q, upper,
+                                                                  z_target):
+    # With sigma**2 = n p (1 - p), the Cornish-Fisher expansion of the
+    # binomial's mid-p CDF at a count k gives the normal z of k less the
+    # skewness term: z_mid = z - gamma (z**2 - 1) / 6 + O((1 + |z|**3) /
+    # sigma**2), gamma = (1 - 2p) / sigma.  (The mid-p value cancels the
+    # lattice term of order 1 / sigma.)  So |z_mid - z| is held to
+    # |gamma| |z**2 - 1| / 6 + (1 + |z|**3) / (2 sigma**2); over sigma**2
+    # >= 1000 and |z| <= 6 that is under 0.3, and a scan of 6e4
+    # random draws put the second-order term below 0.1 (1 + |z|**3) /
+    # sigma**2 for sigma**2 down to 100
+    p = 1.0 - q if upper else q
+    var = n * p * (1.0 - p)
+    assume(var >= 1000.0)
+    sigma = math.sqrt(var)
+    k = min(max(round(n * p + z_target * sigma), 0), n)
+    z = (k / n - p) / math.sqrt(p * (1.0 - p) / n)
+    z_mid = proportion_z(McEstimate(k / n, 0.0, n), p)
+    gamma = (1.0 - 2.0 * p) / sigma
+    assert abs(z_mid - z) <= (abs(gamma) * abs(z * z - 1.0) / 6.0
+                              + (1.0 + abs(z) ** 3) / (2.0 * var))
 
 
 def test_uplink_oracle_agreement():
@@ -487,7 +592,7 @@ def test_simulator_reproducible():
 
 def _serial_deli_success(s, trials, seed):
     # the distances as one whole-chunk array; the gains substream in the
-    # oracle's order, each row block's gains and then its far-field draws;
+    # oracle's order, each draw block's gains and then its far-field draws;
     # returns the estimate and every trial's serving power and interference
     order = s.nt_m * s.nr_e
     alpha = s.alpha1
@@ -594,7 +699,7 @@ DELI_MODELS = {
     "noisy": {"n0": 4e-15},
 }
 SMALL_DELI_CHUNK = 990
-SMALL_DELI_BLOCK = 512  # two row blocks per small chunk: 512 + 478
+SMALL_DELI_BLOCK = 512  # two draw blocks per small chunk: 512 + 478
 
 
 @pytest.mark.parametrize("trials", _chunk_edges(SMALL_DELI_CHUNK))
@@ -603,11 +708,23 @@ def test_deli_oracle_equals_serial_reference_per_model(monkeypatch, model,
                                                        trials):
     # a small chunk puts every chunk edge within a few thousand trials;
     # test_deli_oracle_equals_serial_reference covers the oracle's own
-    # row block
+    # draw block, and test_deli_pass_size_moves_no_bit its passes
     monkeypatch.setattr(montecarlo, "_DELI_CHUNK", SMALL_DELI_CHUNK)
     monkeypatch.setattr(montecarlo, "_DELI_BLOCK", SMALL_DELI_BLOCK)
     _assert_deli_oracle_is_serial_reference(
         load_scenario(overrides=DELI_MODELS[model]), trials)
+
+
+@pytest.mark.parametrize("trials", _chunk_edges(DELI_CHUNK))
+@pytest.mark.parametrize("blocks", [
+    1, 3, 8, 24, -(-DELI_CHUNK // montecarlo._DELI_BLOCK)],
+    ids=["1", "3", "8", "24", "chunk"])
+def test_deli_pass_size_moves_no_bit(monkeypatch, blocks, trials):
+    # the pass only sets how many rows one numpy call covers: the draw
+    # block and the chunk fix every stream, so every pass size gives the
+    # serial reference's estimate and terms, a whole chunk in one pass too
+    monkeypatch.setattr(montecarlo, "_DELI_PASS", blocks)
+    _assert_deli_oracle_is_serial_reference(load_scenario(), trials)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
