@@ -26,7 +26,6 @@ from .multipath import (MultipathPlan, build_plan, continuous_backhaul_coeff,
                         mmwave_success_prob,
                         multipath_backhaul_delay, relay_selection_prob,
                         single_path_backhaul_delay)
-from .numerics import integrate_semi_infinite
 from .optimizer import (FeasiblePair, NoFeasiblePairError,
                         OptimizationOutcome, critical_edc_density,
                         optimize_cache_density, reduced_delay_budget)

@@ -8,7 +8,9 @@ combines it into the end-to-end total.
 
 All success probabilities average a Gamma-distributed aggregate antenna
 gain over the nearest-transmitter distance of a planar Poisson field.
-The uplink and access stages integrate that average numerically; the
+The uplink and access stages have that average in closed form at a
+path-loss exponent of 2 (the access stage's default) and integrate it in
+the log of the distance variable otherwise, exact at any threshold; the
 interference-limited delivery stage has it in closed form, a positive
 series over incomplete Beta functions with no quadrature at all.
 
@@ -16,8 +18,9 @@ The three stage success probabilities do not depend on cache size or edge
 density, so each is memoised on the scalar inputs it depends on (gain
 order, threshold, path-loss exponent, and for the integrated stages the
 density): a sweep over cache size or edge density evaluates each stage
-once.  A stage whose threshold overflows a float, or whose success
-probability is 0 so that its delay is unbounded, raises
+once.  A stage whose normalised threshold overflows a float, or whose
+success probability is below ``2**-63`` so that its mean attempt count
+outgrows an int64 (the packet simulator's bound on a slot count), raises
 ``ScenarioError`` naming the stage.
 """
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .numerics import integrate_semi_infinite
+from .numerics import integrate
 from .scenario import ScenarioError
 
 
@@ -54,25 +57,54 @@ def _gamma_tail(order, x):
     return special.gammaincc(order, x)
 
 
+# the log-distance range of the nearest-node integral: the floor below
+# the knee, and the largest xi for which exp(-xi) is still a float
+_LOG_XI_FLOOR = math.log(1e-18)
+_LOG_XI_CAP = math.log(745.0)
+# gammaincc(order, exp(_LOG_TAIL_CAP)) is 0 for every gain order the
+# scenario accepts, and exp of it is a float
+_LOG_TAIL_CAP = 700.0
+
+
 @functools.lru_cache(maxsize=128)
 def _nearest_tx_success(lam, order, threshold_scale, alpha):
     """Success probability of a power-threshold link to the nearest node.
 
     Averages the Gamma(order, 1) tail at ``threshold_scale * r**alpha``
-    over the nearest-node distance of a Poisson field of density ``lam``;
-    the integration variable is the dimensionless ``lam * pi * r**2``.
-    Memoised: every argument is a scalar.
+    over the nearest-node distance of a Poisson field of density ``lam``.
+    In the dimensionless ``xi = lam * pi * r**2``, with
+    ``C = threshold_scale * (lam * pi)**(-alpha / 2)``, that is::
+
+        P = int_0^inf exp(-xi) Q(order, C xi^(alpha/2)) dxi
+
+    At ``alpha == 2`` it is ``1 - (C / (1 + C))**order`` exactly.
+    Otherwise it is integrated in ``s = log xi``, where the integrand
+    ``exp(s - e^s) Q(order, C e^(alpha s / 2))`` has its knee at
+    ``xi* = (order / C)**(2 / alpha)``, over
+    ``[log 1e-18 + min(0, log xi*), log 745]``.  Below the lower cut the
+    integral is at most ``e^s_lo``, while ``P >= e^-1 Q(order, order)
+    min(1, xi*) >= 0.135 min(1, xi*)``, so the cut is under 1e-17 of
+    ``P``; beyond the upper cut it is under ``e^-745``.  ``C``, the knee
+    and the tail's argument are computed in logs, so only a ``C`` beyond
+    a float raises ``OverflowError``.  Memoised: every argument is a
+    scalar.
     """
     if threshold_scale <= 0.0:
         return 1.0
     half_alpha = alpha / 2.0
-    area_scale = lam * math.pi
+    log_c = math.log(threshold_scale) - half_alpha * math.log(lam * math.pi)
+    # C itself must be a float: beyond one, math.exp raises OverflowError
+    c = math.exp(log_c)
+    if alpha == 2.0:
+        return -math.expm1(-order * math.log1p(1.0 / c)) if c else 1.0
+    log_knee = (math.log(order) - log_c) / half_alpha
 
-    def integrand(xi):
-        return math.exp(-xi) * _gamma_tail(
-            order, threshold_scale * (xi / area_scale) ** half_alpha)
+    def integrand(s):
+        return np.exp(s - np.exp(s)) * _gamma_tail(
+            order, np.exp(np.minimum(log_c + half_alpha * s, _LOG_TAIL_CAP)))
 
-    return min(1.0, integrate_semi_infinite(integrand))
+    return min(1.0, integrate(integrand, _LOG_XI_FLOOR + min(0.0, log_knee),
+                              _LOG_XI_CAP, 64))
 
 
 def _stage_success(stage, prob_fn, *args):
@@ -89,12 +121,18 @@ def _stage_success(stage, prob_fn, *args):
             f"this threshold and path-loss exponent") from None
 
 
+# a stage retried until it succeeds needs 1 / rho attempts on average; as
+# the packet simulator bounds a slot count, that count must fit an int64
+_MIN_SUCCESS = 2.0 ** -63
+
+
 def _retry_delay(stage, t_attempt, rho):
     """Mean delay ``t_attempt / rho`` of a stage retried until it succeeds."""
-    if rho == 0.0:
+    if rho < _MIN_SUCCESS:
         raise ScenarioError(
-            f"{stage} stage never succeeds: its success probability is 0, "
-            f"so its delay is unbounded")
+            f"{stage} stage never succeeds: its success probability "
+            f"{rho:.6g} is below 2**-63, so its mean attempt count "
+            f"outgrows an int64")
     return t_attempt / rho
 
 

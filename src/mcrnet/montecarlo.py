@@ -211,8 +211,30 @@ def nearest_distances(lambda_e, k, trials, seed=0):
 def kth_nearest_distances(lambda_e, k, trials, seed=0):
     """Sampled distances to the k-th nearest point of a Poisson field: the
     last row of :func:`nearest_distances`, whose ``pi * lambda_e * r**2``
-    is a sum of ``k`` Exp(1) draws, a Gamma(k, 1) variable."""
-    return nearest_distances(lambda_e, k, trials, seed)[-1]
+    is a sum of ``k`` Exp(1) draws, a Gamma(k, 1) variable.
+
+    Each chunk keeps only its running sum, adding the same draws from the
+    same substream in the same order, so the result is that row bit for
+    bit while holding ``trials`` floats and one chunk of draws.
+    """
+    if k < 1 or lambda_e <= 0:
+        raise ValueError("need k >= 1 and lambda_e > 0")
+    out = np.empty(trials)
+    scale = math.pi * lambda_e
+
+    def draw(chunk_idx, m):
+        start = chunk_idx * _CHUNK
+        row, fresh = out[start:start + m], np.empty(m)
+        rng = substream(seed, 0, chunk_idx)
+        rng.standard_exponential(out=row)
+        for _ in range(k - 1):
+            rng.standard_exponential(out=fresh)
+            row += fresh
+        row /= scale
+        np.sqrt(row, out=row)
+
+    _map_chunks(draw, trials, _CHUNK)
+    return out
 
 
 def estimate_kth_nearest(lambda_e, k, trials, seed=0):

@@ -287,14 +287,12 @@ def _to_field(keys, key, raw_value):
             f"value for {key!r} overflows in SI units: {raw_value!r}") from None
 
 
-def parse_config_text(text, keys):
-    """Parse flat ``key = value`` text into ``{field: SI value}``.
-
-    Blank lines and ``#`` comments are skipped; ``key: value`` is accepted
-    too.  Each key is looked up in ``keys`` (a :func:`config_keys` table);
-    an unknown key warns and is skipped.
-    """
-    out = {}
+@functools.lru_cache(maxsize=8)
+def _entries(text):
+    # (key, value) of each entry of a config document, both stripped:
+    # a sweep builds one scenario per row from the same document, so its
+    # lines are split once
+    out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -305,7 +303,20 @@ def parse_config_text(text, keys):
                 break
         else:
             raise ScenarioError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        mapped = _to_field(keys, key.strip(), value.strip())
+        out.append((key.strip(), value.strip()))
+    return tuple(out)
+
+
+def parse_config_text(text, keys):
+    """Parse flat ``key = value`` text into ``{field: SI value}``.
+
+    Blank lines and ``#`` comments are skipped; ``key: value`` is accepted
+    too.  Each key is looked up in ``keys`` (a :func:`config_keys` table);
+    an unknown key warns and is skipped, on every call.
+    """
+    out = {}
+    for key, value in _entries(text):
+        mapped = _to_field(keys, key, value)
         if mapped is not None:
             out[mapped[0]] = mapped[1]
     return out

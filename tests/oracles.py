@@ -1,7 +1,11 @@
 """Reference routines that only the tests use.
 
 ``find_root_monotone`` is the bracketing oracle for the optimiser's
-closed-form critical density; ``per_packet_path_delay`` is the scalar
+closed-form critical density; ``integrate_semi_infinite`` is a
+contract-checked QUADPACK quadrature over ``[lower, inf)``, the
+reference the library's own Gauss-Kronrod rule does not share;
+``nearest_tx_success_exact`` is the 30-digit mpmath value of the uplink
+and access success probabilities; ``per_packet_path_delay`` is the scalar
 reference for the backhaul delay of one relay chain; ``gamma_fn`` and
 ``erf_fn`` are contract-checked wrappers over ``math``;
 ``scenario_hash_payload`` is the text ``scenario_hash`` digests, built
@@ -13,8 +17,10 @@ constraints one field at a time, each message formatted on failure.
 import csv
 import io
 import math
+import warnings
 
-from scipy import optimize
+import mpmath
+from scipy import integrate, optimize
 
 from mcrnet import multipath, scenario
 from mcrnet.multipath import CONTINUOUS
@@ -71,6 +77,81 @@ def find_root_monotone(g, lo, hi, tol=1e-12):
         raise NumericsError(
             f"no sign change on [{lo}, {hi}]: g(lo)={g_lo!r}, g(hi)={g_hi!r}")
     return optimize.brentq(g, lo, hi, xtol=tol)
+
+
+# a quadrature that does not reach _ABS_TOL + _REL_TOL * |value| within
+# _MAX_SUBDIVISIONS intervals raises NumericsError
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-12
+_MAX_SUBDIVISIONS = 2000
+
+
+def integrate_semi_infinite(f, lower=0.0):
+    """Integrate ``f`` over ``[lower, inf)``.
+
+    Parameters
+    ----------
+    f : callable
+        Integrand; must be finite on the domain and eventually decaying.
+    lower : float
+        Lower limit, >= 0 for the integrals appearing in this library
+        (negative values are accepted; the routine does not care).
+
+    Returns
+    -------
+    float
+        The integral estimate.
+
+    Raises
+    ------
+    NumericsError
+        If the adaptive rule does not reach the requested tolerance.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        value, abserr, info, *rest = integrate.quad(
+            f, lower, math.inf,
+            epsabs=_ABS_TOL, epsrel=_REL_TOL, limit=_MAX_SUBDIVISIONS,
+            full_output=1,
+        )
+    if rest or abserr > _ABS_TOL + _REL_TOL * abs(value):
+        raise NumericsError(
+            f"semi-infinite quadrature did not converge (estimate {value!r}, "
+            f"error {abserr!r})")
+    return value
+
+
+def nearest_tx_success_exact(order, c, alpha):
+    """``int_0^inf exp(-xi) Q(order, c xi^(alpha/2)) dxi`` to 30 digits.
+
+    ``Q`` is the regularised upper incomplete Gamma function: the success
+    probability ``Pr[G >= c xi^(alpha/2)]`` of a Gamma(order, 1) gain
+    against the threshold at an Exp(1) distance variable ``xi``.  For
+    ``c >= 1`` it is integrated over the gain instead, as
+    ``E_G[1 - exp(-(G/c)^(2/alpha))]``, whose mass sits near ``G = order``
+    at every ``c``; below that over ``xi``, split at the knee
+    ``xi* = (order/c)^(2/alpha)`` and where the Gamma tail falls from 1
+    to 0 around it.  The tests hold it to ``c`` in [1e-8, 1e8]; far
+    beyond (``c`` near e^80 and up) its quadrature loses digits.
+    """
+    with mpmath.workdps(30):
+        m, c = mpmath.mpf(order), mpmath.mpf(c)
+        e = 2 / mpmath.mpf(alpha)
+        spread = [g for g in (m - 8 * mpmath.sqrt(m), m,
+                              m + 8 * mpmath.sqrt(m)) if g > 0]
+        if c >= 1:
+            def f(g):
+                return (mpmath.exp((m - 1) * mpmath.log(g) - g
+                                   - mpmath.loggamma(m))
+                        * -mpmath.expm1(-(g / c) ** e))
+            points = [0] + spread
+        else:
+            def f(xi):
+                return mpmath.exp(-xi) * mpmath.gammainc(
+                    m, c * xi ** (1 / e), mpmath.inf, regularized=True)
+            points = sorted({mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(100),
+                             *((g / c) ** e for g in spread)})
+        return float(mpmath.quad(f, points + [mpmath.inf]))
 
 
 def per_packet_path_delay(s, r_p, mode=CONTINUOUS, lambda_e=None):

@@ -15,13 +15,12 @@ from mcrnet import latency, montecarlo, multipath
 from mcrnet.energy import load_energy_model, system_energy
 from mcrnet.montecarlo import proportion_z
 from mcrnet.multipath import EXACT_CEIL, SINGLE_PATH
-from mcrnet.numerics import integrate_semi_infinite
 from mcrnet.optimizer import optimize_cache_density
 from mcrnet.popularity import hit_probability, zipf
 from mcrnet.energy import qos_indicator
 from mcrnet.scenario import (db_to_linear, dbm_to_watt, linear_to_db,
                              load_scenario, scenario_to_config, watt_to_dbm)
-from oracles import gamma_fn, per_packet_path_delay
+from oracles import gamma_fn, integrate_semi_infinite, per_packet_path_delay
 
 SEED = 2024
 

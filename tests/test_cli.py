@@ -18,7 +18,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mcrnet
-from mcrnet import cli, latency, montecarlo, multipath, optimizer, popularity
+from mcrnet import (cli, latency, montecarlo, multipath, optimizer,
+                    popularity, scenario)
 from mcrnet.cli import main
 from mcrnet.energy import ENERGY_KEYS, load_energy_model, system_energy
 from mcrnet.multipath import MULTIPATH, SCHEMES, SINGLE_PATH
@@ -858,6 +859,40 @@ def test_sweep_reads_each_document_once(tmp_path, capsys, monkeypatch,
     assert all(not r["error"] for r in parse_csv(out))
 
 
+@pytest.mark.parametrize("document", [
+    "# a full document\nlambda_m_per_km2 = 5\nalpha1: 3.6\nb_paths = 3\n"
+    "theta1_dbm = -85\np_u_dbm = 23  # the user's power\n",
+    "b_paths = 2\nfrobnication = 1\n",  # an unknown key: warns per row
+    "b_paths = 2\nalpha1 3.5\n",  # no separator
+    "alpha1 = steep\n",  # not numeric
+])
+@pytest.mark.parametrize("sweep", ["density", "beta"])
+def test_swept_config_run_equals_a_fresh_parse_per_row(tmp_path, capsys,
+                                                        monkeypatch, sweep,
+                                                        document):
+    # the document's lines are split once per run; every row still looks
+    # each key up, so its bytes, warnings turned errors included, are
+    # those of a row that parses the document afresh
+    doc = tmp_path / "scenario.cfg"
+    doc.write_text(document)
+    argv = [*SWEEPS[sweep], "--targets", ",".join(cli.TARGETS),
+            "--config", str(doc)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(scenario, "_entries", scenario._entries.__wrapped__)
+    assert out == _reference_sweep(argv)
+
+
+def test_swept_config_warns_in_every_row(tmp_path, capsys):
+    doc = tmp_path / "scenario.cfg"
+    doc.write_text("frobnication = 1\n")
+    with pytest.warns(UserWarning, match="frobnication") as record:
+        code, out, _ = run_cli(capsys, *SWEEPS["density"], "--targets",
+                               "e_sys", "--config", str(doc))
+    assert code == 0
+    assert len(record) == len(parse_csv(out)) == 3
+
+
 def test_sweep_over_energy_key_moves_e_sys(capsys):
     # each row builds its own energy model from the swept value
     values = (4e6, 8e6, 1.6e7)
@@ -1021,6 +1056,38 @@ def test_unreachable_stage_is_named_error(capsys, param, stage):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and f"{stage} stage" in err
+
+
+# at large thresholds the uplink and access stages integrate past the knee
+# of the distance average: the QUADPACK quadrature printed 3.5e30 s,
+# 9.9e109 s and "never succeeds" for the access sweep and 2.3e17 s and
+# 1.1e67 s for the uplink one
+@pytest.mark.parametrize("argv,target,expected", [
+    (("sweep", "theta3_dbm", "--values", "30,35,40,45"), "access_delay",
+     ("0.2608", "0.8246", "2.6076", "8.2460")),
+    (("sweep", "theta1_dbm", "--values=-10,-5,0,5"), "uplink_delay",
+     ("0.0491", "0.0929", "0.1775", "0.3408")),
+])
+def test_stage_delay_sweep_at_large_thresholds(capsys, argv, target,
+                                               expected):
+    code, out, _ = run_cli_without_warnings(capsys, *argv, "--targets",
+                                            target)
+    assert code == 0
+    rows = parse_csv(out)
+    assert [r["error"] for r in rows] == [""] * 4
+    assert [format(float(r[target]), ".4f") for r in rows] == list(expected)
+
+
+def test_validate_access_at_a_large_threshold_passes(capsys):
+    # the analytic access success is 3.14e-5 at 40 dBm; QUADPACK's 8.3e-115
+    # failed this row at 1e6 trials
+    code, out, _ = run_cli_without_warnings(
+        capsys, "validate", "--trials", "1000000", "--param",
+        "theta3_dbm=40")
+    access = {r["check"]: r for r in parse_csv(out)}["access_success"]
+    assert float(access["analytic"]) == pytest.approx(3.14e-5, rel=1e-3)
+    assert access["passed"] == "True"
+    assert code == 0
 
 
 @pytest.mark.parametrize("trials", ["0", "1"])

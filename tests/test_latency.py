@@ -4,8 +4,9 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from mcrnet import latency, numerics
 from mcrnet.cli import TARGETS, main
@@ -14,9 +15,10 @@ from mcrnet.latency import (DelayBreakdown, LatencyError, access_delay,
                             deli_success_prob, fiber_delay, total_latency,
                             uplink_delay_parts, uplink_request_delay,
                             uplink_success_prob)
-from mcrnet.numerics import NumericsError, integrate_semi_infinite
+from mcrnet.numerics import NumericsError
 from mcrnet.scenario import ScenarioError, load_scenario
 from memos import STAGE_CACHES, clear_memos, misses
+from oracles import integrate_semi_infinite, nearest_tx_success_exact
 
 # frozen module outputs at the documented defaults (regression guards)
 DELI_RHO_DEFAULT = 0.5282701969743324
@@ -159,8 +161,6 @@ def test_uplink_rayleigh_reduction():
 def test_uplink_order_one_equals_exponential_special_case():
     # the general gamma-tail path at order 1 must agree with an
     # exponential-only evaluation of the same average to 1e-8
-    from mcrnet.numerics import integrate_semi_infinite
-
     s = load_scenario(overrides={"theta1_dbm": -65, "nt_u": 1, "nr_m": 1})
     c = s.theta1 * s.nt_u / s.p_u
     area = s.lambda_m * math.pi
@@ -321,6 +321,20 @@ def test_access_trivial_threshold():
     assert access_delay(s) == pytest.approx(s.t_dl_as, rel=1e-9)
 
 
+@pytest.mark.parametrize("theta3_dbm", range(-30, 31, 5))
+def test_access_closed_form_at_alpha_two_matches_quadrature(theta3_dbm):
+    # at alpha2 = 2 the library reads 1 - (C / (1 + C))^order; the
+    # QUADPACK oracle integrates the distance average itself
+    s = load_scenario(overrides={"theta3_dbm": theta3_dbm})
+    assert s.alpha2 == 2.0
+    order, scale = s.nt_s * s.nr_u, s.theta3 * s.nt_s / s.p_s
+    c = scale / (s.lambda_s * math.pi)
+    quad = integrate_semi_infinite(
+        lambda xi: math.exp(-xi) * special.gammaincc(order, c * xi), 0.0)
+    assert access_success_prob(s) == pytest.approx(min(1.0, quad),
+                                                   rel=1e-12, abs=0.0)
+
+
 def test_access_matches_brute_force_quadrature():
     s = load_scenario(overrides={"theta3_dbm": -10})
     brute = brute_force_nearest_success(
@@ -451,9 +465,13 @@ def test_psi_sweep_integrates_each_stage_once(capsys):
 
 
 def test_failed_quadrature_is_not_memoised(monkeypatch):
-    s = load_scenario()
+    # the default access stage (alpha2 = 2) has a closed form, so alpha2
+    # = 3 gives it a quadrature to fail; a zero tolerance and a one-cell
+    # budget fail every quadrature on its first pass
+    s = load_scenario(overrides={"alpha2": 3.0})
     clear_memos()
-    monkeypatch.setattr(numerics, "_MAX_SUBDIVISIONS", 1)
+    monkeypatch.setattr(numerics, "_REL_TOL", 0.0)
+    monkeypatch.setattr(numerics, "_MAX_CELLS", 1)
     sizes = [cache.cache_info().currsize for cache in STAGE_CACHES]
     for prob_fn in (uplink_success_prob, access_success_prob):
         with pytest.raises(NumericsError):
@@ -491,3 +509,88 @@ def test_deli_closed_form_matches_quadrature_property(order, theta_db, alpha):
     assert 0.0 < rho <= 1.0
     assert rho == pytest.approx(quad_deli_success(order, theta, alpha),
                                 rel=1e-8)
+
+
+# --- the uplink and access stages at any threshold ---------------------------
+# The library's value of int_0^inf exp(-xi) Q(order, C xi^(alpha/2)) dxi at
+# unit area density, where its threshold scale is C itself, against the
+# 30-digit mpmath reference, to 1e-8 relative.
+
+def nearest_success(order, c, alpha):
+    return latency._nearest_tx_success.__wrapped__(1.0 / math.pi, order, c,
+                                                   alpha)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(order=st.integers(min_value=1, max_value=64),
+       alpha=st.floats(min_value=2.0, max_value=6.0),
+       log10_c=st.floats(min_value=-8.0, max_value=8.0))
+@example(order=4, alpha=2.0, log10_c=8.0)
+@example(order=64, alpha=2.0001, log10_c=8.0)
+@example(order=1, alpha=6.0, log10_c=-8.0)
+def test_nearest_success_matches_exact_reference_property(order, alpha,
+                                                          log10_c):
+    c = 10.0 ** log10_c
+    assert nearest_success(order, c, alpha) == pytest.approx(
+        nearest_tx_success_exact(order, c, alpha), rel=1e-8, abs=0.0)
+
+
+# the large-order corners of a grid of orders {1, ..., 16384}, alpha in
+# {2, ..., 6} and C in [1e-8, 1e8]: QUADPACK over xi missed the knee at
+# C = 1e6 and 1e8, off by up to 100 %
+@pytest.mark.parametrize("order", [1024, 16384])
+@pytest.mark.parametrize("alpha", [2.0001, 6.0])
+@pytest.mark.parametrize("c", [1e-8, 1e6, 1e8])
+def test_nearest_success_at_large_order_corners(order, alpha, c):
+    assert nearest_success(order, c, alpha) == pytest.approx(
+        nearest_tx_success_exact(order, c, alpha), rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("order", [1, 64, 16384])
+@pytest.mark.parametrize("alpha", [2.0001, 3.5, 6.0])
+@pytest.mark.parametrize("c", [1e60, 1e200])
+def test_nearest_success_at_a_huge_threshold_is_its_asymptote(order, alpha,
+                                                              c):
+    # -expm1(-x) = x (1 + O(x)), so for a huge C the G form gives
+    # P = E[G^(2/alpha)] C^(-2/alpha) = Gamma(m + 2/alpha) / Gamma(m)
+    # C^(-2/alpha), to far below 1e-8 relative at these C
+    e = 2.0 / alpha
+    asymptote = math.exp(math.lgamma(order + e) - math.lgamma(order)
+                         - e * math.log(c))
+    assert nearest_success(order, c, alpha) == pytest.approx(
+        asymptote, rel=1e-8, abs=0.0)
+
+
+def test_access_success_keeps_its_digits_at_a_large_threshold():
+    # at 40 dBm the exact access success is 3.14e-5; the QUADPACK
+    # quadrature returned 8.3e-115
+    s = load_scenario(overrides={"theta3_dbm": 40})
+    c = s.theta3 * s.nt_s / s.p_s / (s.lambda_s * math.pi)
+    exact = nearest_tx_success_exact(s.nt_s * s.nr_u, c, s.alpha2)
+    assert exact == pytest.approx(3.14e-5, rel=1e-3)
+    assert access_success_prob(s) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("theta1_dbm,exact", [(0, 4.668e-4), (-200, 1.0)])
+def test_uplink_success_at_extreme_thresholds(theta1_dbm, exact):
+    # 0 dBm: the QUADPACK quadrature returned 3.6e-22; -200 dBm: the log
+    # form takes a threshold far below the knee without overflow
+    s = load_scenario(overrides={"theta1_dbm": theta1_dbm})
+    assert uplink_success_prob(s) == pytest.approx(exact, rel=1e-3, abs=0.0)
+
+
+def test_threshold_beyond_a_float_is_named_error():
+    # C = threshold_scale * (lam pi)^(-alpha/2) = e^712 overflows
+    s = load_scenario(overrides={"theta1": 1e300})
+    with pytest.raises(ScenarioError, match="uplink stage"):
+        uplink_success_prob(s)
+
+
+def test_stage_beyond_an_int64_of_attempts_never_succeeds():
+    # the exact access success at a 1e300 W threshold is 3.14e-304: the
+    # probability is kept, the delay it implies is a named error
+    s = load_scenario(overrides={"theta3": 1e300})
+    assert access_success_prob(s) == pytest.approx(math.pi * 1e-304,
+                                                   rel=1e-9, abs=0.0)
+    with pytest.raises(ScenarioError, match="access stage never succeeds"):
+        access_delay(s)

@@ -98,6 +98,17 @@ def test_nearest_distances_are_an_ordered_prefix(trials):
     assert (np.diff(rows, axis=0) >= 0.0).all()
 
 
+@pytest.mark.parametrize("k", [1, 4, 64])
+def test_kth_nearest_running_sum_is_the_last_ordered_row(monkeypatch, k):
+    # a 1000-trial chunk puts two chunk edges inside 2500 trials
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+    lam, trials = 1e-5, 2500
+    last = nearest_distances(lam, k, trials, SEED)[-1]
+    assert kth_nearest_distances(lam, k, trials, SEED).tobytes() == \
+        last.tobytes()
+    assert estimate_kth_nearest(lam, k, trials, SEED) == mean_estimate(last)
+
+
 def test_nearest_distance_is_a_direct_exponential_draw():
     # k = 1: chunk by chunk, Exp(1) draws from substream (seed, 0, chunk)
     # over pi * lambda, square-rooted

@@ -18,10 +18,9 @@ from mcrnet.multipath import (CONTINUOUS, EXACT_CEIL, InfeasiblePlanError,
                               mmwave_success_prob,
                               multipath_backhaul_delay, relay_selection_prob,
                               single_path_backhaul_delay)
-from mcrnet.numerics import integrate_semi_infinite
 from mcrnet.scenario import load_scenario, min_edge_density, watt_to_dbm
 from memos import clear_memos, misses
-from oracles import per_packet_path_delay
+from oracles import integrate_semi_infinite, per_packet_path_delay
 
 # frozen closed-form mean distances at lambda_e = 1e-5 per m^2
 R_MEAN_1E5 = [158.11388300841892, 237.17082451262854, 296.4635306407855,

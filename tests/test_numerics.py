@@ -1,10 +1,16 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from mcrnet.numerics import NumericsError, integrate_semi_infinite
-from oracles import erf_fn, find_root_monotone, gamma_fn
+from mcrnet import numerics
+from mcrnet.numerics import NumericsError
+from oracles import (erf_fn, find_root_monotone, gamma_fn,
+                     integrate_semi_infinite)
 
 # 30-digit reference values (independent high-precision computation)
 ERF_1 = 0.842700792949714869341220635083
@@ -76,6 +82,70 @@ def test_integrate_rejects_truncation_that_drops_a_slow_tail():
     # truncation could keep; the quadrature must raise, not cut it off
     with pytest.raises(NumericsError, match="did not converge"):
         integrate_semi_infinite(lambda v: v ** -1.0005, 1.0)
+
+
+# --- the library's Gauss-Kronrod rule ---------------------------------------
+
+@pytest.mark.parametrize("degree", range(23))
+def test_rule_is_exact_on_polynomials_to_the_kronrod_degree(degree):
+    # the 15-point Kronrod rule integrates degree 3 * 7 + 1 = 22 exactly;
+    # the 7-point Gauss rule only to 13, so above that the rule bisects
+    # until the two agree
+    val = numerics.integrate(lambda x: x ** degree, -1.0, 2.0, 1)
+    exact = (2.0 ** (degree + 1) - (-1.0) ** (degree + 1)) / (degree + 1)
+    assert val == pytest.approx(exact, rel=1e-14)
+
+
+def test_rule_evaluates_each_pass_in_one_call():
+    shapes = []
+
+    def f(x):
+        shapes.append(x.shape)
+        return np.exp(-x)
+
+    val = numerics.integrate(f, 0.0, 50.0, 8)
+    assert val == pytest.approx(-math.expm1(-50.0), rel=1e-9)
+    assert shapes[0] == (8, 15)
+    assert all(shape[1] == 15 for shape in shapes)
+
+
+def test_rule_keeps_relative_digits_of_a_tiny_integral():
+    # no absolute floor: an integral of 1e-30 keeps 9 digits
+    val = numerics.integrate(lambda x: 1e-30 * np.cos(x), 0.0, 1.0, 1)
+    assert val == pytest.approx(1e-30 * math.sin(1.0), rel=1e-9)
+
+
+def test_rule_converges_across_a_step():
+    # the cell that holds the jump shrinks until its share of the error
+    # is small enough, with each bisection halving it
+    val = numerics.integrate(lambda x: (x > 1.0 / 3.0) * 1.0, 0.0, 1.0, 4)
+    assert val == pytest.approx(2.0 / 3.0, rel=1e-9)
+
+
+def test_rule_rejects_a_non_integrable_singularity():
+    with pytest.raises(NumericsError, match="did not converge"):
+        numerics.integrate(lambda x: 1.0 / x, 0.0, 1.0, 1)
+
+
+def test_rule_returns_zero_for_a_zero_integrand():
+    assert numerics.integrate(np.zeros_like, -3.0, 5.0, 16) == 0.0
+
+
+def test_cli_import_loads_no_scipy_subpackage_but_special():
+    # scipy.integrate alone pulls in optimize, sparse and linalg, most of
+    # the command line's start-up time
+    code = ("import sys, mcrnet.cli; print(' '.join(sorted(m for m in "
+            "sys.modules if m.split('.')[:2] in (['scipy', 'integrate'], "
+            "['scipy', 'optimize'], ['scipy', 'sparse'], "
+            "['scipy', 'linalg']))))")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]]
+                      if os.environ.get("PYTHONPATH") else [])))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    assert out.split() == []
 
 
 def test_root_linear():
