@@ -12,7 +12,10 @@ The uplink and access stages have that average in closed form at a
 path-loss exponent of 2 (the access stage's default) and integrate it in
 the log of the distance variable otherwise, exact at any threshold; the
 interference-limited delivery stage has it in closed form, a positive
-series over incomplete Beta functions with no quadrature at all.
+series over incomplete Beta functions with no quadrature at all.  The
+Gamma tails and incomplete Beta functions come from
+:mod:`mcrnet.numerics`, in numpy and ``math``, so this module imports no
+scipy.
 
 The three stage success probabilities do not depend on cache size or edge
 density, so each is memoised on the scalar inputs it depends on (gain
@@ -29,9 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .numerics import integrate
+from .numerics import beta_ladder, gamma_tail, integrate, log_gamma_ratio
 from .scenario import ScenarioError
 
 
@@ -52,16 +54,11 @@ class DelayBreakdown:
     total: float
 
 
-def _gamma_tail(order, x):
-    """Upper tail of a Gamma(order, 1) variable at ``x`` (vectorised)."""
-    return special.gammaincc(order, x)
-
-
 # the log-distance range of the nearest-node integral: the floor below
 # the knee, and the largest xi for which exp(-xi) is still a float
 _LOG_XI_FLOOR = math.log(1e-18)
 _LOG_XI_CAP = math.log(745.0)
-# gammaincc(order, exp(_LOG_TAIL_CAP)) is 0 for every gain order the
+# gamma_tail(order, exp(_LOG_TAIL_CAP)) is 0 for every gain order the
 # scenario accepts, and exp of it is a float
 _LOG_TAIL_CAP = 700.0
 
@@ -100,7 +97,7 @@ def _nearest_tx_success(lam, order, threshold_scale, alpha):
     log_knee = (math.log(order) - log_c) / half_alpha
 
     def integrand(s):
-        return np.exp(s - np.exp(s)) * _gamma_tail(
+        return np.exp(s - np.exp(s)) * gamma_tail(
             order, np.exp(np.minimum(log_c + half_alpha * s, _LOG_TAIL_CAP)))
 
     return min(1.0, integrate(integrand, _LOG_XI_FLOOR + min(0.0, log_knee),
@@ -183,25 +180,24 @@ def _interference_series(order, theta, alpha):
         k_0 = order theta^s G(1-s) G(order+s) / G(order+1) I_x(1-s, order+s)
               - (1 - (1+theta)^(-order))
 
-    where ``k_0`` is integrated by parts first.  The Gamma ratios go
-    through ``gammaln``, so nothing overflows at any order.  The series is
-    the lower-triangular Toeplitz form of Li, Zhang, Andrews and Letaief,
-    "A general framework for SIR/SINR analysis in MIMO HetNets" (IEEE TWC
-    2014).
+    where ``k_0`` is integrated by parts first.  Both need the ladder
+    ``I_x(q-s, order+s)``, q = 1..order-1, which
+    :func:`~mcrnet.numerics.beta_ladder` computes from ``theta`` itself.
+    ``theta^s G(1-s) G(order+s) / G(order)`` is taken in logs, so a
+    ``k_0`` beyond a float raises ``OverflowError``, and ``G(q-s) / G(q+1)``
+    as a running product of its ratios ``(q-s) / (q+1)``; nothing else
+    overflows at any order.  The series is the lower-triangular Toeplitz
+    form of Li, Zhang, Andrews and Letaief, "A general framework for
+    SIR/SINR analysis in MIMO HetNets" (IEEE TWC 2014).
     """
     s = 2.0 / alpha
-    x = theta / (1.0 + theta)
-    log_front = s * math.log(theta) + special.gammaln(order + s)
-    k0 = (order * math.exp(log_front + special.gammaln(1.0 - s)
-                           - special.gammaln(order + 1.0))
-          * special.betainc(1.0 - s, order + s, x)
-          + math.expm1(-order * math.log1p(theta)))
-    q = np.arange(1, order)
-    with np.errstate(over="raise"):
-        p = (s * np.exp(log_front + special.gammaln(q - s)
-                        - special.gammaln(q + 1.0) - special.gammaln(order))
-             * special.betainc(q - s, order + s, x))
-    return k0, p
+    ladder = beta_ladder(1.0 - s, order + s, max(order - 1, 1), theta)
+    scale = math.exp(s * math.log(theta) + math.log(math.gamma(1.0 - s))
+                     + log_gamma_ratio(order, s))
+    k0 = scale * ladder[0] + math.expm1(-order * math.log1p(theta))
+    q = np.arange(1.0, order - 1.0)
+    p = np.cumprod(np.concatenate(([s * scale], (q - s) / (q + 1.0))))
+    return k0, p * ladder[:order - 1]
 
 
 @functools.lru_cache(maxsize=128)

@@ -38,7 +38,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import multipath
 from .multipath import MULTIPATH
@@ -157,6 +156,9 @@ def proportion_z(est, analytic):
     var = analytic * (1.0 - analytic)
     if var == 0.0:
         return 0.0 if est.mean == analytic else math.inf
+    # The local import keeps scipy off the import path of every command
+    # but validate, the only one that reads a z-score.
+    from scipy import special
     n = est.n_samples
     k = round(est.mean * n)
     # the binomial tails as regularised incomplete Beta functions, of

@@ -1,19 +1,32 @@
-"""Finite-interval quadrature shared by the analytical modules.
+"""Quadrature and special functions shared by the analytical modules.
 
-A batched adaptive Gauss-Kronrod rule: the 7-point Gauss and 15-point
-Kronrod pair of QUADPACK's ``qk15`` (Piessens, de Doncker-Kapenga,
-Ueberhuber and Kahaner, "QUADPACK", Springer 1983), applied to every open
-cell of the partition in one vectorised call of the integrand.  The
-library integrates only the uplink and access success probabilities,
-whose integrands it maps onto a finite range itself, so the surface here
-is small on purpose.  Every other stage has a closed form.
+Its routines are in numpy and ``math`` alone, so that the closed forms
+import no scipy:
+
+- :func:`integrate`, a batched adaptive Gauss-Kronrod rule: the 7-point
+  Gauss and 15-point Kronrod pair of QUADPACK's ``qk15`` (Piessens,
+  de Doncker-Kapenga, Ueberhuber and Kahaner, "QUADPACK", Springer
+  1983), applied to every open cell of the partition in one vectorised
+  call of the integrand.  The library integrates only the uplink and
+  access success probabilities, whose integrands it maps onto a finite
+  range itself.
+- :func:`gamma_tail`, the regularised upper incomplete Gamma function
+  at an integer order, the tail of a Gamma-distributed aggregate gain.
+- :func:`beta_ladder`, the regularised incomplete Beta function along a
+  ladder of first parameters, and :func:`log_gamma_ratio`, the log of a
+  ratio of Gamma functions: the weights of the delivery stage's coverage
+  series.
+
+Each is as general as the stages need and no more.
 """
+
+import math
 
 import numpy as np
 
 
 class NumericsError(RuntimeError):
-    """Raised when a quadrature routine cannot converge."""
+    """Raised when a quadrature or a continued fraction cannot converge."""
 
 
 # a quadrature whose summed error estimate does not reach
@@ -100,3 +113,248 @@ def integrate(f, lo, hi, cells):
         closed_err += float(err[done].sum())
         left, half = left[~done], half[~done]
         left, width = np.concatenate([left, left + half]), np.tile(half, 2)
+
+
+# orders up to this one sum the finite series of the Gamma tail by Horner's
+# rule over the whole argument array; the sum is taken at arguments up to
+# _HORNER_X_CAP, beyond which the tail underflows to 0 at every such order
+# while the sum is still a float
+_HORNER_MAX_ORDER = 64
+_HORNER_X_CAP = 2000.0
+# a positive series stops once its last term is below this share of its
+# sum; the terms it drops then sum to under 1e-15 of it at any order up
+# to 16384
+_SERIES_TOL = 1e-17
+# terms in the first vectorised block of a series
+_SERIES_BLOCK = 16
+# below m + 1 the series P = 1 - Q is at most 162 times x^m e^-x / m!, and
+# above it Q is at most m times that, for every order up to 16384; below
+# e^-760 both products round to 0
+_LOG_UNDERFLOW = -760.0
+
+
+def gamma_tail(order, x):
+    """Regularised upper incomplete Gamma function ``Q(order, x)``.
+
+    The tail ``P(G > x)`` of a ``Gamma(order, 1)`` variable ``G``, for an
+    integer ``order >= 1`` and each ``x >= 0`` of an array.  At an
+    integer order it is the finite sum::
+
+        Q(m, x) = e^-x sum_{k<m} x^k / k!
+
+    Up to order ``_HORNER_MAX_ORDER`` that sum is one Horner pass, taken
+    in logs so that ``e^-x`` never underflows on its own.  Above it, the
+    lower tail ``P = 1 - Q`` is summed as the series
+    ``x^m e^-x / m! sum_n x^n / ((m+1)...(m+n))`` below ``x = m + 1``, and
+    the finite sum from its largest term down above it; both series have
+    positive terms and their ``x^a e^-x / a!`` prefactor is computed in
+    logs by :func:`_log_poisson_term`, so nothing overflows at any ``x``.
+    """
+    x = np.asarray(x, dtype=float)
+    if order <= _HORNER_MAX_ORDER:
+        x = np.minimum(x, _HORNER_X_CAP)
+        total = np.full_like(x, 1.0 / math.factorial(order - 1))
+        for k in range(order - 2, -1, -1):
+            total *= x
+            total += 1.0 / math.factorial(k)
+        return np.exp(np.log(total) - x)
+    low = x < order + 1.0
+    tail = np.where(low, 1.0, 0.0)
+    log_term = _log_poisson_term(order, x)
+    # where x^m e^-x / m! is below e^_LOG_UNDERFLOW, Q rounds to 1 below
+    # m + 1 and to 0 above it: neither series is needed there
+    live = log_term > _LOG_UNDERFLOW
+    below, above = live & low, live & ~low
+    x_below, x_above = x[below], x[above]
+    # P(m, x): the terms x^n / ((m+1)...(m+n)) decrease from n = 0
+    tail[below] = -np.expm1(log_term[below] + np.log(_positive_series(
+        lambda rows, n: x_below[rows, None] / (order + n), len(x_below))))
+    # the finite sum from k = m - 1 down: its terms, over
+    # x^(m-1) / (m-1)! = (x^m e^-x / m!) m / x, are
+    # (m-1)(m-2)...(m-j) / x^j, which vanish from j = m on
+    tail[above] = np.exp(log_term[above] + np.log(order / x_above)) * (
+        _positive_series(lambda rows, j: np.maximum(order - j, 0)
+                         / x_above[rows, None], len(x_above)))
+    return tail
+
+
+def _log_poisson_term(a, x):
+    """``log(x^a e^-x / a!)`` for an integer ``a >= 16`` and an array ``x``.
+
+    Written as ``a (log1p(d) - d) - log(2 pi a) / 2 - mu(a)`` with
+    ``d = (x - a) / a`` and ``mu`` the remainder of Stirling's series
+    (:func:`_stirling_remainder`), so its error is about ``eps |x - a|``:
+    a rounding error of ``eps`` on each of ``a log x``, ``x`` and
+    ``log a!`` would cost ``eps a log a``, 2e-11 at ``a = 16384``.
+    """
+    d = (x - a) / a
+    with np.errstate(divide="ignore"):
+        # x so far below a that d rounds to -1: the term is 0
+        lead = a * (np.log1p(d) - d)
+    return lead - 0.5 * math.log(2.0 * math.pi * a) - _stirling_remainder(a)
+
+
+def _positive_series(ratios, rows):
+    """Sum ``1 + sum_n prod_{i<=n} r_i`` of a series per row.
+
+    ``ratios(open_rows, n)`` maps an array of row indices and an integer
+    array of term indices ``n >= 1`` to a ``(len(open_rows), len(n))``
+    array of non-negative, non-increasing term ratios ``r_n``.  The terms
+    are summed in blocks that double from ``_SERIES_BLOCK``, each over
+    the rows whose last term is still above ``_SERIES_TOL`` of their sum.
+    """
+    total, last = np.ones(rows), np.ones(rows)
+    open_rows = np.arange(rows)
+    start, size = 1, _SERIES_BLOCK
+    while len(open_rows):
+        block = np.cumprod(ratios(open_rows, np.arange(start, start + size)),
+                           axis=1) * last[open_rows, None]
+        total[open_rows] += block.sum(axis=1)
+        last[open_rows] = block[:, -1]
+        open_rows = open_rows[block[:, -1] > _SERIES_TOL * total[open_rows]]
+        start, size = start + size, 2 * size
+    return total
+
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# Stirling's series is summed from this argument up
+_STIRLING_MIN = 16.0
+
+
+def _stirling_remainder(z):
+    """``mu(z) = lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2)``, z > 0.
+
+    From ``_STIRLING_MIN`` up it is Stirling's series to ``z^-11``, whose
+    next term is under 2e-18; below, where ``Gamma(z)`` is under 1.4e12,
+    it is that difference, with ``log(math.gamma(z))``: ``math.lgamma`` is
+    off by several ulps.
+    """
+    if z < _STIRLING_MIN:
+        return (math.log(math.gamma(z))
+                - ((z - 0.5) * math.log(z) - z + _HALF_LOG_2PI))
+    inv2 = 1.0 / (z * z)
+    return (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 * (
+        1.0 / 1680.0 - inv2 * (1.0 / 1188.0 - inv2 * (691.0 / 360360.0)))))
+            ) / z
+
+
+def log_gamma_ratio(z, s):
+    """``log(Gamma(z + s) / Gamma(z))`` for ``z > 0`` and ``z + s > 0``.
+
+    From ``_STIRLING_MIN`` up it is Stirling's form
+    ``(z - 1/2) log1p(s / z) + s log(z + s) - s + mu(z + s) - mu(z)``,
+    whose terms are of the size of the result, where the difference of
+    two log-Gamma values would lose ``eps log Gamma(z)`` to cancellation.
+    """
+    if min(z, z + s) < _STIRLING_MIN:
+        return math.log(math.gamma(z + s) / math.gamma(z))
+    return ((z - 0.5) * math.log1p(s / z) + s * math.log(z + s) - s
+            + _stirling_remainder(z + s) - _stirling_remainder(z))
+
+
+# the continued fraction of the incomplete Beta function stops once a
+# step changes it by less than this share; it takes about sqrt(a + b)
+# steps, and raises NumericsError after _MAX_CF_STEPS
+_CF_TOL = 3e-16
+_MAX_CF_STEPS = 100_000
+_CF_TINY = 1e-300
+
+
+def beta_ladder(a, b, n, theta):
+    """``I_x(a + j, b)`` for ``j = 0..n-1`` at ``x = theta / (1 + theta)``.
+
+    ``I_x`` is the regularised incomplete Beta function, ``a, b > 0`` and
+    ``theta > 0`` the odds of ``x``.  ``x`` and ``y = 1 - x`` are never
+    subtracted: both come from ``theta``, so a ``theta`` up to the
+    largest float keeps every digit.  The top rung ``I_x(a + n - 1, b)``
+    is one continued fraction (:func:`_beta_top`); every rung below adds
+    one positive step to the rung above::
+
+        I_x(c, b) = I_x(c + 1, b) + x^c y^b / (c B(c, b))
+
+    The step rises with ``c`` up to ``(x b - 1) / y`` and falls beyond.
+    The largest step on the ladder comes from :func:`_log_beta_power`,
+    and the others from it by products of the ratio
+    ``x (c + b) / (c + 1)`` of neighbouring steps or its inverse, each
+    below 1, so no step overflows and only steps negligible beside the
+    largest underflow.  The ladder has no cancellation; its relative
+    error grows by a few ``eps`` per rung from the largest step.
+    """
+    x, y = theta / (1.0 + theta), 1.0 / (1.0 + theta)
+    top = a + (n - 1)
+    ladder = [_beta_top(top, b, x, y,
+                        math.exp(_log_beta_power(top, b, x, y)))] * n
+    if n > 1:
+        # the rung of the largest step: the first at or above the peak
+        rise = x * b - 1.0
+        k = n - 2 if rise >= y * (top - 1.0) else max(
+            0, math.ceil(rise / y - a))
+        steps = [0.0] * (n - 1)
+        steps[k] = math.exp(_log_beta_power(a + k, b, x, y)) / (a + k)
+        for j in range(k + 1, n - 1):
+            c = a + (j - 1)
+            steps[j] = steps[j - 1] * (x * (c + b) / (c + 1.0))
+        for j in range(k - 1, -1, -1):
+            c = a + j
+            steps[j] = steps[j + 1] * ((c + 1.0) / (x * (c + b)))
+        for j in range(n - 2, -1, -1):
+            ladder[j] = ladder[j + 1] + steps[j]
+    return np.array(ladder)
+
+
+def _log_beta_power(a, b, x, y):
+    """``log(x^a y^b / B(a, b))`` for ``a, b > 0`` and ``y = 1 - x``.
+
+    With each log-Gamma in Stirling's form and ``n = a + b``, it is::
+
+        a f(x n / a) + b f(y n / b) + log(a b / (2 pi n)) / 2
+        + mu(n) - mu(a) - mu(b),        f(r) = log r - (r - 1)
+
+    since ``a (x n / a - 1) + b (y n / b - 1) = n (x + y - 1) = 0``.  Where
+    the power is not negligible both ``f`` are small, and the error is
+    about ``eps (|x n - a| + |y n - b|)``; summing ``a log x``, ``b log y``
+    and three log-Gamma values would cost ``eps n log n``, 1e-11 relative
+    at ``n = 32768``.
+    """
+    n = a + b
+    rx, ry = x * n / a, y * n / b
+    return (a * (math.log(rx) - (rx - 1.0)) + b * (math.log(ry) - (ry - 1.0))
+            + 0.5 * math.log(a * b / (2.0 * math.pi * n))
+            + _stirling_remainder(n) - _stirling_remainder(a)
+            - _stirling_remainder(b))
+
+
+def _beta_top(a, b, x, y, front):
+    """``I_x(a, b)`` by its continued fraction, with ``y = 1 - x`` and
+    ``front = x^a y^b / B(a, b)``.
+
+    The fraction converges fast for ``x < (a + 1) / (a + b + 2)``;
+    above that it gives ``I_y(b, a) = 1 - I_x(a, b)`` instead.
+    """
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
+def _beta_fraction(a, b, x):
+    """The continued fraction of ``I_x(a, b)`` by the modified Lentz
+    method (Press et al., "Numerical Recipes", 3rd ed., section 6.4)."""
+
+    # each step of d and c is kept off 0 by _CF_TINY, as Lentz does
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    c, d = 1.0, 1.0 / (d if abs(d) >= _CF_TINY else _CF_TINY)
+    h = d
+    for m in range(1, _MAX_CF_STEPS + 1):
+        for coeff in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                      -(a + m) * (a + b + m) * x
+                      / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + coeff * d
+            d = 1.0 / (d if abs(d) >= _CF_TINY else _CF_TINY)
+            c = 1.0 + coeff / c
+            c = c if abs(c) >= _CF_TINY else _CF_TINY
+            h *= d * c
+        if abs(d * c - 1.0) < _CF_TOL:
+            return h
+    raise NumericsError(
+        f"incomplete Beta continued fraction did not converge in "
+        f"{_MAX_CF_STEPS} steps (a={a!r}, b={b!r}, x={x!r})")

@@ -226,6 +226,43 @@ def test_csv_writer_equals_the_cell_wise_writer_property(table, block_rows):
     assert text == csv_text(names, zip(*columns))
 
 
+@pytest.mark.parametrize("argv", [
+    ["optimize"], ["optimize", "--scheme", SINGLE_PATH],
+    ["sweep", "psi", "--values", "1,50,400", "--targets",
+     ",".join(cli.TARGETS)],
+    # the second row fails: its cells are NaN and its error is set
+    ["sweep", "theta1_dbm", "--values=-60,3100", "--targets",
+     "uplink_delay,total_latency_multipath"],
+    ["validate", "--trials", "2000"]])
+def test_json_output_is_the_indenting_encoders_bytes(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.text(st.sampled_from('a"\\{}[],:\n\u00e9 '), max_size=5))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.tuples(inner, inner),
+        st.dictionaries(_JSON_SCALARS.filter(lambda v: isinstance(v, str)),
+                        inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(obj=st.one_of(_JSON_VALUES, st.lists(st.dictionaries(
+    st.text(st.sampled_from('ab"{}\n'), max_size=3), _JSON_SCALARS,
+    max_size=4), max_size=5)))
+def test_json_writer_equals_the_indenting_encoder_property(obj):
+    # a table of flat rows, with empty ones and keys that hold braces, as
+    # well as any nesting
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
 def _reference_optimize(d_max_ms, scheme, fmt):
     """Exit code and output of ``mcrnet optimize`` as the row-wise writer
     produced them: one FeasiblePair per feasible cache size from the shared

@@ -6,6 +6,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from mcrnet import numerics
 from mcrnet.numerics import NumericsError
@@ -131,21 +134,140 @@ def test_rule_returns_zero_for_a_zero_integrand():
     assert numerics.integrate(np.zeros_like, -3.0, 5.0, 16) == 0.0
 
 
-def test_cli_import_loads_no_scipy_subpackage_but_special():
-    # scipy.integrate alone pulls in optimize, sparse and linalg, most of
-    # the command line's start-up time
-    code = ("import sys, mcrnet.cli; print(' '.join(sorted(m for m in "
-            "sys.modules if m.split('.')[:2] in (['scipy', 'integrate'], "
-            "['scipy', 'optimize'], ['scipy', 'sparse'], "
-            "['scipy', 'linalg']))))")
+# --- the special functions of the stage closed forms ----------------------
+# scipy.special is the reference here only: the library computes the Gamma
+# tail and the incomplete Beta ladder in numpy and math.  Where the
+# reference exceeds 1e-290 the library agrees to 1e-12 relative up to
+# order 64 and 1e-10 up to 16384; below that it stays under 1e-280.
+
+SPECIAL_ORDERS = (1, 2, 3, 4, 8, 16, 64, 1024, 16384)
+LADDER_THETAS = (1e-12, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e8, 1e200, 1e308)
+LADDER_ALPHAS = (2.0001, 2.5, 3.5, 6.0)
+
+
+def assert_close_to_reference(value, ref, order):
+    value, ref = np.asarray(value), np.asarray(ref)
+    big = ref > 1e-290
+    rel = 1e-12 if order <= 64 else 1e-10
+    np.testing.assert_allclose(value[big], ref[big], rtol=rel, atol=0.0)
+    assert (value[~big] < 1e-280).all()
+
+
+def gamma_tail_args(order):
+    # 1e-20 to e^700, plus the knee around the order
+    spread = 8.0 * math.sqrt(order)
+    return np.concatenate([
+        np.geomspace(1e-20, math.exp(700.0), 2001),
+        np.linspace(max(order - spread, 0.0), order + spread, 401)])
+
+
+@pytest.mark.parametrize("order", SPECIAL_ORDERS)
+def test_gamma_tail_matches_scipy(order):
+    x = gamma_tail_args(order)
+    assert_close_to_reference(numerics.gamma_tail(order, x),
+                              special.gammaincc(order, x), order)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(order=st.integers(min_value=1, max_value=16384),
+       log_x=st.floats(min_value=math.log(1e-20), max_value=700.0))
+def test_gamma_tail_matches_scipy_property(order, log_x):
+    # around the order as well as across the whole range
+    x = np.array([math.exp(log_x), order * math.exp(log_x / 700.0)])
+    assert_close_to_reference(numerics.gamma_tail(order, x),
+                              special.gammaincc(order, x), order)
+
+
+@pytest.mark.parametrize("x", [15744.0, 16256.0, 16383.0, 16383.5, 16384.0,
+                               16384.5, 16385.0, 16385.5, 16512.0, 17024.0])
+def test_gamma_tail_at_order_16384_matches_mpmath(x):
+    # both series meet at x = order + 1, where the tail is about 1/2
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        exact = float(mpmath.gammainc(16384, x, mpmath.inf, regularized=True))
+    assert numerics.gamma_tail(16384, np.array([x]))[0] == pytest.approx(
+        exact, rel=1e-13, abs=0.0)
+
+
+def test_gamma_tail_is_exact_at_the_ends():
+    x = np.array([0.0, 1e-300, 1e300, 1.7e308])
+    for order in (1, 4, 64, 65, 16384):
+        assert numerics.gamma_tail(order, x).tolist() == [1.0, 1.0, 0.0, 0.0]
+
+
+def ladder_reference(order, theta, alpha):
+    s = 2.0 / alpha
+    q = np.arange(1, max(order - 1, 1) + 1)
+    return special.betainc(q - s, order + s, theta / (1.0 + theta))
+
+
+def ladder(order, theta, alpha):
+    s = 2.0 / alpha
+    return numerics.beta_ladder(1.0 - s, order + s, max(order - 1, 1), theta)
+
+
+@pytest.mark.parametrize("order", SPECIAL_ORDERS)
+@pytest.mark.parametrize("alpha", LADDER_ALPHAS)
+def test_beta_ladder_matches_scipy(order, alpha):
+    for theta in LADDER_THETAS:
+        assert_close_to_reference(ladder(order, theta, alpha),
+                                  ladder_reference(order, theta, alpha), order)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(order=st.integers(min_value=1, max_value=16384),
+       theta_db=st.floats(min_value=-120.0, max_value=3080.0),
+       alpha=st.floats(min_value=2.0001, max_value=6.0))
+def test_beta_ladder_matches_scipy_property(order, theta_db, alpha):
+    theta = 10.0 ** (theta_db / 10.0)
+    assert_close_to_reference(ladder(order, theta, alpha),
+                              ladder_reference(order, theta, alpha), order)
+
+
+def test_beta_ladder_rises_to_one_at_the_largest_threshold():
+    # x = 1 - 1e-308: every rung is 1 without a subtraction from 1
+    assert (ladder(16, 1e308, 3.5) == 1.0).all()
+
+
+def run_python(code):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + ([os.environ["PYTHONPATH"]]
                       if os.environ.get("PYTHONPATH") else [])))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True,
-                         timeout=60).stdout
-    assert out.split() == []
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120).stdout
+
+
+# the scipy modules a fresh process has loaded, one line per checkpoint
+SCIPY_LOADED = ("print(' '.join(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy')) or '-')\n")
+
+
+def test_cli_import_and_closed_form_commands_load_no_scipy():
+    # scipy's import is most of the command line's start-up time; only
+    # validate's mid-p z-score needs it
+    code = (
+        "import os, sys\n"
+        "import mcrnet.cli as cli\n"
+        + SCIPY_LOADED +
+        "targets = ','.join(cli.TARGETS)\n"
+        "for argv in (['optimize'], ['optimize', '--scheme', 'single-path'],"
+        " ['sweep', 'psi', '--values', '1,100,400', '--targets', targets],"
+        " ['sweep', 'lambda_e_per_km2', '--values', '5,20,80', '--targets',"
+        " targets]):\n"
+        "    assert cli.main(argv + ['--out', os.devnull]) == 0, argv\n"
+        + SCIPY_LOADED)
+    assert run_python(code).split("\n")[:2] == ["-", "-"]
+
+
+def test_validate_loads_scipy_special_on_first_use():
+    code = ("import os, sys\n"
+            "import mcrnet.cli as cli\n"
+            "assert cli.main(['validate', '--trials', '2000', '--out', "
+            "os.devnull]) == 0\n"
+            "print('scipy.special' in sys.modules)\n")
+    assert run_python(code).split() == ["True"]
 
 
 def test_root_linear():
