@@ -17,8 +17,8 @@ from .latency import (DelayBreakdown, access_delay, access_success_prob,
 from .montecarlo import (McEstimate, estimate_access_success,
                          estimate_deli_success, estimate_kth_nearest,
                          estimate_shadowing_success, estimate_uplink_success,
-                         kth_nearest_distances, mean_estimate,
-                         nearest_distances, proportion_z, simulate_backhaul)
+                         mean_estimate, nearest_distances, proportion_z,
+                         simulate_backhaul)
 from .multipath import (MultipathPlan, build_plan, continuous_backhaul_coeff,
                         continuous_backhaul_delay, continuous_backhaul_density,
                         delay_bounds, max_cooperative_paths,

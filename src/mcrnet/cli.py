@@ -15,7 +15,6 @@ optimisation, 3 validation failures present.
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import pathlib
@@ -378,55 +377,9 @@ def _csv_blocks(names, columns):
                           for col in columns])
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
-def _json_text(obj, depth=0):
-    """``json.dumps(obj, indent=2)`` for ``obj`` nested at ``depth``.
-
-    The indenting encoder is pure Python; this one hands the C encoder
-    whole containers, with the newline and indent of the next item in
-    the item separator: one call for a container that holds no other,
-    and one for a list of such dicts (the rows of a table), whose
-    separators between rows are the only ``},`` followed by a newline
-    and a ``{``, since within a row a key follows each separator, and
-    ``ensure_ascii`` escapes every newline inside a string.  Dict keys
-    are strings.
-    """
-    if not isinstance(obj, _CONTAINERS) or not obj:
-        return json.dumps(obj)
-    pad = "\n" + "  " * depth
-    inner, leaf = pad + "  ", pad + "    "
-    is_dict = isinstance(obj, dict)
-    values = obj.values() if is_dict else obj
-    if _holds_no_container(values):
-        body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
-    elif not is_dict and all(isinstance(v, dict) and v for v in values) \
-            and _holds_no_container(itertools.chain.from_iterable(
-                map(dict.values, values))):
-        rows = json.dumps(obj, separators=("," + leaf, ": "))[2:-2]
-        body = ("{" + leaf + rows.replace(
-            "}," + leaf + "{", inner + "}," + inner + "{" + leaf)
-            + inner + "}")
-    elif is_dict:
-        body = ("," + inner).join(
-            json.dumps(k) + ": " + _json_text(v, depth + 1)
-            for k, v in obj.items())
-    else:
-        body = ("," + inner).join(_json_text(v, depth + 1) for v in obj)
-    if is_dict:
-        return "{" + inner + body + pad + "}"
-    return "[" + inner + body + pad + "]"
-
-
-def _holds_no_container(values):
-    return not any(issubclass(kind, _CONTAINERS)
-                   for kind in set(map(type, values)))
-
-
 def _emit(rows, columns, fmt, out):
     if fmt == "json":
-        _write([_json_text(rows) + "\n"], out)
+        _write([json.dumps(rows, indent=2) + "\n"], out)
     else:
         _write(_csv_blocks(columns, [[row.get(c, "") for row in rows]
                                      for c in columns]), out)
@@ -643,6 +596,9 @@ def cmd_validate(args):
     if args.trials < 2:
         # one trial has no standard error to hold a z-score to
         raise UsageError(f"--trials must be >= 2, got {args.trials}")
+    if args.seed < 0:
+        # numpy's SeedSequence takes only non-negative entropy
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     ctx = _build_context(args, _documents(args))
     rows = _validation_rows(ctx, args.trials, args.seed)
     columns = ["check", "analytic", "estimate", "std_error", "n_samples",

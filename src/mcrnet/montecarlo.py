@@ -118,6 +118,12 @@ def _pool_map(fn, tasks):
     return list(_pool().map(lambda args: fn(*args), tasks))
 
 
+def _check_trials(trials):
+    """Refuse a trial count below 1, before an oracle draws anything."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+
+
 def _map_chunks(fn, trials, chunk):
     """``fn(chunk_idx, m)`` over the ``chunk``-sized pieces of ``trials``."""
     return _pool_map(fn, [(chunk_idx, min(chunk, trials - start))
@@ -190,6 +196,7 @@ def nearest_distances(lambda_e, k, trials, seed=0):
     rows do not depend on ``k``, and each trial's distances never
     decrease from row to row.  Holds ``k * trials`` floats.
     """
+    _check_trials(trials)
     if k < 1 or lambda_e <= 0:
         raise ValueError("need k >= 1 and lambda_e > 0")
     out = np.empty((k, trials))
@@ -210,38 +217,11 @@ def nearest_distances(lambda_e, k, trials, seed=0):
     return out
 
 
-def kth_nearest_distances(lambda_e, k, trials, seed=0):
-    """Sampled distances to the k-th nearest point of a Poisson field: the
-    last row of :func:`nearest_distances`, whose ``pi * lambda_e * r**2``
-    is a sum of ``k`` Exp(1) draws, a Gamma(k, 1) variable.
-
-    Each chunk keeps only its running sum, adding the same draws from the
-    same substream in the same order, so the result is that row bit for
-    bit while holding ``trials`` floats and one chunk of draws.
-    """
-    if k < 1 or lambda_e <= 0:
-        raise ValueError("need k >= 1 and lambda_e > 0")
-    out = np.empty(trials)
-    scale = math.pi * lambda_e
-
-    def draw(chunk_idx, m):
-        start = chunk_idx * _CHUNK
-        row, fresh = out[start:start + m], np.empty(m)
-        rng = substream(seed, 0, chunk_idx)
-        rng.standard_exponential(out=row)
-        for _ in range(k - 1):
-            rng.standard_exponential(out=fresh)
-            row += fresh
-        row /= scale
-        np.sqrt(row, out=row)
-
-    _map_chunks(draw, trials, _CHUNK)
-    return out
-
-
 def estimate_kth_nearest(lambda_e, k, trials, seed=0):
-    """Mean distance to the k-th nearest edge node, sampled."""
-    return mean_estimate(kth_nearest_distances(lambda_e, k, trials, seed))
+    """Mean distance to the k-th nearest edge node, sampled: the last row
+    of :func:`nearest_distances`, whose ``pi * lambda_e * r**2`` is a
+    Gamma(k, 1) variable.  Holds ``k * trials`` floats."""
+    return mean_estimate(nearest_distances(lambda_e, k, trials, seed)[-1])
 
 
 def _nearest_threshold_successes(lam, order, threshold_scale, alpha,
@@ -253,6 +233,8 @@ def _nearest_threshold_successes(lam, order, threshold_scale, alpha,
     ``family`` names the substreams, one per oracle, so that two oracles
     with the same seed draw independent samples.
     """
+    _check_trials(trials)
+
     def count(chunk_idx, m):
         rng = substream(seed, family, chunk_idx)
         r_sq = rng.standard_exponential(m) / (math.pi * lam)
@@ -324,7 +306,10 @@ def estimate_deli_success(s, trials=1_000_000, seed=0):
     ------
     ScenarioError
         When the scaled noise overflows a float (a huge ``alpha1``).
+    ValueError
+        For fewer than one trial.
     """
+    _check_trials(trials)
     try:
         noise = (s.nt_m * s.n0 * s.w_mmw / s.p_m
                  * (math.pi * s.lambda_m) ** (-s.alpha1 / 2.0))
@@ -391,6 +376,7 @@ def _far_field_gamma(order, alpha):
 
 def estimate_shadowing_success(s, trials=1_000_000, seed=0):
     """Oracle for the per-slot mmWave link success under shadowing."""
+    _check_trials(trials)
     f = multipath.mmwave_link_margin(s)
 
     def count(chunk_idx, m):
@@ -441,8 +427,7 @@ def simulate_backhaul(s, scheme=MULTIPATH, trials=1000, seed=0):
         never succeed or whose slot count outgrows an int64.
     """
     plan = multipath.build_plan(s, multipath.path_count(s, scheme))
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_trials(trials)
     packets = _split_packets(plan.shares, multipath.buffer_packets(s))
     # per path: (crossings, per-slot success) of its first and relay hops
     legs = [((int(n), plan.p_first), (int(n) * (int(h) - 1), plan.p_relay))

@@ -84,28 +84,14 @@ def mmwave_link_margin(s, tx_power_w=None):
     data center.
     """
     tx = s.p_s if tx_power_w is None else tx_power_w
-    return _link_margin(tx, s.theta4, s.n0, s.w_mmw, s.r_mmw)
-
-
-def _link_margin(tx, theta4, n0, w_mmw, r_mmw):
-    # mmwave_link_margin from the scalars it reads
-    return (watt_to_dbm(tx) - watt_to_dbm(theta4) - watt_to_dbm(n0 * w_mmw)
-            - 70.0 - 20.0 * math.log10(r_mmw))
+    return (watt_to_dbm(tx) - watt_to_dbm(s.theta4)
+            - watt_to_dbm(s.n0 * s.w_mmw) - 70.0 - 20.0 * math.log10(s.r_mmw))
 
 
 def mmwave_success_prob(s, tx_power_w=None):
     """Per-slot mmWave link success under log-normal shadowing."""
-    tx = s.p_s if tx_power_w is None else tx_power_w
-    return _mmwave_success(tx, s.theta4, s.n0, s.w_mmw, s.r_mmw, s.sigma_db)
-
-
-# a density sweep's rows ask for two transmit powers, the SBS and the edge
-# node, a dozen times each
-@functools.lru_cache(maxsize=128)
-def _mmwave_success(tx, theta4, n0, w_mmw, r_mmw, sigma_db):
-    # mmwave_success_prob, memoised on every scalar it reads
-    f = _link_margin(tx, theta4, n0, w_mmw, r_mmw)
-    return 0.5 * (1.0 + math.erf(f / (math.sqrt(2.0) * sigma_db)))
+    f = mmwave_link_margin(s, tx_power_w)
+    return 0.5 * (1.0 + math.erf(f / (math.sqrt(2.0) * s.sigma_db)))
 
 
 def _link_success(s, tx_power_w=None):
@@ -218,26 +204,11 @@ def _path_sum(b):
 
 def continuous_backhaul_delay(s, lambda_e, b=None):
     """``A * (1 + coeff * lambda_s / lambda_e) / sqrt(lambda_e)``, the
-    continuous-mode delay of ``b`` paths, at a scalar or array density."""
-    return _curve_delay(continuous_backhaul_coeff(s, b), s.relay_coeff,
-                        s.lambda_s, lambda_e)
-
-
-def _curve(s, scheme):
-    """``(lo, hi, A, relay_coeff, lambda_s)``: the :func:`density_bracket`
-    and the scalars of the scheme's continuous delay curve, all that the
-    critical density reads of ``s``."""
-    b = path_count(s, scheme)
-    lo, hi = density_bracket(s)
-    return (lo, hi, continuous_backhaul_coeff(s, b), s.relay_coeff,
-            s.lambda_s)
-
-
-def _curve_delay(coeff, relay_coeff, lambda_s, lambda_e):
-    # continuous_backhaul_delay from the curve's scalars; a delay that
-    # overflows is inf without a warning, at a scalar or array density
+    continuous-mode delay of ``b`` paths, at a scalar or array density; a
+    delay that overflows is inf without a warning."""
+    coeff = continuous_backhaul_coeff(s, b)
     with np.errstate(over="ignore"):
-        return coeff * (1.0 + relay_coeff * lambda_s / lambda_e) / np.sqrt(
+        return coeff * (1.0 + s.relay_coeff * s.lambda_s / lambda_e) / np.sqrt(
             lambda_e)
 
 
@@ -249,18 +220,12 @@ def continuous_backhaul_density(s, delay, b=None):
     at 0 is negative.  Cardano's one real root ``x = a/3 + c + a^2/(9c)``,
     ``c = cbrt(a^3/27 + k/2 + sqrt(k^2/4 + a^3 k/27))``, has only positive
     terms; a delay met below ``lambda_s`` keeps ``a, k < 1`` (no overflow)."""
-    return _curve_density(continuous_backhaul_coeff(s, b), s.relay_coeff,
-                          s.lambda_s, delay)
-
-
-def _curve_density(coeff, relay_coeff, lambda_s, delay):
-    # continuous_backhaul_density from the curve's scalars
-    a = coeff / (delay * math.sqrt(lambda_s))
-    k = a * relay_coeff
+    a = continuous_backhaul_coeff(s, b) / (delay * math.sqrt(s.lambda_s))
+    k = a * s.relay_coeff
     a3 = a * a * a / 27.0
     c = np.cbrt(a3 + 0.5 * k + np.sqrt(0.25 * k * k + a3 * k))
     x = a / 3.0 + c + a * a / (9.0 * c)
-    return lambda_s * x * x
+    return s.lambda_s * x * x
 
 
 def multipath_backhaul_delay(s, mode=CONTINUOUS, b=None, lambda_e=None):

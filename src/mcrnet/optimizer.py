@@ -6,15 +6,12 @@ continuous backhaul delay fills the rest of the budget comes from the
 closed-form inverse in ``multipath``: one array call for many sizes
 (every size for ``optimize_cache_density``, a psi sweep's grid for the
 command line), or one scalar call for a lone size, through the same
-code.  A lone solve is memoised on the scalars it reads (the curve, the
-fiber-miss term and the budget), so the rows of a sweep that moves none
-of them solve once.  Step 2 scores the feasible pairs of an array call
+code.  Step 2 scores the feasible pairs of an array call
 in one array evaluation of the areal system energy; the optimiser takes
 its minimum.  Denser deployments also meet the budget but always cost
 more energy, so only critical pairs need scoring.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -28,9 +25,6 @@ from .popularity import hit_probability, zipf
 # status of one cache size in _critical_densities (_SKIPPED is 0: an
 # empty bracket zeroes the status by multiplication)
 _SKIPPED, _ROOTED, _CLAMPED = 0, 1, 2
-# lone solves _critical_density keeps: one per scheme and scenario a
-# command reuses, far fewer than a cache-size grid has
-_SOLVE_CACHE_SIZE = 8
 
 
 class NoFeasiblePairError(RuntimeError):
@@ -102,22 +96,24 @@ def _fiber_terms(s, psi=None):
                                             else cum[psi - 1]))
 
 
-def _critical_densities(curve, fiber_terms, budget):
+def _critical_densities(s, scheme, fiber_terms, budget):
     """Critical density, residual and status for each fiber-miss term.
 
-    ``curve`` is ``multipath._curve(s, scheme)``.  The continuous backhaul
-    delay falls with the density, so its values at both ends of the
-    bracket sort ``fiber_terms`` (a float or a numpy array, each entry on
-    its own): ``_CLAMPED`` where the budget is slack at the sparse end
-    (``lam`` is that end, ``residual`` 0), ``_SKIPPED`` where the bracket
-    is empty or its dense end still misses (both 0), and otherwise
-    ``_ROOTED``, at the closed-form density whose delay is ``budget -
-    fiber_term`` (``residual`` is the absolute mismatch).  Returns ``(lam,
-    residual, status)``, each shaped like ``fiber_terms``.
+    The scheme's continuous backhaul delay falls with the density, so
+    its values at both ends of ``multipath.density_bracket(s)`` sort
+    ``fiber_terms`` (a float or a numpy array, each entry on its own):
+    ``_CLAMPED`` where the budget is slack at the sparse end (``lam`` is
+    that end, ``residual`` 0), ``_SKIPPED`` where the bracket is empty or
+    its dense end still misses (both 0), and otherwise ``_ROOTED``, at
+    the closed-form density whose delay is ``budget - fiber_term``
+    (``residual`` is the absolute mismatch).  Returns ``(lam, residual,
+    status)``, each shaped like ``fiber_terms``, so a lone size reads the
+    bits of its entry in an array call.
     """
-    lo, hi, *shape = curve
-    d_lo = multipath._curve_delay(*shape, lo)
-    d_hi = multipath._curve_delay(*shape, hi)
+    b = multipath.path_count(s, scheme)
+    lo, hi = multipath.density_bracket(s)
+    d_lo = multipath.continuous_backhaul_delay(s, lo, b)
+    d_hi = multipath.continuous_backhaul_delay(s, hi, b)
     status = (lo < hi) * np.where(
         d_lo + fiber_terms - budget <= 0.0, _CLAMPED,
         np.where(d_hi + fiber_terms - budget <= 0.0, _ROOTED, _SKIPPED))
@@ -125,12 +121,13 @@ def _critical_densities(curve, fiber_terms, budget):
     # every other entry solves for the dense end's delay instead, a valid
     # input whose root is then dropped; the clip keeps a rounded root
     # inside the bracket, a valid scenario
-    root = multipath._curve_density(
-        *shape, np.where(rooted, budget - fiber_terms, d_hi)).clip(
+    root = multipath.continuous_backhaul_density(
+        s, np.where(rooted, budget - fiber_terms, d_hi), b).clip(
             lo, math.nextafter(hi, 0.0))
     lam = np.where(rooted, root, np.where(status == _CLAMPED, lo, 0.0))
     residual = np.where(rooted, abs(
-        multipath._curve_delay(*shape, root) + fiber_terms - budget), 0.0)
+        multipath.continuous_backhaul_delay(s, root, b) + fiber_terms
+        - budget), 0.0)
     return lam, residual, status
 
 
@@ -143,23 +140,13 @@ def _critical_energies(s, em, psi, budget, scheme):
     Every entry has the bits of a lone solve of its size, so a subset of
     ``1..k_total`` reads what ``optimize_cache_density`` reads there.
     """
-    lam, residual, status = _critical_densities(
-        multipath._curve(s, scheme), _fiber_terms(s, psi), budget)
+    lam, residual, status = _critical_densities(s, scheme,
+                                                _fiber_terms(s, psi), budget)
     feasible = status != _SKIPPED
     e_sys = np.full(psi.shape, np.nan)
     e_sys[feasible] = system_energy(s, em, psi[feasible],
                                     lambda_e=lam[feasible]).total
     return lam, residual, status, e_sys
-
-
-@functools.lru_cache(maxsize=_SOLVE_CACHE_SIZE)
-def _critical_density(curve, fiber_term, budget):
-    # one cache size's _critical_densities as Python scalars, keyed on
-    # every input it reads: a density sweep's rows share the curve, the
-    # fiber-miss term and the budget, and two cache sizes may share a
-    # fiber-miss term, so the pair is built by the caller
-    lam, residual, status = _critical_densities(curve, fiber_term, budget)
-    return float(lam), float(residual), int(status)
 
 
 def critical_edc_density(s, psi, budget, scheme=MULTIPATH):
@@ -175,14 +162,15 @@ def critical_edc_density(s, psi, budget, scheme=MULTIPATH):
     """
     if not 1 <= psi <= s.k_total:
         raise ValueError(f"psi {psi} outside [1, {s.k_total}]")
-    curve = multipath._curve(s, scheme)
     fiber_term = latency.fiber_delay(s) * (
         1.0 - hit_probability(zipf(s.beta, s.k_total), psi))
-    lam, residual, status = _critical_density(curve, fiber_term, budget)
+    lam, residual, status = _critical_densities(s, scheme, fiber_term,
+                                                budget)
     if status == _SKIPPED:
         return None
-    return FeasiblePair(psi=psi, lambda_e_crit=lam, residual=residual,
-                        at_lower_bound=status == _CLAMPED)
+    return FeasiblePair(psi=psi, lambda_e_crit=float(lam),
+                        residual=float(residual),
+                        at_lower_bound=bool(status == _CLAMPED))
 
 
 def optimize_cache_density(s, em, scheme=MULTIPATH):

@@ -1,14 +1,12 @@
 """The library's memos, for the tests that clear them or count their
 misses."""
 
-from mcrnet import latency, multipath, optimizer, popularity
+from mcrnet import latency, multipath, popularity
 
 # the fixed-stage success probabilities
 STAGE_CACHES = (latency._nearest_tx_success, latency._deli_success)
-# every memo: the stages, the popularity model, the lone critical-density
-# solve, the path sum S_b and the mmWave per-slot success
-MEMOS = STAGE_CACHES + (popularity._zipf_model, optimizer._critical_density,
-                        multipath._path_sum, multipath._mmwave_success)
+# every memo: the stages, the popularity model and the path sum S_b
+MEMOS = STAGE_CACHES + (popularity._zipf_model, multipath._path_sum)
 
 
 def clear_memos():

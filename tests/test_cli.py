@@ -240,29 +240,6 @@ def test_json_output_is_the_indenting_encoders_bytes(capsys, argv):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-_JSON_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.floats(),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
-    st.text(st.sampled_from('a"\\{}[],:\n\u00e9 '), max_size=5))
-_JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4), st.tuples(inner, inner),
-        st.dictionaries(_JSON_SCALARS.filter(lambda v: isinstance(v, str)),
-                        inner, max_size=4)),
-    max_leaves=20)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(obj=st.one_of(_JSON_VALUES, st.lists(st.dictionaries(
-    st.text(st.sampled_from('ab"{}\n'), max_size=3), _JSON_SCALARS,
-    max_size=4), max_size=5)))
-def test_json_writer_equals_the_indenting_encoder_property(obj):
-    # a table of flat rows, with empty ones and keys that hold braces, as
-    # well as any nesting
-    assert cli._json_text(obj) == json.dumps(obj, indent=2)
-
-
 def _reference_optimize(d_max_ms, scheme, fmt):
     """Exit code and output of ``mcrnet optimize`` as the row-wise writer
     produced them: one FeasiblePair per feasible cache size from the shared
@@ -279,7 +256,7 @@ def _reference_optimize(d_max_ms, scheme, fmt):
         fiber_terms = latency.fiber_delay(s) * (
             1.0 - zipf(s.beta, s.k_total).q.cumsum())
         lam, residual, status = optimizer._critical_densities(
-            multipath._curve(s, scheme), fiber_terms, budget)
+            s, scheme, fiber_terms, budget)
         feasible = [
             FeasiblePair(psi=psi, lambda_e_crit=lam_psi, residual=res_psi,
                          at_lower_bound=st == optimizer._CLAMPED)
@@ -1137,6 +1114,16 @@ def test_validate_rejects_non_positive_trials(capsys, trials):
     assert out == ""
     assert err.startswith("error:") and "--trials" in err
     assert caught == []
+
+
+def test_validate_rejects_negative_seed(capsys):
+    # numpy seeds only from non-negative entropy: a usage error, not
+    # eight failed rows
+    code, out, err = run_cli(capsys, "validate", "--trials", "2000",
+                             "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("argv", [

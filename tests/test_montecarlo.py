@@ -17,8 +17,7 @@ from mcrnet import latency, montecarlo, multipath
 from mcrnet.montecarlo import (McEstimate, estimate_access_success,
                                estimate_deli_success, estimate_kth_nearest,
                                estimate_shadowing_success,
-                               estimate_uplink_success,
-                               kth_nearest_distances, mean_estimate,
+                               estimate_uplink_success, mean_estimate,
                                nearest_distances, proportion_z,
                                simulate_backhaul, substream)
 from mcrnet.multipath import EXACT_CEIL, MULTIPATH, SCHEMES, SINGLE_PATH
@@ -37,7 +36,7 @@ def test_kth_nearest_matches_closed_form(k):
 
 def test_kth_nearest_distribution_ks():
     lam, k = 1e-5, 2
-    samples = kth_nearest_distances(lam, k, trials=100_000, seed=SEED)
+    samples = nearest_distances(lam, k, trials=100_000, seed=SEED)[-1]
 
     def cdf(r):
         return special.gammainc(k, lam * math.pi * r ** 2)
@@ -77,7 +76,7 @@ def test_kth_nearest_matches_brute_force_disc_sampling():
                  axis=1)
     for k in (1, 2, 3):
         brute = np.sqrt(sq[:, k - 1])
-        ordered = kth_nearest_distances(lam, k, trials, seed=SEED + k)
+        ordered = nearest_distances(lam, k, trials, seed=SEED + k)[-1]
         assert stats.ks_2samp(brute, ordered).pvalue > 1e-3, k
 
 
@@ -93,20 +92,9 @@ def test_nearest_distances_are_an_ordered_prefix(trials):
     for j in range(1, k + 1):
         prefix = nearest_distances(lam, j, trials, SEED)
         assert prefix.tobytes() == rows[:j].tobytes(), j
-        assert (kth_nearest_distances(lam, j, trials, SEED).tobytes()
-                == rows[j - 1].tobytes())
+        assert (estimate_kth_nearest(lam, j, trials, SEED)
+                == mean_estimate(rows[j - 1]))
     assert (np.diff(rows, axis=0) >= 0.0).all()
-
-
-@pytest.mark.parametrize("k", [1, 4, 64])
-def test_kth_nearest_running_sum_is_the_last_ordered_row(monkeypatch, k):
-    # a 1000-trial chunk puts two chunk edges inside 2500 trials
-    monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
-    lam, trials = 1e-5, 2500
-    last = nearest_distances(lam, k, trials, SEED)[-1]
-    assert kth_nearest_distances(lam, k, trials, SEED).tobytes() == \
-        last.tobytes()
-    assert estimate_kth_nearest(lam, k, trials, SEED) == mean_estimate(last)
 
 
 def test_nearest_distance_is_a_direct_exponential_draw():
@@ -579,6 +567,28 @@ def test_simulator_rejects_transfer_that_never_completes():
         simulate_backhaul(s, trials=0, seed=SEED)
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+@pytest.mark.parametrize("oracle", [
+    lambda s, n: nearest_distances(s.lambda_e, 2, n, SEED),
+    lambda s, n: estimate_kth_nearest(s.lambda_e, 2, n, SEED),
+    lambda s, n: estimate_uplink_success(s, n, SEED),
+    lambda s, n: estimate_access_success(s, n, SEED),
+    lambda s, n: estimate_deli_success(s, n, SEED),
+    lambda s, n: estimate_shadowing_success(s, n, SEED),
+    lambda s, n: simulate_backhaul(s, trials=n, seed=SEED),
+], ids=["nearest", "kth", "uplink", "access", "deli", "shadowing",
+        "simulator"])
+def test_oracles_reject_fewer_than_one_trial(monkeypatch, oracle, trials):
+    # one named error before any draw, never a negative sample count, a
+    # ZeroDivisionError or a "Mean of empty slice" warning
+    monkeypatch.setattr(montecarlo, "substream", lambda *key: pytest.fail(
+        "drew with fewer than one trial"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^need at least one trial$"):
+            oracle(load_scenario(), trials)
+
+
 def test_simulator_names_slot_count_overflow():
     # a first hop that succeeds once in ~4e16 slots: a path's hundreds of
     # crossings would take more slots than an int64 count holds, which
@@ -747,7 +757,7 @@ def test_simulator_equals_serial_reference(scheme):
 
 def _every_oracle(s):
     trials = 2 * montecarlo._CHUNK + 3
-    return (kth_nearest_distances(s.lambda_e, 2, trials, SEED).tolist(),
+    return (nearest_distances(s.lambda_e, 2, trials, SEED)[-1].tolist(),
             estimate_uplink_success(s, trials, SEED),
             estimate_access_success(s, trials, SEED),
             estimate_shadowing_success(s, trials, SEED),
@@ -785,7 +795,7 @@ def test_oversubscribed_pool_equals_serial(monkeypatch):
     monkeypatch.setattr(montecarlo, "_DELI_CHUNK", 495)
 
     def run():
-        return (kth_nearest_distances(s.lambda_e, 3, 30_017, SEED).tolist(),
+        return (nearest_distances(s.lambda_e, 3, 30_017, SEED)[-1].tolist(),
                 estimate_deli_success(s, 3000, SEED),
                 simulate_backhaul(s, trials=200, seed=SEED))
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcrnet import multipath
-from mcrnet.cli import TARGETS, main
 from mcrnet.multipath import (CONTINUOUS, EXACT_CEIL, InfeasiblePlanError,
                               build_plan, buffer_packets,
                               continuous_backhaul_coeff,
@@ -453,20 +453,8 @@ POSITIVE = st.floats(min_value=1e-18, max_value=1e6)
        r_mmw=POSITIVE, sigma_db=st.floats(min_value=1e-3, max_value=50.0))
 def test_memoised_mmwave_success_equals_uncached_property(
         tx, theta4, n0, w_mmw, r_mmw, sigma_db):
-    args = (tx, theta4, n0, w_mmw, r_mmw, sigma_db)
-    fresh = multipath._mmwave_success.__wrapped__(*args)
-    assert multipath._mmwave_success(*args) == fresh
-    assert multipath._mmwave_success(*args) == fresh
-    assert 0.0 <= fresh <= 1.0
-
-
-def test_mmwave_success_is_memoised_on_its_scalars(capsys):
-    # a density sweep moves none of the link's inputs: one miss for the
-    # SBS transmit power and at most one for the edge node's
-    values = ",".join(format(v, ".17g") for v in np.linspace(6.0, 49.0, 50))
-    clear_memos()
-    code = main(["sweep", "lambda_e_per_km2", "--values", values,
-                 "--targets", ",".join(TARGETS)])
-    capsys.readouterr()
-    assert code == 0
-    assert 1 <= misses(multipath._mmwave_success) <= 2
+    # a probability at any link margin, the far tails included; the link
+    # reads only these fields, so no scenario constraint narrows them
+    link = SimpleNamespace(p_s=tx, theta4=theta4, n0=n0, w_mmw=w_mmw,
+                           r_mmw=r_mmw, sigma_db=sigma_db)
+    assert 0.0 <= mmwave_success_prob(link) <= 1.0

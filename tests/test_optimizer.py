@@ -12,7 +12,6 @@ from mcrnet.optimizer import (FeasiblePair, NoFeasiblePairError,
                               reduced_delay_budget)
 from mcrnet.popularity import hit_probability, zipf
 from mcrnet.scenario import load_scenario
-from memos import clear_memos, misses
 from oracles import find_root_monotone
 
 # frozen root for psi = 144 at the documented defaults
@@ -263,7 +262,7 @@ def test_cubic_root_matches_root_finder_property(d_max, beta, b_paths,
     fiber_terms = latency.fiber_delay(s) * (
         1.0 - zipf(beta, s.k_total).q.cumsum())
     lam, residual, status = optimizer._critical_densities(
-        multipath._curve(s, MULTIPATH), fiber_terms, budget)
+        s, MULTIPATH, fiber_terms, budget)
     fiber_term = fiber_terms[psi - 1]
 
     def g(x):
@@ -341,7 +340,7 @@ def test_lone_solve_is_the_array_entry_bit_for_bit(scheme, budget_of):
         "zero": 0.0, "negative": -1e-3, "all_clamped": 10.0,
         "fiber_only": float(fiber_terms[143])}[budget_of]
     lam, residual, status = optimizer._critical_densities(
-        multipath._curve(s, scheme), fiber_terms, budget)
+        s, scheme, fiber_terms, budget)
     if budget_of == "all_clamped":
         assert (status == optimizer._CLAMPED).all()
     if budget_of in ("zero", "negative", "fiber_only"):
@@ -350,7 +349,7 @@ def test_lone_solve_is_the_array_entry_bit_for_bit(scheme, budget_of):
         i = psi - 1
         pair = critical_edc_density(s, psi, budget, scheme)
         lone = optimizer._critical_densities(
-            multipath._curve(s, scheme), float(fiber_terms[i]), budget)
+            s, scheme, float(fiber_terms[i]), budget)
         assert [float(v) for v in lone] == [lam[i], residual[i], status[i]]
         if status[i] == optimizer._SKIPPED:
             assert pair is None
@@ -362,7 +361,7 @@ def test_lone_solve_is_the_array_entry_bit_for_bit(scheme, budget_of):
 
 
 
-# --- the memoised lone solve ----------------------------------------------
+# --- the lone solve ---------------------------------------------------------
 
 def _pair_bits(pair):
     # every field of a pair to the bit, the sign of a zero included
@@ -372,42 +371,30 @@ def _pair_bits(pair):
             pair.at_lower_bound)
 
 
-def test_density_sweep_solves_each_scheme_once(capsys):
+def test_density_sweep_solves_each_scheme_once(capsys, monkeypatch):
     # the swept nominal density enters neither the curve, the budget nor
-    # the fiber-miss term of step 1
-    clear_memos()
+    # the fiber-miss term of step 1, so each see_* column is one solve
+    solves, critical_densities = [], optimizer._critical_densities
+
+    def spy(*args):
+        solves.append(args[1])
+        return critical_densities(*args)
+
+    monkeypatch.setattr(optimizer, "_critical_densities", spy)
     values = ",".join(str(6 + i) for i in range(50))
     code = cli.main(["sweep", "lambda_e_per_km2", "--values", values,
                      "--targets", "see_multipath,see_single"])
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 51
-    assert misses(optimizer._critical_density) <= 2
-
-
-def test_memo_does_not_hold_a_cache_size_grid(scenario):
-    # a grid of cache sizes misses on every pass, so an API caller that
-    # solves sizes one at a time gains nothing from a repeat (a psi sweep
-    # solves its grid in one array pass and never asks the memo)
-    budget = reduced_delay_budget(scenario)
-    grid = range(1, 500, 10)
-    clear_memos()
-    for _ in range(2):
-        for psi in grid:
-            critical_edc_density(scenario, psi, budget)
-    info = optimizer._critical_density.cache_info()
-    assert (info.hits, info.misses) == (0, 2 * len(grid))
-    assert info.currsize == info.maxsize == optimizer._SOLVE_CACHE_SIZE
+    assert sorted(solves) == sorted(SCHEMES)
 
 
 @pytest.mark.parametrize("psi,scheme", [
     (0, MULTIPATH), (501, MULTIPATH), (144, "two-path")])
 def test_bad_psi_or_scheme_raises_before_the_memo(scenario, psi, scheme):
-    clear_memos()
     with pytest.raises(ValueError):
         critical_edc_density(scenario, psi, reduced_delay_budget(scenario),
                              scheme)
-    info = optimizer._critical_density.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -419,7 +406,7 @@ def test_bad_psi_or_scheme_raises_before_the_memo(scenario, psi, scheme):
        budget_of=st.sampled_from(["reduced", 0.0, -0.0, -1e-3, 10.0]))
 def test_memo_hit_is_the_cold_solve_bit_for_bit_property(
         psi, psi2, scheme, d_max, beta, b_paths, l_fiber, budget_of):
-    # two solves through one memo against each solved after clearing it.
+    # a lone solve against its entry of the array pass over every size.
     # The second scenario carries the other zero sign of l_fiber, and
     # ties with the first whenever their fiber-miss terms compare equal:
     # l_fiber = +-0, or beta = 40, where the running popularity sum is
@@ -431,24 +418,10 @@ def test_memo_hit_is_the_cold_solve_bit_for_bit_property(
                          l_fiber=l_fiber)
     twin = s.with_params(l_fiber=-l_fiber) if l_fiber == 0.0 else s
     budget = reduced_delay_budget(s) if budget_of == "reduced" else budget_of
-    solves = ((s, psi), (twin, psi2))
-    cold = []
-    for scen, p in solves:
-        clear_memos()
-        cold.append(_pair_bits(critical_edc_density(scen, p, budget, scheme)))
-    clear_memos()
-    warm = [_pair_bits(critical_edc_density(scen, p, budget, scheme))
-            for scen, p in solves]
-    assert warm == cold
-    fiber = [optimizer._fiber_terms(scen)[p - 1] for scen, p in solves]
-    info = optimizer._critical_density.cache_info()
-    assert (info.hits, info.misses) == ((1, 1) if fiber[0] == fiber[1]
-                                        else (0, 2))
-    # and the array path, entry by entry
-    for (scen, p), bits in zip(solves, warm):
+    for scen, p in ((s, psi), (twin, psi2)):
+        bits = _pair_bits(critical_edc_density(scen, p, budget, scheme))
         lam, residual, status = optimizer._critical_densities(
-            multipath._curve(scen, scheme), optimizer._fiber_terms(scen),
-            budget)
+            scen, scheme, optimizer._fiber_terms(scen), budget)
         i = p - 1
         array_bits = None if status[i] == optimizer._SKIPPED else (
             p, float(lam[i]).hex(), float(residual[i]).hex(),
