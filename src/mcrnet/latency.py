@@ -14,8 +14,8 @@ the log of the distance variable otherwise, exact at any threshold; the
 interference-limited delivery stage has it in closed form, a positive
 series over incomplete Beta functions with no quadrature at all.  The
 Gamma tails and incomplete Beta functions come from
-:mod:`mcrnet.numerics`, in numpy and ``math``, so this module imports no
-scipy.
+:mod:`mcrnet.numerics`, in numpy and ``math``, as every special function
+of the library does.
 
 The three stage success probabilities do not depend on cache size or edge
 density, so each is memoised on the scalar inputs it depends on (gain

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import multipath
+from . import multipath, numerics
 from .multipath import MULTIPATH
 from .scenario import ScenarioError
 
@@ -162,24 +162,22 @@ def proportion_z(est, analytic):
     var = analytic * (1.0 - analytic)
     if var == 0.0:
         return 0.0 if est.mean == analytic else math.inf
-    # The local import keeps scipy off the import path of every command
-    # but validate, the only one that reads a z-score.
-    from scipy import special
+    # imported here, so that no command but validate loads statistics
+    from statistics import NormalDist
     n = est.n_samples
     k = round(est.mean * n)
-    # the binomial tails as regularised incomplete Beta functions, of
-    # 1 - analytic for P(X <= j) and of analytic for P(X >= j); 1 -
-    # analytic is exact where it is small.  scipy's bdtr, through Cephes,
-    # is off by 1e-3 in a central tail at n = 1e7
-    below = special.betainc(n - k + 1, k, 1.0 - analytic) if k else 0.0
-    at_most = special.betainc(n - k, k + 1, 1.0 - analytic) if k < n else 1.0
-    above = special.betainc(k + 1, n - k, analytic) if k < n else 0.0
-    at_least = special.betainc(k, n - k + 1, analytic) if k else 1.0
+    # below = P(X < k), at_least = P(X >= k), at_most = P(X <= k) and
+    # above = P(X > k): one continued fraction per split, each tail taken
+    # on the side where it is small
+    below, at_least = (numerics.binomial_tails(n, analytic, k) if k
+                       else (0.0, 1.0))
+    at_most, above = (numerics.binomial_tails(n, analytic, k + 1) if k < n
+                      else (1.0, 0.0))
     # the mid-p value of each tail: P(X < k) or P(X > k), plus P(X = k) / 2
     lower, upper = 0.5 * (below + at_most), 0.5 * (above + at_least)
     tail = min(lower, upper)
     if tail > 0.0:
-        z = float(special.ndtri(tail))
+        z = NormalDist().inv_cdf(tail)
         return z if lower <= upper else -z
     return (est.mean - analytic) / math.sqrt(var / n)
 

@@ -1,7 +1,10 @@
 """Reference routines that only the tests use.
 
 ``find_root_monotone`` is the bracketing oracle for the optimiser's
-closed-form critical density; ``integrate_semi_infinite`` is a
+closed-form critical density; ``scipy_proportion_z`` is the mid-p
+z-score through ``scipy.special``, and ``binomial_grid`` the binomial
+counts on which the tests hold the library's tails and z-score to
+scipy's; ``integrate_semi_infinite`` is a
 contract-checked QUADPACK quadrature over ``[lower, inf)``, the
 reference the library's own Gauss-Kronrod rule does not share;
 ``nearest_tx_success_exact`` is the 30-digit mpmath value of the uplink
@@ -20,7 +23,8 @@ import math
 import warnings
 
 import mpmath
-from scipy import integrate, optimize
+import numpy as np
+from scipy import integrate, optimize, special
 
 from mcrnet import multipath, scenario
 from mcrnet.multipath import CONTINUOUS
@@ -77,6 +81,44 @@ def find_root_monotone(g, lo, hi, tol=1e-12):
         raise NumericsError(
             f"no sign change on [{lo}, {hi}]: g(lo)={g_lo!r}, g(hi)={g_hi!r}")
     return optimize.brentq(g, lo, hi, xtol=tol)
+
+
+def binomial_grid(cases=3000, seed=31):
+    """``(n, p, k)`` cases of a binomial count: ``n`` log-uniform over
+    2..1e7, the smaller of ``p`` and ``1 - p`` log-uniform over
+    1e-9..1/2, either side equally often, and ``k`` uniform within 8
+    standard deviations of the mean, clipped to ``0..n``."""
+    rng = np.random.default_rng(seed)
+    grid = []
+    for _ in range(cases):
+        n = round(math.exp(rng.uniform(math.log(2.0), math.log(1e7))))
+        q = math.exp(rng.uniform(math.log(1e-9), math.log(0.5)))
+        p = 1.0 - q if rng.random() < 0.5 else q
+        k = round(n * p + rng.uniform(-8.0, 8.0) * math.sqrt(n * p * (1 - p)))
+        grid.append((n, p, min(max(k, 0), n)))
+    return grid
+
+
+def scipy_proportion_z(est, analytic):
+    """The mid-p z-score of ``montecarlo.proportion_z`` with its binomial
+    tails from ``scipy.special.betainc`` and its inverse normal CDF from
+    ``scipy.special.ndtri``, as the library computed it before its tails
+    came from ``numerics.binomial_tails``."""
+    var = analytic * (1.0 - analytic)
+    if var == 0.0:
+        return 0.0 if est.mean == analytic else math.inf
+    n = est.n_samples
+    k = round(est.mean * n)
+    below = special.betainc(n - k + 1, k, 1.0 - analytic) if k else 0.0
+    at_most = special.betainc(n - k, k + 1, 1.0 - analytic) if k < n else 1.0
+    above = special.betainc(k + 1, n - k, analytic) if k < n else 0.0
+    at_least = special.betainc(k, n - k + 1, analytic) if k else 1.0
+    lower, upper = 0.5 * (below + at_most), 0.5 * (above + at_least)
+    tail = min(lower, upper)
+    if tail > 0.0:
+        z = float(special.ndtri(tail))
+        return z if lower <= upper else -z
+    return (est.mean - analytic) / math.sqrt(var / n)
 
 
 # a quadrature that does not reach _ABS_TOL + _REL_TOL * |value| within

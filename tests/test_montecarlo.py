@@ -22,6 +22,7 @@ from mcrnet.montecarlo import (McEstimate, estimate_access_success,
                                simulate_backhaul, substream)
 from mcrnet.multipath import EXACT_CEIL, MULTIPATH, SCHEMES, SINGLE_PATH
 from mcrnet.scenario import MAX_GAIN_ORDER, ScenarioError, load_scenario
+from oracles import binomial_grid, scipy_proportion_z
 
 SEED = 1234
 DELI_CHUNK = montecarlo._DELI_CHUNK
@@ -364,6 +365,13 @@ def test_proportion_z_is_the_mid_p_binomial_z(k, n, p):
     est = McEstimate(mean=k / n, std_error=0.0, n_samples=n)
     assert proportion_z(est, p) == pytest.approx(_mid_p_z(k, n, p),
                                                  rel=1e-12, abs=1e-12)
+
+
+def test_proportion_z_matches_the_scipy_z_on_the_grid():
+    for n, p, k in binomial_grid():
+        est = McEstimate(mean=k / n, std_error=0.0, n_samples=n)
+        assert proportion_z(est, p) == pytest.approx(
+            scipy_proportion_z(est, p), rel=0.0, abs=1e-9), (n, p, k)
 
 
 def test_proportion_z_falls_back_to_the_normal_z():

@@ -1,19 +1,24 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
 from mcrnet import numerics
 from mcrnet.numerics import NumericsError
-from oracles import (erf_fn, find_root_monotone, gamma_fn,
+from oracles import (binomial_grid, erf_fn, find_root_monotone, gamma_fn,
                      integrate_semi_infinite)
+
+EPS = sys.float_info.epsilon
 
 # 30-digit reference values (independent high-precision computation)
 ERF_1 = 0.842700792949714869341220635083
@@ -229,6 +234,97 @@ def test_beta_ladder_rises_to_one_at_the_largest_threshold():
     assert (ladder(16, 1e308, 3.5) == 1.0).all()
 
 
+# --- the binomial tails of the mid-p z-score ------------------------------
+
+
+def test_binomial_tails_match_scipy_on_the_grid():
+    # scipy's betainc rounds 1 - x itself, and a tail of n trials moves by
+    # up to n times that rounding, so its own error grows to about
+    # n eps; the 50-digit tests below hold the library to 1e-12
+    for n, p, k in binomial_grid():
+        for j in (k, k + 1):
+            if 0 < j <= n:
+                value = numerics.binomial_tails(n, p, j)
+                ref = (special.betaincc(j, n - j + 1, p),
+                       special.betainc(j, n - j + 1, p))
+                rel = 1e-10 + n * EPS
+                for v, r in zip(value, ref):
+                    if r > 1e-290:
+                        assert v == pytest.approx(r, rel=rel, abs=0.0), (
+                            n, p, j)
+                    else:
+                        assert v < 1e-280, (n, p, j)
+
+
+def pmf_tails(n, p, j, width):
+    """``(P(X < j), P(X >= j))`` for ``X ~ Binomial(n, p)`` at 50 digits,
+    each a sum of at most ``width`` pmf terms on its side of ``j``, taken
+    for ``X`` or, where ``p > 1/2``, for ``n - X``: exact where that
+    count's mean is so far below ``width`` that the terms beyond are
+    negligible."""
+    if p > 0.5:
+        below, at_least = pmf_tails(n, 1.0 - p, n - j + 1, width)
+        return at_least, below
+    with mpmath.workdps(50):
+        p = mpmath.mpf(p)
+
+        def tail(lo, hi):
+            return float(mpmath.fsum(
+                mpmath.binomial(n, i) * p ** i * (1 - p) ** (n - i)
+                for i in range(max(lo, 0), min(hi, n + 1))))
+
+        return tail(j - width, j), tail(j, j + width)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 60])
+@pytest.mark.parametrize("p", [1e-9, 1e-3, 0.3, 0.5, 0.77, 1.0 - 1e-6,
+                               1.0 - 1e-9])
+def test_binomial_tails_match_pmf_sums(n, p):
+    for j in range(1, n + 1):
+        assert_close_to_reference(numerics.binomial_tails(n, p, j),
+                                  pmf_tails(n, p, j, n + 1), n)
+
+
+@pytest.mark.parametrize("p,j", [
+    # tails below 1e-200 on either side: each comes from the fraction
+    (1e-9, 61), (1.0 - 1e-9, 10 ** 7 - 60),
+    # a count of mean 3 and its mirror: the fraction runs at an argument
+    # near 1, where it must not lose eps / (1 - x)
+    *((3e-7, j) for j in range(1, 9)),
+    *((1.0 - 3e-7, 10 ** 7 - j) for j in range(0, 8))])
+def test_binomial_tails_at_ten_million_trials_match_pmf_sums(p, j):
+    value = numerics.binomial_tails(10 ** 7, p, j)
+    ref = pmf_tails(10 ** 7, p, j, 200)
+    assert min(ref) > 1e-210
+    assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(min_value=2, max_value=10 ** 9),
+       log_q=st.floats(min_value=math.log(1e-12), max_value=math.log(0.5)),
+       upper=st.booleans(),
+       z=st.floats(min_value=-40.0, max_value=40.0))
+def test_binomial_tails_property(n, log_q, upper, z):
+    q = math.exp(log_q)
+    p = 1.0 - q if upper else q
+    j = min(max(round(n * p + z * math.sqrt(n * p * (1.0 - p))), 1), n - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        below, at_least = numerics.binomial_tails(n, p, j)
+        next_below, next_at_least = numerics.binomial_tails(n, p, j + 1)
+    for tails in ((below, at_least), (next_below, next_at_least)):
+        assert all(0.0 <= t <= 1.0 for t in tails)
+        assert abs(sum(tails) - 1.0) <= 2.0 * EPS
+    assert below <= next_below
+
+
+@pytest.mark.parametrize("n,p,j", [(10, 0.0, 3), (10, 1.0, 3), (10, 0.5, 0),
+                                   (10, 0.5, 11), (10, math.nan, 3)])
+def test_binomial_tails_reject_arguments_off_their_domain(n, p, j):
+    with pytest.raises(ValueError, match="0 < j <= n"):
+        numerics.binomial_tails(n, p, j)
+
+
 def run_python(code):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -245,8 +341,9 @@ SCIPY_LOADED = ("print(' '.join(sorted(m for m in sys.modules "
 
 
 def test_cli_import_and_closed_form_commands_load_no_scipy():
-    # scipy's import is most of the command line's start-up time; only
-    # validate's mid-p z-score needs it
+    # scipy is not a runtime dependency, and its import would be most of
+    # the command line's start-up time: no command loads it, validate's
+    # mid-p z-score included
     code = (
         "import os, sys\n"
         "import mcrnet.cli as cli\n"
@@ -257,17 +354,24 @@ def test_cli_import_and_closed_form_commands_load_no_scipy():
         " ['sweep', 'lambda_e_per_km2', '--values', '5,20,80', '--targets',"
         " targets]):\n"
         "    assert cli.main(argv + ['--out', os.devnull]) == 0, argv\n"
+        + SCIPY_LOADED +
+        "for argv in (['validate', '--trials', '2000'],"
+        " ['validate', '--trials', '2000', '--format', 'json']):\n"
+        "    assert cli.main(argv + ['--out', os.devnull]) == 0, argv\n"
         + SCIPY_LOADED)
-    assert run_python(code).split("\n")[:2] == ["-", "-"]
+    assert run_python(code).split("\n")[:3] == ["-", "-", "-"]
 
 
-def test_validate_loads_scipy_special_on_first_use():
-    code = ("import os, sys\n"
-            "import mcrnet.cli as cli\n"
-            "assert cli.main(['validate', '--trials', '2000', '--out', "
-            "os.devnull]) == 0\n"
-            "print('scipy.special' in sys.modules)\n")
-    assert run_python(code).split() == ["True"]
+def test_runtime_dependencies_name_only_numpy():
+    # scipy is a test reference only: no module of the library imports it
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", requirement).group()
+             for requirement in project["dependencies"]]
+    assert names == ["numpy"]
+    assert any(requirement.startswith("scipy")
+               for requirement in project["optional-dependencies"]["test"])
 
 
 def test_root_linear():
