@@ -8,8 +8,7 @@ transfer, bigger buffers and denser small cells lengthen it.
 """
 
 from mcrnet.multipath import (EXACT_CEIL, build_plan, delay_bounds,
-                              multipath_backhaul_delay,
-                              single_path_backhaul_delay)
+                              multipath_backhaul_delay)
 from mcrnet.scenario import load_scenario
 
 s = load_scenario()
@@ -39,7 +38,7 @@ print(f"{'per km^2':>9} {'multipath':>11} {'single':>9} {'gain':>8}")
 for lam_km2 in (6, 10, 15, 25, 40):
     lam = lam_km2 / 1e6
     multi = multipath_backhaul_delay(s, lambda_e=lam)
-    single = single_path_backhaul_delay(s, lambda_e=lam)
+    single = multipath_backhaul_delay(s, b=1, lambda_e=lam)
     print(f"{lam_km2:9.0f} {multi * 1e3:9.2f} ms {single * 1e3:7.2f} ms "
           f"{(single - multi) * 1e3:6.2f} ms")
 

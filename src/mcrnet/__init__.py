@@ -24,8 +24,7 @@ from .multipath import (MultipathPlan, build_plan, continuous_backhaul_coeff,
                         delay_bounds, max_cooperative_paths,
                         mean_kth_edc_distance, mmwave_link_margin,
                         mmwave_success_prob,
-                        multipath_backhaul_delay, relay_selection_prob,
-                        single_path_backhaul_delay)
+                        multipath_backhaul_delay, relay_selection_prob)
 from .optimizer import (FeasiblePair, NoFeasiblePairError,
                         OptimizationOutcome, critical_edc_density,
                         optimize_cache_density, reduced_delay_budget)

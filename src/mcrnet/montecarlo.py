@@ -12,7 +12,7 @@ Poisson process on the line (Haenggi, "On distances in uniformly random
 networks", IEEE Trans. Inf. Theory 51(10), 2005).  So the ordered
 squared distances are cumulative sums of Exp(1) draws over
 ``pi * lam``, the k-th of them ``Gamma(k, 1) / (pi * lam)``; no trial
-samples a point count or a disc.  The delivery oracle samples its 8
+samples a point count or a disc.  The delivery oracle samples its 4
 nearest macro cells this way and draws the interference beyond them as
 one Gamma variable with that shot noise's exact mean and variance.
 
@@ -47,10 +47,10 @@ _CHUNK = 50_000
 # macro cells sampled per delivery trial; interference beyond the last
 # is a moment-matched Gamma draw, which biases the estimate far less
 # than its standard error at 1e6 trials
-_DELI_POINTS = 8
+_DELI_POINTS = 4
 # delivery trials per chunk, not derived from _DELI_POINTS: 1e5 trials
 # make four full chunks and a short one, which keep two workers busy to
-# the end; chunks of 5e6 draws (625,000 trials at 8 cells) would hold
+# the end; chunks of 5e6 draws (1.25e6 trials at 4 cells) would hold
 # them all in one and leave the other worker idle
 _DELI_CHUNK = 24_752
 # delivery trials per draw block: each block takes its gains and then its
@@ -65,6 +65,8 @@ _DELI_PASS = 8
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _POOL_LOCK = threading.Lock()
+# 2**63 as a float, the first packet count an int64 cannot hold
+_INT64_LIMIT = 2.0 ** 63
 # numpy's negative_binomial(n, p) refuses (1 - p) / p * (n + 10 sqrt(n)),
 # the reach of the Poisson mean it draws through, above this bound
 _SLOTS_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
@@ -265,7 +267,7 @@ def estimate_access_success(s, trials=1_000_000, seed=0):
 def estimate_deli_success(s, trials=1_000_000, seed=0):
     """Oracle for the routing-info delivery success probability.
 
-    Each trial takes the 8 (``_DELI_POINTS``) nearest macro cells,
+    Each trial takes the 4 (``_DELI_POINTS``) nearest macro cells,
     serves from the nearest and treats the others as interferers, each
     link with an independent Gamma(order, 1) aggregate gain.  In distance
     order the values ``t = pi * lambda_m * r**2`` are the arrivals of a
@@ -286,16 +288,16 @@ def estimate_deli_success(s, trials=1_000_000, seed=0):
     and ``theta = (order + 1) * (alpha - 2) / (2 * (alpha - 1)) * t_K**-a``.
     Against the 202 nearest cells (the mean count of a disc of radius
     ``8 / sqrt(lambda_m)``) with the mean beyond them, 4e6 paired trials
-    put the bias at 9.6e-5 or less, within 1.7 paired standard errors
-    (at most 6.2e-5) of 0, at orders 1, 4 and 16, at ``alpha`` 2.2, 2.5
-    and 6 and on a noise-limited link; the standard error at 1e6 trials
-    is about 5e-4.  The mean alone in place of the draw biases it by
-    -7.1e-4 at order 1.
+    put the bias at 5.4e-5 or less, within 0.83 paired standard errors
+    (at most 9.5e-5) of 0, at orders 1, 4 and 16, at ``alpha`` 2.2, 2.5
+    and 6, on a noise-limited link and at order 16 with ``alpha`` 2.2;
+    the standard error at 1e6 trials is about 5e-4.  The mean alone in
+    place of the draw biases it by -3.4e-3 at order 1.
 
-    A chunk draws its ``(m, 8)`` Exp(1) distances from substream
-    ``(seed, 2, chunk, 0)``, those of one ``(m, 8)`` array, and its
+    A chunk draws its ``(m, 4)`` Exp(1) distances from substream
+    ``(seed, 2, chunk, 0)``, those of one ``(m, 4)`` array, and its
     gains from ``(seed, 2, chunk, 1)`` in draw blocks of ``_DELI_BLOCK``
-    trials: each block takes its ``(n, 8)`` gains and then its ``n``
+    trials: each block takes its ``(n, 4)`` gains and then its ``n``
     far-field Gamma(k) draws.  It computes a pass of ``_DELI_PASS``
     blocks at a time, so no chunk-sized array is held; the pass size
     moves no draw and no result bit.
@@ -345,7 +347,7 @@ def _deli_blocks(s, seed, chunk_idx, m):
         tp, pp, fp = t[:n], power[:n], far[:n]
         dist_rng.standard_exponential(out=tp)
         # running sums and the interference sum as column adds, in the
-        # order of np.cumsum and of sum(axis=1): on 8 columns those
+        # order of np.cumsum and of sum(axis=1): on 4 columns those
         # short-axis reductions cost more than the adds
         for j in range(1, _DELI_POINTS):
             tp[:, j] += tp[:, j - 1]
@@ -386,8 +388,19 @@ def estimate_shadowing_success(s, trials=1_000_000, seed=0):
 
 
 def _split_packets(shares, total):
-    """Integer packet counts per path, largest-remainder apportionment."""
+    """Integer packet counts per path, largest-remainder apportionment.
+
+    Raises
+    ------
+    ValueError
+        When a path's share is more packets than an int64 count holds.
+    """
     raw = shares * total
+    if not raw.max() < _INT64_LIMIT:
+        raise ValueError(
+            f"backhaul stage can never complete in the simulator: a buffer "
+            f"of {total:.6g} packets needs more packets on a path than an "
+            f"int64 count holds")
     base = np.floor(raw).astype(int)
     short = total - int(base.sum())
     if short:
@@ -421,8 +434,9 @@ def simulate_backhaul(s, scheme=MULTIPATH, trials=1000, seed=0):
     Raises
     ------
     ValueError
-        For an unknown scheme, fewer than one trial, or a hop that can
-        never succeed or whose slot count outgrows an int64.
+        For an unknown scheme, fewer than one trial, a path whose packet
+        count or slot total outgrows an int64, or a hop that can never
+        succeed.
     """
     plan = multipath.build_plan(s, multipath.path_count(s, scheme))
     _check_trials(trials)
@@ -431,15 +445,18 @@ def simulate_backhaul(s, scheme=MULTIPATH, trials=1000, seed=0):
     legs = [((int(n), plan.p_first), (int(n) * (int(h) - 1), plan.p_relay))
             for n, h in zip(packets, plan.hops)]
     for path_legs in legs:
-        # summed over a path, the reach also keeps its int64 total in range
-        reach = sum((1.0 - p) / p * (n + 10.0 * math.sqrt(n)) if p > 0.0
+        # summed over a path with its n crossings, the reach also keeps
+        # its int64 total in range
+        reach = sum(n + (1.0 - p) / p * (n + 10.0 * math.sqrt(n)) if p > 0.0
                     else math.inf for n, p in path_legs if n)
         if not reach <= _SLOTS_MAX:
             p = min(p for n, p in path_legs if n)
+            crossings = sum(n for n, _ in path_legs)
             raise ValueError(
-                f"backhaul stage can never complete in the simulator: a "
-                f"per-slot success probability of {p:.6g} needs more slots "
-                f"than an int64 count holds")
+                f"backhaul stage can never complete in the simulator: "
+                f"{crossings:.6g} hop crossings at a per-slot success "
+                f"probability of {p:.6g} need more slots than an int64 "
+                f"count holds")
 
     slots = np.zeros((trials, plan.b), dtype=np.int64)
 
@@ -450,4 +467,9 @@ def simulate_backhaul(s, scheme=MULTIPATH, trials=1000, seed=0):
                 slots[:, path] += n + rng.negative_binomial(n, p, size=trials)
 
     _pool_map(draw, [(path,) for path in range(plan.b)])
-    return mean_estimate(slots.max(axis=1) * s.tau_mmw)
+    # in slots, scaled once: the squared deviations stay finite at any
+    # slot length
+    est = mean_estimate(slots.max(axis=1))
+    return McEstimate(mean=est.mean * s.tau_mmw,
+                      std_error=est.std_error * s.tau_mmw,
+                      n_samples=est.n_samples)

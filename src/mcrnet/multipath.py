@@ -250,11 +250,6 @@ def multipath_backhaul_delay(s, mode=CONTINUOUS, b=None, lambda_e=None):
     return float(per_path.max())
 
 
-def single_path_backhaul_delay(s, mode=CONTINUOUS, lambda_e=None):
-    """Backhaul delay when only the nearest source transmits."""
-    return multipath_backhaul_delay(s, mode, b=1, lambda_e=lambda_e)
-
-
 def max_cooperative_paths(lambda_e, r_max):
     """Largest path count supported by the density within ``r_max``."""
     # as scenario._validate multiplies: r_max ** 2 raises on overflow

@@ -183,7 +183,7 @@ def test_criterion_5_trend_reproduction():
     lam_grid = [6e-6, 8e-6, 1e-5, 1.5e-5, 2e-5, 3e-5, 4.5e-5]
     multi = [multipath.multipath_backhaul_delay(s, lambda_e=v)
              for v in lam_grid]
-    single = [multipath.single_path_backhaul_delay(s, lambda_e=v)
+    single = [multipath.multipath_backhaul_delay(s, b=1, lambda_e=v)
               for v in lam_grid]
     trends["backhaul down in edge density"] = _strictly(multi, "down")
     trends["multipath <= single path everywhere"] = all(

@@ -1202,6 +1202,31 @@ def test_validate_names_delivery_noise_overflow(capsys):
         "path-loss exponent and macro density")
 
 
+@pytest.mark.parametrize("param,error", [
+    ("buffer_omega_mb=1e300", "packets on a path"),
+    ("packet_l=1e-300", "packets on a path"),
+    # 1.8e18 packets: a path's slot total, not its packet count, outgrows
+    # an int64 at the default per-slot success of 0.135
+    ("buffer_omega_mb=1.76e15", "at a per-slot success probability"),
+    ("tau_mmw_us=1e160", "")])
+def test_validate_simulator_row_at_extreme_sizes(capsys, param, error):
+    # a count an int64 cannot hold is a named error before numpy casts or
+    # sums it; a huge slot length scales a mean and standard error taken
+    # in slots, so nothing squares a huge delay
+    code, out, _ = run_cli_without_warnings(
+        capsys, "validate", "--trials", "200", "--param", param)
+    row = {r["check"]: r for r in parse_csv(out)}["backhaul_simulator"]
+    if error:
+        assert code == 3
+        assert row["error"].startswith(
+            "backhaul stage can never complete in the simulator")
+        assert error in row["error"] and "int64 count holds" in row["error"]
+    else:
+        assert code == 0
+        assert row["error"] == "" and row["passed"] == "True"
+        assert 0.0 < float(row["std_error"]) < math.inf
+
+
 def test_validate_reads_one_rare_failure_by_its_binomial_mid_p(capsys):
     # one uplink failure in 1e5 trials at an analytic failure probability
     # of 8.27e-9, which has probability 8.3e-4: the mid-p z reads -3.34

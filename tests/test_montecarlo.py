@@ -211,20 +211,23 @@ class _PairedDeliChunk:
                                               gains)
 
 
-# gain orders 1, 4 (default) and 16, and alpha1 from a heavy far field
-# (2.2) to a noise-limited link (6)
+# gain orders 1, 4 (default) and 16, alpha1 from a heavy far field (2.2)
+# to a noise-limited link (6), a noise-limited link at about -114 dBm/Hz,
+# and order 16 under the heaviest far field
 @pytest.mark.parametrize("overrides", [
     {"nt_m": 1, "nr_e": 1}, {}, {"nt_m": 4, "nr_e": 4},
-    {"alpha1": 2.2}, {"alpha1": 2.5}, {"alpha1": 6.0}],
-    ids=["order1", "order4", "order16", "alpha2.2", "alpha2.5", "alpha6"])
+    {"alpha1": 2.2}, {"alpha1": 2.5}, {"alpha1": 6.0}, {"n0": 4e-15},
+    {"nt_m": 4, "nr_e": 4, "alpha1": 2.2}],
+    ids=["order1", "order4", "order16", "alpha2.2", "alpha2.5", "alpha6",
+         "noisy", "order16-alpha2.2"])
 def test_deli_truncation_bias_against_reference_cells(monkeypatch,
                                                       overrides):
     # the oracle's cells are the leading cells of each reference trial,
     # so the two decisions differ only through the far field, which the
     # oracle draws independently of the reference's cells beyond its own.
-    # 2e-4 is 0.4 of the standard error at 1e6 trials; the paired
-    # difference has a standard deviation of about 0.08 per trial, so
-    # 1.6e6 trials put its standard error near 6e-5
+    # 2e-4 is 0.4 of the standard error at 1e6 trials; at 4 cells the
+    # paired difference has a standard deviation of up to about 0.19 per
+    # trial, so 1.6e6 trials put its standard error at up to 1.5e-4
     s = load_scenario(overrides=overrides)
     trials = 1_600_000
     chunks = {}
@@ -681,10 +684,10 @@ def _serial_simulate_backhaul(s, scheme, trials, seed):
         if n_rest:
             slots[:, path] += n_rest + rng.negative_binomial(
                 n_rest, plan.p_relay, size=trials)
-    delays = slots.max(axis=1) * s.tau_mmw
-    se = float(delays.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return McEstimate(mean=float(delays.mean()), std_error=se,
-                      n_samples=trials)
+    worst = slots.max(axis=1)
+    se = float(worst.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return McEstimate(mean=float(worst.mean()) * s.tau_mmw,
+                      std_error=se * s.tau_mmw, n_samples=trials)
 
 
 def _without_warnings(fn, *args, **kwargs):

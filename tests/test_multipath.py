@@ -8,16 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcrnet import multipath
-from mcrnet.multipath import (CONTINUOUS, EXACT_CEIL, InfeasiblePlanError,
-                              build_plan, buffer_packets,
+from mcrnet.multipath import (CONTINUOUS, EXACT_CEIL, SINGLE_PATH,
+                              InfeasiblePlanError, build_plan, buffer_packets,
                               continuous_backhaul_coeff,
                               continuous_backhaul_delay,
                               continuous_backhaul_density, delay_bounds,
                               density_bracket, max_cooperative_paths,
                               mean_kth_edc_distance, mmwave_link_margin,
                               mmwave_success_prob,
-                              multipath_backhaul_delay, relay_selection_prob,
-                              single_path_backhaul_delay)
+                              multipath_backhaul_delay, relay_selection_prob)
 from mcrnet.scenario import load_scenario, min_edge_density, watt_to_dbm
 from memos import clear_memos, misses
 from oracles import integrate_semi_infinite, per_packet_path_delay
@@ -216,22 +215,24 @@ def test_path_delay_edc_power_split():
     plan = build_plan(s, b=1, lambda_e=lam)
     assert plan.hops.tolist() == [3.0]
     assert (plan.p_first, plan.p_relay) == (p1 * p2_edc, p1 * p2_sbs)
-    assert single_path_backhaul_delay(s, EXACT_CEIL, lambda_e=lam) == \
+    assert multipath_backhaul_delay(s, EXACT_CEIL, b=1, lambda_e=lam) == \
         pytest.approx(buffer_packets(s) * s.tau_mmw
                       * (1 / (p1 * p2_edc) + 2 / (p1 * p2_sbs)), rel=1e-14)
 
 
 def test_backhaul_single_path_is_b_equal_one():
+    # the single-path scheme is the one-source plan of the scenario
     s = load_scenario()
-    assert single_path_backhaul_delay(s) == pytest.approx(
-        multipath_backhaul_delay(s, b=1), rel=1e-15)
+    assert multipath.path_count(s, SINGLE_PATH) == 1
+    assert multipath_backhaul_delay(s, b=1) == multipath_backhaul_delay(
+        s.with_params(b_paths=1))
 
 
 def test_backhaul_decreases_with_paths():
     s = load_scenario()
     delays = [multipath_backhaul_delay(s, b=b) for b in (1, 2, 4, 6)]
     assert all(b < a for a, b in zip(delays, delays[1:]))
-    assert all(single_path_backhaul_delay(s) >= d for d in delays)
+    assert all(multipath_backhaul_delay(s, b=1) >= d for d in delays)
 
 
 def test_backhaul_closed_form_value():
@@ -335,7 +336,7 @@ def test_backhaul_monotone_trends():
 
 def test_backhaul_gain_shrinks_with_density():
     s = load_scenario()
-    gains = [single_path_backhaul_delay(s, lambda_e=lam)
+    gains = [multipath_backhaul_delay(s, b=1, lambda_e=lam)
              - multipath_backhaul_delay(s, lambda_e=lam)
              for lam in (6e-6, 1e-5, 2e-5, 4e-5)]
     assert all(g > 0 for g in gains)
