@@ -65,8 +65,6 @@ _DELI_PASS = 8
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _POOL_LOCK = threading.Lock()
-# 2**63 as a float, the first packet count an int64 cannot hold
-_INT64_LIMIT = 2.0 ** 63
 # numpy's negative_binomial(n, p) refuses (1 - p) / p * (n + 10 sqrt(n)),
 # the reach of the Poisson mean it draws through, above this bound
 _SLOTS_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
@@ -396,7 +394,8 @@ def _split_packets(shares, total):
         When a path's share is more packets than an int64 count holds.
     """
     raw = shares * total
-    if not raw.max() < _INT64_LIMIT:
+    # 2**63 is the first count an int64 cannot hold
+    if not raw.max() < 2.0 ** 63:
         raise ValueError(
             f"backhaul stage can never complete in the simulator: a buffer "
             f"of {total:.6g} packets needs more packets on a path than an "
