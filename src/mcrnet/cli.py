@@ -412,11 +412,18 @@ def cmd_sweep(args):
     builds each row's own, and a row whose context fails holds its error
     in every cell.  Both evaluate each target by one rule
     (:func:`_columns`): once where it reads no swept field."""
+    raw = args.values.split(",")
     try:
-        grid = tuple(float(v) for v in args.values.split(","))
+        grid = tuple(float(v) for v in raw)
     except ValueError:
         raise UsageError(f"--values expects comma-separated numbers, "
                          f"got {args.values!r}") from None
+    for text, value in zip(raw, grid):
+        if math.isnan(value):
+            # NaN compares false with every value, so it would read as a
+            # grid out of order
+            raise UsageError(f"--values holds {text.strip()!r}, which is "
+                             f"not a number")
     diffs = [b - a for a, b in zip(grid, grid[1:])]
     if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
         raise UsageError("sweep grid must be strictly monotone")
@@ -534,17 +541,18 @@ def _validation_rows(ctx, trials, seed):
     s = ctx.scenario
 
     # the three geometry rows share one ordered draw, made by the first
-    # row that reads it; a draw that raises is retried, so each row
-    # reports the error
+    # row that reads it, and keep only its three estimates; a draw that
+    # raises is retried, so each row reports the error
     @functools.cache
-    def distances():
-        return montecarlo.nearest_distances(s.lambda_e, 3,
-                                            min(trials, 200_000), seed)
+    def distance_estimates():
+        return [montecarlo.mean_estimate(row) for row in
+                montecarlo.nearest_distances(s.lambda_e, 3,
+                                             min(trials, 200_000), seed)]
 
     def geometry(p):
         def run():
             ref = multipath.mean_kth_edc_distance(s.lambda_e, p)
-            est = montecarlo.mean_estimate(distances()[p - 1])
+            est = distance_estimates()[p - 1]
             return ref, est, est.z_score(ref)
         return f"kth_nearest_distance_p{p}", "|z| <= 3", 3.0, run
 

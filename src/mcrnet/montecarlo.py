@@ -21,6 +21,14 @@ The packet-level backhaul simulator is the oracle for the integer-hop
 success probabilities from ``multipath.build_plan``, each source at its
 mean distance, and samples only the slotted retries along them.
 
+Every Exp(1) draw is ``-log(1 - U)`` of a uniform ``U``
+(:func:`_exponentials`), and every Gamma(m, 1) gain of a whole order
+``m`` up to ``_GAMMA_PRODUCT_MAX`` (5) is ``-log`` of a product of ``m``
+such factors (:func:`_gammas`), which costs less than numpy's ziggurat
+and Marsaglia-Tsang samplers; above that order the gains, and the
+delivery oracle's far-field draws, whose shape differs per trial, are
+numpy's ``standard_gamma``.
+
 Randomness comes from SFC64 streams keyed by ``(seed, stream path)``:
 each oracle draws from its own stream family, and every chunk of trials
 (and every simulator path) owns an independent substream within it.
@@ -44,6 +52,9 @@ from .multipath import MULTIPATH
 from .scenario import ScenarioError
 
 _CHUNK = 50_000
+# gains per draw block (64 KiB): 8192 uplink or access trials, or
+# 8192 // _DELI_POINTS delivery trials
+_DRAW_BLOCK = 8192
 # macro cells sampled per delivery trial; interference beyond the last
 # is a moment-matched Gamma draw, which biases the estimate far less
 # than its standard error at 1e6 trials
@@ -56,11 +67,20 @@ _DELI_CHUNK = 24_752
 # delivery trials per draw block: each block takes its gains and then its
 # far-field draws from the gains substream, so this constant and
 # _DELI_CHUNK fix every stream
-_DELI_BLOCK = 8192 // _DELI_POINTS
+_DELI_BLOCK = _DRAW_BLOCK // _DELI_POINTS
 # draw blocks per pass: the distances, powers and sums of a pass (512 KiB
 # per array) are each one numpy call, and it moves no draw; passes of 4
 # to 8 blocks timed fastest, a whole chunk in one pass slower
 _DELI_PASS = 8
+# largest whole Gamma order drawn as a product of uniforms: each order
+# adds a uniform, a subtraction and a product per draw (about 2.7 ns on a
+# 2-vCPU host), and above 5 numpy's Marsaglia-Tsang sampler (about 17 ns
+# a draw there) is faster
+_GAMMA_PRODUCT_MAX = 5
+# added to every -log(1 - U) draw: below half a unit in the last place of
+# the smallest nonzero one, 2**-53, so it moves only the draw at U = 0,
+# which would otherwise be exactly 0
+_DRAW_FLOOR = 2.0 ** -110
 # CPUs this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -116,6 +136,43 @@ def _pool_map(fn, tasks):
     if _WORKERS == 1 or len(tasks) < 2:
         return [fn(*args) for args in tasks]
     return list(_pool().map(lambda args: fn(*args), tasks))
+
+
+def _exponentials(rng, out):
+    """Fill ``out`` with Exp(1) draws, ``-log(1 - U)`` for uniforms ``U``
+    from ``rng``, in place; returns ``out``.
+
+    ``1 - U`` is exact and lies in ``[2**-53, 1]``, so every draw is
+    finite (at most ``53 log 2``, about 36.7), and ``_DRAW_FLOOR`` keeps
+    the one at ``U = 0`` above 0.
+    """
+    rng.random(out=out)
+    np.subtract(1.0, out, out=out)
+    np.log(out, out=out)
+    return np.subtract(_DRAW_FLOOR, out, out=out)
+
+
+def _gammas(rng, order, out):
+    """Fill ``out`` with Gamma(order, 1) draws for a whole ``order >= 1``,
+    in place; returns ``out``.
+
+    Up to ``_GAMMA_PRODUCT_MAX`` a draw is the sum of ``order`` Exp(1)
+    variables, taken as ``-log`` of the product of ``order`` values
+    ``1 - U`` (Devroye, Non-Uniform Random Variate Generation, 1986,
+    ch. IX): the factors are drawn one whole ``out``-shaped array after
+    another and multiplied in that order, and their product is at least
+    ``2**(-53 * order)``, so it never underflows.  Above it the draws
+    are numpy's ``standard_gamma``.
+    """
+    if order > _GAMMA_PRODUCT_MAX:
+        return rng.standard_gamma(order, out=out)
+    # one draw of every factor: few numpy calls, each over many values,
+    # so the pool's workers rarely wait on the interpreter lock
+    factors = rng.random((order,) + out.shape)
+    np.subtract(1.0, factors, out=factors)
+    np.prod(factors, axis=0, out=out)
+    np.log(out, out=out)
+    return np.subtract(_DRAW_FLOOR, out, out=out)
 
 
 def _check_trials(trials):
@@ -188,11 +245,12 @@ def nearest_distances(lambda_e, k, trials, seed=0):
     Returns a ``(k, trials)`` array, row ``j`` the ``(j + 1)``-th nearest
     distance of each trial.  Each ``_CHUNK`` chunk of trials fills its
     rows one after another from substream ``(seed, 0, chunk)``: row 0 is
-    Exp(1) draws, row ``j`` row ``j - 1`` plus fresh Exp(1) draws, the
-    arrivals of a unit-rate Poisson process; then the chunk is divided
-    by ``pi * lambda_e`` and square-rooted in place.  So the first ``j``
-    rows do not depend on ``k``, and each trial's distances never
-    decrease from row to row.  Holds ``k * trials`` floats.
+    Exp(1) draws (:func:`_exponentials`), row ``j`` row ``j - 1`` plus
+    fresh Exp(1) draws, the arrivals of a unit-rate Poisson process;
+    then the chunk is divided by ``pi * lambda_e`` and square-rooted in
+    place.  So the first ``j`` rows do not depend on ``k``, and each
+    trial's distances never decrease from row to row.  Holds ``k *
+    trials`` floats.
     """
     _check_trials(trials)
     if k < 1 or lambda_e <= 0:
@@ -205,7 +263,7 @@ def nearest_distances(lambda_e, k, trials, seed=0):
         rows = out[:, start:start + m]
         rng = substream(seed, 0, chunk_idx)
         for j, row in enumerate(rows):
-            rng.standard_exponential(out=row)
+            _exponentials(rng, row)
             if j:
                 row += rows[j - 1]
         rows /= scale
@@ -227,19 +285,29 @@ def _nearest_threshold_successes(lam, order, threshold_scale, alpha,
     """Trials where a Gamma(order, 1) gain beats a distance-based threshold.
 
     The nearest squared distance is Exp(1) / (pi * lam), so the threshold
-    ``threshold_scale * r**alpha`` is taken from it without a square root.
-    ``family`` names the substreams, one per oracle, so that two oracles
-    with the same seed draw independent samples.
+    ``threshold_scale * r**alpha`` is taken from it without a square root,
+    in place.  A chunk draws its ``m`` distances from substream ``(seed,
+    family, chunk)`` and then its gains from the same substream in blocks
+    of ``_DRAW_BLOCK`` trials (:func:`_gammas`), so no chunk-sized gain
+    array is held.  ``family`` names the substreams, one per oracle, so
+    that two oracles with the same seed draw independent samples.
     """
     _check_trials(trials)
 
     def count(chunk_idx, m):
         rng = substream(seed, family, chunk_idx)
-        r_sq = rng.standard_exponential(m) / (math.pi * lam)
-        gains = rng.gamma(order, size=m)
+        threshold = _exponentials(rng, np.empty(m))
+        threshold /= math.pi * lam
         with np.errstate(over="ignore"):
-            threshold = threshold_scale * r_sq ** (alpha / 2.0)
-        return int(np.count_nonzero(gains >= threshold))
+            threshold **= alpha / 2.0
+            threshold *= threshold_scale
+        gains = np.empty(min(m, _DRAW_BLOCK))
+        successes = 0
+        for start in range(0, m, _DRAW_BLOCK):
+            block = threshold[start:start + _DRAW_BLOCK]
+            drawn = _gammas(rng, order, gains[:len(block)])
+            successes += int(np.count_nonzero(drawn >= block))
+        return successes
 
     return sum(_map_chunks(count, trials, _CHUNK))
 
@@ -292,13 +360,15 @@ def estimate_deli_success(s, trials=1_000_000, seed=0):
     the standard error at 1e6 trials is about 5e-4.  The mean alone in
     place of the draw biases it by -3.4e-3 at order 1.
 
-    A chunk draws its ``(m, 4)`` Exp(1) distances from substream
-    ``(seed, 2, chunk, 0)``, those of one ``(m, 4)`` array, and its
-    gains from ``(seed, 2, chunk, 1)`` in draw blocks of ``_DELI_BLOCK``
-    trials: each block takes its ``(n, 4)`` gains and then its ``n``
-    far-field Gamma(k) draws.  It computes a pass of ``_DELI_PASS``
-    blocks at a time, so no chunk-sized array is held; the pass size
-    moves no draw and no result bit.
+    A chunk draws its ``(m, 4)`` Exp(1) distances (:func:`_exponentials`)
+    from substream ``(seed, 2, chunk, 0)``, those of one ``(m, 4)``
+    array, and its gains from ``(seed, 2, chunk, 1)`` in draw blocks of
+    ``_DELI_BLOCK`` trials: each block takes its ``(n, 4)`` gains
+    (:func:`_gammas`) and then its ``n`` far-field Gamma(k) draws, whose
+    shape differs from trial to trial, from numpy's ``standard_gamma``.
+    It computes a pass of ``_DELI_PASS`` blocks at a time, so no
+    chunk-sized array is held; the pass size moves no draw and no result
+    bit.
 
     Raises
     ------
@@ -343,15 +413,16 @@ def _deli_blocks(s, seed, chunk_idx, m):
     for start in range(0, m, rows):
         n = min(rows, m - start)
         tp, pp, fp = t[:n], power[:n], far[:n]
-        dist_rng.standard_exponential(out=tp)
+        _exponentials(dist_rng, tp)
         # running sums and the interference sum as column adds, in the
         # order of np.cumsum and of sum(axis=1): on 4 columns those
         # short-axis reductions cost more than the adds
         for j in range(1, _DELI_POINTS):
             tp[:, j] += tp[:, j - 1]
+        shapes = far_shape * tp[:, -1]
         for b in range(0, n, _DELI_BLOCK):
-            gains_rng.standard_gamma(order, out=pp[b:b + _DELI_BLOCK])
-            gains_rng.standard_gamma(far_shape * tp[b:b + _DELI_BLOCK, -1],
+            _gammas(gains_rng, order, pp[b:b + _DELI_BLOCK])
+            gains_rng.standard_gamma(shapes[b:b + _DELI_BLOCK],
                                      out=fp[b:b + _DELI_BLOCK])
         pp *= np.power(tp, -half, out=tp)
         fp *= far_scale * tp[:, -1]
@@ -385,29 +456,6 @@ def estimate_shadowing_success(s, trials=1_000_000, seed=0):
     return _proportion_estimate(successes, trials)
 
 
-def _split_packets(shares, total):
-    """Integer packet counts per path, largest-remainder apportionment.
-
-    Raises
-    ------
-    ValueError
-        When a path's share is more packets than an int64 count holds.
-    """
-    raw = shares * total
-    # 2**63 is the first count an int64 cannot hold
-    if not raw.max() < 2.0 ** 63:
-        raise ValueError(
-            f"backhaul stage can never complete in the simulator: a buffer "
-            f"of {total:.6g} packets needs more packets on a path than an "
-            f"int64 count holds")
-    base = np.floor(raw).astype(int)
-    short = total - int(base.sum())
-    if short:
-        order = np.argsort(-(raw - base), kind="stable")
-        base[order[:short]] += 1
-    return base
-
-
 def simulate_backhaul(s, scheme=MULTIPATH, trials=1000, seed=0):
     """Packet-level slotted stop-and-wait simulation of a buffer transfer.
 
@@ -439,7 +487,7 @@ def simulate_backhaul(s, scheme=MULTIPATH, trials=1000, seed=0):
     """
     plan = multipath.build_plan(s, multipath.path_count(s, scheme))
     _check_trials(trials)
-    packets = _split_packets(plan.shares, multipath.buffer_packets(s))
+    packets = multipath.split_packets(plan.shares, multipath.buffer_packets(s))
     # per path: (crossings, per-slot success) of its first and relay hops
     legs = [((int(n), plan.p_first), (int(n) * (int(h) - 1), plan.p_relay))
             for n, h in zip(packets, plan.hops)]

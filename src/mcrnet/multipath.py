@@ -11,9 +11,10 @@ mode.
 
 Hop-count modes: ``"continuous"`` treats the hop count as the real ratio
 distance / hop range (the closed form); ``"exact-ceil"`` rounds it up to
-an integer, matching the packet-level simulator.  Only the integer-hop
-model builds a :class:`MultipathPlan`, which carries its per-slot
-success probabilities.
+an integer and sends each path its whole packets, matching the
+packet-level simulator.  Only the integer-hop model builds a
+:class:`MultipathPlan`, which carries its per-slot success
+probabilities.
 
 This module alone knows the continuous delay as a function of density:
 the curve, its closed-form inverse, the densities a plan allows and each
@@ -135,6 +136,31 @@ def buffer_packets(s):
     return math.ceil(s.buffer_omega / s.packet_l)
 
 
+def split_packets(shares, total):
+    """Whole packets per path: ``total`` apportioned by ``shares`` with
+    the largest remainders (Hamilton's method), an int array summing to
+    ``total``.
+
+    Raises
+    ------
+    ValueError
+        When a path's share is more packets than an int64 count holds.
+    """
+    raw = shares * total
+    # 2**63 is the first count an int64 cannot hold
+    if not raw.max() < 2.0 ** 63:
+        raise ValueError(
+            f"backhaul stage can never complete in the simulator: a buffer "
+            f"of {total:.6g} packets needs more packets on a path than an "
+            f"int64 count holds")
+    base = np.floor(raw).astype(int)
+    short = total - int(base.sum())
+    if short:
+        order = np.argsort(-(raw - base), kind="stable")
+        base[order[:short]] += 1
+    return base
+
+
 def _plan_paths(s, b, lambda_e):
     """``(b, lambda_e)`` with scenario defaults, once the reach is checked
     (at every density of an array ``lambda_e``).
@@ -235,8 +261,11 @@ def multipath_backhaul_delay(s, mode=CONTINUOUS, b=None, lambda_e=None):
     equals the per-path maximum because inverse-distance shares make every
     path's total identical; an array ``lambda_e`` gives an array, each
     entry bitwise equal to the scalar call at that density.  Exact-ceil
-    mode takes the explicit maximum over the paths of :func:`build_plan`,
-    whose first hop leaves the edge node at its own transmit power.
+    mode takes the explicit maximum over the paths of :func:`build_plan`
+    of ``n_i * tau * (1 / p_first + (h_i - 1) / p_relay)``, whose first
+    hop leaves the edge node at its own transmit power, with the whole
+    packet counts ``n_i`` of :func:`split_packets` that the packet
+    simulator sends (so a path count above an int64 is a ``ValueError``).
     """
     if mode == CONTINUOUS:
         b, lam = _plan_paths(s, b, lambda_e)
@@ -245,7 +274,7 @@ def multipath_backhaul_delay(s, mode=CONTINUOUS, b=None, lambda_e=None):
     if mode != EXACT_CEIL:
         raise ValueError(f"unknown hop mode {mode!r}")
     plan = build_plan(s, b, lambda_e)
-    per_path = plan.shares * buffer_packets(s) * (
+    per_path = split_packets(plan.shares, buffer_packets(s)) * (
         s.tau_mmw * (1.0 / plan.p_first + (plan.hops - 1) / plan.p_relay))
     return float(per_path.max())
 

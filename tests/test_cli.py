@@ -107,6 +107,18 @@ def test_sweep_rejects_non_monotone_grid(capsys):
     assert "monotone" in err
 
 
+@pytest.mark.parametrize("param", ["psi", "lambda_e_per_km2"])
+@pytest.mark.parametrize("values", ["1,nan", "NaN,1", "nan"])
+def test_sweep_names_a_nan_grid_value(capsys, param, values):
+    # NaN orders with nothing, so it is named, not read as a grid out of
+    # order
+    code, out, err = run_cli(capsys, "sweep", param, "--values", values,
+                             "--targets", "p_in_edc")
+    assert code == 1 and out == ""
+    nan = next(v for v in values.split(",") if v.lower() == "nan")
+    assert err == f"error: --values holds {nan!r}, which is not a number\n"
+
+
 def test_jobs_flag_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "sweep", "psi", "--values", "10,100",
                              "--targets", "fiber_link_delay", "--jobs", "2")
@@ -1227,13 +1239,27 @@ def test_validate_simulator_row_at_extreme_sizes(capsys, param, error):
         assert 0.0 < float(row["std_error"]) < math.inf
 
 
+def test_validate_passes_at_a_one_packet_buffer(capsys):
+    # one whole packet per transfer: the integer-hop closed form sends it
+    # over one path, as the simulator does, not a share of it over each
+    assert multipath.buffer_packets(
+        load_scenario(overrides={"buffer_omega_mb": 0.0005})) == 1
+    code, out, _ = run_cli_without_warnings(
+        capsys, "validate", "--trials", "2000",
+        "--param", "buffer_omega_mb=0.0005")
+    assert code == 0
+    row = {r["check"]: r for r in parse_csv(out)}["backhaul_simulator"]
+    assert float(row["analytic"]) == pytest.approx(7.400e-5, rel=1e-3)
+    assert row["passed"] == "True"
+
+
 def test_validate_reads_one_rare_failure_by_its_binomial_mid_p(capsys):
     # one uplink failure in 1e5 trials at an analytic failure probability
     # of 8.27e-9, which has probability 8.3e-4: the mid-p z reads -3.34
     # (the normal approximation read -34.7), so the row still fails its
     # |z| <= 3 gate
     code, out, err = run_cli_without_warnings(
-        capsys, "validate", "--trials", "100000", "--seed", "602457599")
+        capsys, "validate", "--trials", "100000", "--seed", "920")
     uplink = {r["check"]: r for r in parse_csv(out)}["uplink_success"]
     assert float(uplink["estimate"]) == 0.99999
     assert float(uplink["deviation"]) == pytest.approx(-3.3436, abs=1e-4)

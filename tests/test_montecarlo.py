@@ -26,6 +26,9 @@ from oracles import binomial_grid, scipy_proportion_z
 
 SEED = 1234
 DELI_CHUNK = montecarlo._DELI_CHUNK
+# the oracles' samplers, kept for the stand-ins that replace them
+_exponentials, _gammas = montecarlo._exponentials, montecarlo._gammas
+GAMMA_ORDERS = range(1, montecarlo._GAMMA_PRODUCT_MAX + 2)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -103,11 +106,86 @@ def test_nearest_distance_is_a_direct_exponential_draw():
     # over pi * lambda, square-rooted
     lam, trials, chunk = 1e-5, 2 * montecarlo._CHUNK + 3, montecarlo._CHUNK
     direct = np.concatenate([
-        np.sqrt(substream(SEED, 0, i).standard_exponential(
-            min(chunk, trials - start)) / (math.pi * lam))
+        np.sqrt(_exponentials(substream(SEED, 0, i), np.empty(
+            min(chunk, trials - start))) / (math.pi * lam))
         for i, start in enumerate(range(0, trials, chunk))])
     assert (nearest_distances(lam, 1, trials, SEED)[0].tobytes()
             == direct.tobytes())
+
+
+# Dvoretzky-Kiefer-Wolfowitz (with Massart's constant): n draws of a
+# sampler with the right law stray more than eps from its CDF with
+# probability at most 2 exp(-2 n eps**2), here 1e-6
+LAW_DRAWS = 200_000
+DKW_BAND = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * LAW_DRAWS))
+
+
+def _cdf_distance(draws, cdf):
+    # sup |F_n - F| over the sorted draws, from both sides of each step
+    f = cdf(np.sort(draws.ravel()))
+    steps = np.arange(len(f) + 1) / len(f)
+    return max((steps[1:] - f).max(), (f - steps[:-1]).max())
+
+
+def test_exponentials_follow_the_exponential_law():
+    draws = _exponentials(substream(SEED, 90), np.empty(LAW_DRAWS))
+    assert _cdf_distance(draws, lambda x: -np.expm1(-x)) <= DKW_BAND
+
+
+@pytest.mark.parametrize("order", GAMMA_ORDERS)
+def test_gammas_follow_the_gamma_law(order):
+    # every order drawn as a product of uniforms and the first above them;
+    # a 2-D fill, as the delivery oracle's gains are
+    draws = _gammas(substream(SEED, 91, order), order,
+                    np.empty((LAW_DRAWS // 4, 4)))
+    assert _cdf_distance(draws, lambda x: special.gammainc(order, x)) \
+        <= DKW_BAND
+
+
+@pytest.mark.parametrize("order", GAMMA_ORDERS)
+def test_gammas_are_uniform_products_up_to_the_crossover(order):
+    # order factors 1 - U, each a whole array drawn after the last, so a
+    # 2-D fill is the 1-D fill of its size; numpy's sampler above them
+    n = 1000
+    flat = _gammas(substream(SEED, 92), order, np.empty(n))
+    assert _gammas(substream(SEED, 92), order,
+                   np.empty((n // 4, 4))).ravel().tobytes() == flat.tobytes()
+    rng = substream(SEED, 92)
+    if order > montecarlo._GAMMA_PRODUCT_MAX:
+        expected = rng.standard_gamma(order, n)
+    else:
+        product = np.ones(n)
+        for _ in range(order):
+            product *= 1.0 - rng.random(n)
+        expected = -np.log(product)
+    assert flat.tobytes() == expected.tobytes()
+    rng = substream(SEED, 93)
+    assert (_exponentials(substream(SEED, 93), np.empty(n)).tobytes()
+            == (-np.log(1.0 - rng.random(n))).tobytes())
+
+
+class _ConstantUniforms:
+    """Generator stand-in whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out[:] = self.u
+        return out
+
+
+# 0 and the largest double a numpy Generator's random() returns
+@pytest.mark.parametrize("u", [0.0, 1.0 - 2.0 ** -53])
+def test_draws_are_positive_and_finite_at_the_extremes_of_u(u):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = [_exponentials(_ConstantUniforms(u), np.empty(3))] + [
+            _gammas(_ConstantUniforms(u), order, np.empty((3, 2)))
+            for order in range(1, montecarlo._GAMMA_PRODUCT_MAX + 1)]
+    for d in draws:
+        assert ((0.0 < d) & (d < math.inf)).all(), d
 
 
 def test_mean_estimate_is_the_mean_with_its_standard_error():
@@ -169,6 +247,15 @@ def _ref_deli_successes(s, t, gains):
                                                            + noise)))
 
 
+def _draw_through_stand_ins(monkeypatch):
+    """Route the oracle's Exp(1) and Gamma(order) draws to the methods of
+    the stand-in it holds in place of a substream."""
+    monkeypatch.setattr(montecarlo, "_exponentials",
+                        lambda rng, out: rng.exponentials(out))
+    monkeypatch.setattr(montecarlo, "_gammas",
+                        lambda rng, order, out: rng.gammas(order, out))
+
+
 class _PairedDeliChunk:
     """Both substreams of one delivery chunk, drawn over the reference cells.
 
@@ -179,8 +266,10 @@ class _PairedDeliChunk:
     already loses to the interference of those leading cells and the
     noise fails whatever lies beyond them, so only the other trials draw
     their remaining REF_DELI_POINTS cells, from where the leading ones
-    end.  The oracle's far-field Gamma draws come from the same
-    generator.
+    end.  The chunk stands in for the oracle's two samplers and draws
+    every cell, the oracle's far-field Gamma draws too, with the same
+    generator's own methods: the pairing measures the truncation
+    whatever the sampler, and the samplers' law is tested on its own.
     """
 
     def __init__(self, s, chunk_idx):
@@ -188,14 +277,16 @@ class _PairedDeliChunk:
         self.rng = np.random.default_rng([SEED, chunk_idx])
         self.successes = 0
 
-    def standard_exponential(self, out):
+    def exponentials(self, out):
         self.rng.standard_exponential(out=out)
         self.pass_exp, self.row = out.copy(), 0
 
     def standard_gamma(self, shape, out):
+        # the far field beyond the oracle's cells
         self.rng.standard_gamma(shape, out=out)
-        if out.ndim == 1:  # the far field beyond the oracle's cells
-            return
+
+    def gammas(self, order, out):
+        self.rng.standard_gamma(order, out=out)
         s, (n, k) = self.s, out.shape
         exp = self.pass_exp[self.row:self.row + n]
         self.row += n
@@ -206,7 +297,7 @@ class _PairedDeliChunk:
         open_ = power[:, 0] >= s.theta2 * (power[:, 1:].sum(axis=1) + noise)
         rest = (int(np.count_nonzero(open_)), REF_DELI_POINTS - k)
         exp = np.hstack([exp[open_], self.rng.standard_exponential(rest)])
-        gains = np.hstack([out[open_], self.rng.standard_gamma(shape, rest)])
+        gains = np.hstack([out[open_], self.rng.standard_gamma(order, rest)])
         self.successes += _ref_deli_successes(s, np.cumsum(exp, axis=1),
                                               gains)
 
@@ -237,6 +328,7 @@ def test_deli_truncation_bias_against_reference_cells(monkeypatch,
         return chunks.setdefault(chunk_idx, _PairedDeliChunk(s, chunk_idx))
 
     monkeypatch.setattr(montecarlo, "substream", paired_substream)
+    _draw_through_stand_ins(monkeypatch)
     est = estimate_deli_success(s, trials=trials, seed=SEED)
     reference = sum(c.successes for c in chunks.values()) / trials
     assert montecarlo._DELI_POINTS < REF_DELI_POINTS
@@ -265,15 +357,15 @@ class _FixedDistanceChunk:
     def __init__(self, t_k, rng):
         self.t_k, self.rng = t_k, rng
 
-    def standard_exponential(self, out):
+    def exponentials(self, out):
         out[:] = self.t_k / out.shape[1]
 
+    def gammas(self, order, out):
+        out[:] = 1.0
+
     def standard_gamma(self, shape, out):
-        if out.ndim == 1:
-            self.far = out
-            self.rng.standard_gamma(shape, out=out)
-        else:
-            out[:] = 1.0
+        self.far = out
+        self.rng.standard_gamma(shape, out=out)
 
 
 @pytest.mark.parametrize("order,alpha", [(1, 3.5), (4, 3.5), (16, 3.5),
@@ -290,6 +382,7 @@ def test_deli_far_field_matches_shot_noise_moments(monkeypatch, order,
     # trials), the kurtosis of a Gamma(k) draw being 3 + 6 / k
     stand_in = _FixedDistanceChunk(t_k, np.random.default_rng(SEED))
     monkeypatch.setattr(montecarlo, "substream", lambda *key: stand_in)
+    _draw_through_stand_ins(monkeypatch)
     monkeypatch.setattr(montecarlo, "_DELI_CHUNK", trials)
     monkeypatch.setattr(montecarlo, "_DELI_BLOCK", trials)
     estimate_deli_success(s, trials=trials, seed=SEED)
@@ -635,14 +728,13 @@ def _serial_deli_success(s, trials, seed):
     chunk, block = montecarlo._DELI_CHUNK, montecarlo._DELI_BLOCK
     for chunk_idx, start in enumerate(range(0, trials, chunk)):
         m = min(chunk, trials - start)
-        t = substream(seed, 2, chunk_idx, 0).standard_exponential(
-            (m, montecarlo._DELI_POINTS))
+        t = _exponentials(substream(seed, 2, chunk_idx, 0),
+                          np.empty((m, montecarlo._DELI_POINTS)))
         np.cumsum(t, axis=1, out=t)
         gains_rng = substream(seed, 2, chunk_idx, 1)
         power, far = np.empty_like(t), np.empty(m)
         for b in range(0, m, block):
-            power[b:b + block] = gains_rng.gamma(
-                order, size=power[b:b + block].shape)
+            _gammas(gains_rng, order, power[b:b + block])
             far[b:b + block] = gains_rng.gamma(far_shape * t[b:b + block, -1])
         power *= np.power(t, -half, out=t)
         far *= far_scale * t[:, -1]
@@ -671,8 +763,8 @@ def _oracle_deli_terms(s, trials, seed):
 def _serial_simulate_backhaul(s, scheme, trials, seed):
     plan = multipath.build_plan(s, s.b_paths if scheme == MULTIPATH else 1)
     hops = plan.hops.astype(int)
-    packets = montecarlo._split_packets(plan.shares,
-                                        multipath.buffer_packets(s))
+    packets = multipath.split_packets(plan.shares,
+                                      multipath.buffer_packets(s))
     slots = np.zeros((trials, plan.b), dtype=np.int64)
     for path in range(plan.b):
         rng = substream(seed, 4, path)
@@ -688,6 +780,42 @@ def _serial_simulate_backhaul(s, scheme, trials, seed):
     se = float(worst.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return McEstimate(mean=float(worst.mean()) * s.tau_mmw,
                       std_error=se * s.tau_mmw, n_samples=trials)
+
+
+def _serial_threshold_successes(lam, order, threshold_scale, alpha, trials,
+                                seed, family):
+    # per chunk: its distances as one array, then its gains in blocks
+    successes, chunk, block = 0, montecarlo._CHUNK, montecarlo._DRAW_BLOCK
+    for chunk_idx, start in enumerate(range(0, trials, chunk)):
+        m = min(chunk, trials - start)
+        rng = substream(seed, family, chunk_idx)
+        r_sq = _exponentials(rng, np.empty(m)) / (math.pi * lam)
+        threshold = threshold_scale * r_sq ** (alpha / 2.0)
+        gains = np.concatenate([
+            _gammas(rng, order, np.empty(min(block, m - b)))
+            for b in range(0, m, block)])
+        successes += int(np.count_nonzero(gains >= threshold))
+    return montecarlo._proportion_estimate(successes, trials)
+
+
+@pytest.mark.parametrize("trials", [1, montecarlo._DRAW_BLOCK + 1,
+                                    montecarlo._CHUNK + 1])
+@pytest.mark.parametrize("overrides", [
+    {"theta1_dbm": -60, "theta3_dbm": -5},
+    {"theta1_dbm": -75, "theta3_dbm": -15, "nt_u": 1, "nr_m": 1,
+     "nt_s": 1, "nr_u": 1},
+    {"theta1_dbm": -55, "theta3_dbm": -2, "alpha2": 3.5, "nr_m": 8,
+     "nr_u": 8}], ids=["order4", "order1", "order16"])
+def test_threshold_oracles_equal_serial_reference(overrides, trials):
+    s = load_scenario(overrides=overrides)
+    uplink = _without_warnings(estimate_uplink_success, s, trials, SEED)
+    assert uplink == _serial_threshold_successes(
+        s.lambda_m, s.nt_u * s.nr_m, s.theta1 * s.nt_u / s.p_u, s.alpha1,
+        trials, SEED, 1)
+    access = _without_warnings(estimate_access_success, s, trials, SEED)
+    assert access == _serial_threshold_successes(
+        s.lambda_s, s.nt_s * s.nr_u, s.theta3 * s.nt_s / s.p_s, s.alpha2,
+        trials, SEED, 6)
 
 
 def _without_warnings(fn, *args, **kwargs):

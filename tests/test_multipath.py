@@ -16,7 +16,8 @@ from mcrnet.multipath import (CONTINUOUS, EXACT_CEIL, SINGLE_PATH,
                               density_bracket, max_cooperative_paths,
                               mean_kth_edc_distance, mmwave_link_margin,
                               mmwave_success_prob,
-                              multipath_backhaul_delay, relay_selection_prob)
+                              multipath_backhaul_delay, relay_selection_prob,
+                              split_packets)
 from mcrnet.scenario import load_scenario, min_edge_density, watt_to_dbm
 from memos import clear_memos, misses
 from oracles import integrate_semi_infinite, per_packet_path_delay
@@ -278,11 +279,33 @@ def test_per_path_totals_equalised_in_continuous_mode():
             pytest.approx(totals[0], rel=1e-12)
 
 
+def _whole_packets(shares, total):
+    # Hamilton's method in Python: each path's floor, then one more packet
+    # for each of the largest remainders, the first path winning a tie
+    raw = [share * total for share in shares.tolist()]
+    counts = [math.floor(x) for x in raw]
+    by_remainder = sorted(range(len(raw)), key=lambda p: counts[p] - raw[p])
+    for p in by_remainder[:total - sum(counts)]:
+        counts[p] += 1
+    return counts
+
+
+@pytest.mark.parametrize("shares,total,counts", [
+    ([0.5, 0.3, 0.2], 10, [5, 3, 2]), ([0.5, 0.3, 0.2], 1, [1, 0, 0]),
+    ([0.4, 0.35, 0.25], 3, [1, 1, 1]), ([0.25] * 4, 2, [1, 1, 0, 0]),
+    ([0.45, 0.3, 0.25], 7, [3, 2, 2])])
+def test_split_packets_by_largest_remainders(shares, total, counts):
+    got = split_packets(np.array(shares), total)
+    assert got.tolist() == counts == _whole_packets(np.array(shares), total)
+
+
 def test_backhaul_exact_ceil_is_max_over_paths():
+    # each path sends its whole packets, as the simulator does
     s = load_scenario()
-    packets = buffer_packets(s)
     plan = build_plan(s)
-    per_path = [plan.shares[p] * packets * per_packet_path_delay(
+    packets = _whole_packets(plan.shares, buffer_packets(s))
+    assert sum(packets) == buffer_packets(s)
+    per_path = [packets[p] * per_packet_path_delay(
         s, plan.r[p], EXACT_CEIL) for p in range(plan.b)]
     assert multipath_backhaul_delay(s, EXACT_CEIL) == pytest.approx(
         max(per_path), rel=1e-12)
@@ -307,7 +330,8 @@ def test_exact_ceil_delay_equals_per_path_reference_property(
     assert plan.p_first == p1 * mmwave_success_prob(s, tx_power_w=s.p_e)
     assert plan.p_relay == p1 * mmwave_success_prob(s)
     assert plan.hops.tolist() == [math.ceil(r / r_mmw) for r in plan.r]
-    reference = max(plan.shares[p] * buffer_packets(s)
+    packets = _whole_packets(plan.shares, buffer_packets(s))
+    reference = max(packets[p]
                     * per_packet_path_delay(s, plan.r[p], EXACT_CEIL)
                     for p in range(b_paths))
     assert multipath_backhaul_delay(s, EXACT_CEIL) == pytest.approx(
