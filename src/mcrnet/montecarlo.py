@@ -56,8 +56,9 @@ _CHUNK = 50_000
 # 8192 // _DELI_POINTS delivery trials
 _DRAW_BLOCK = 8192
 # macro cells sampled per delivery trial; interference beyond the last
-# is a moment-matched Gamma draw, which biases the estimate far less
-# than its standard error at 1e6 trials
+# is a moment-matched Gamma draw, which biases the estimate by at most
+# about 1.5e-4 (at order 1), under a third of its standard error at 1e6
+# trials
 _DELI_POINTS = 4
 # delivery trials per chunk, not derived from _DELI_POINTS: 1e5 trials
 # make four full chunks and a short one, which keep two workers busy to
@@ -353,12 +354,17 @@ def estimate_deli_success(s, trials=1_000_000, seed=0):
     ``k = 4 * order * (alpha - 1) / ((order + 1) * (alpha - 2)**2) * t_K``
     and ``theta = (order + 1) * (alpha - 2) / (2 * (alpha - 1)) * t_K**-a``.
     Against the 202 nearest cells (the mean count of a disc of radius
-    ``8 / sqrt(lambda_m)``) with the mean beyond them, 4e6 paired trials
-    put the bias at 5.4e-5 or less, within 0.83 paired standard errors
-    (at most 9.5e-5) of 0, at orders 1, 4 and 16, at ``alpha`` 2.2, 2.5
-    and 6, on a noise-limited link and at order 16 with ``alpha`` 2.2;
-    the standard error at 1e6 trials is about 5e-4.  The mean alone in
-    place of the draw biases it by -3.4e-3 at order 1.
+    ``8 / sqrt(lambda_m)``) with the mean beyond them, the bias at order
+    1 is +1.0e-4 to +1.5e-4 (+-3e-5): 24 paired runs of the harness of
+    ``test_deli_truncation_bias_against_reference_cells[order1]``,
+    1.6e6 trials each at seeds 100-123, read +1.04e-4 +- 2.8e-5
+    with :func:`_exponentials` and :func:`_gammas` and +1.47e-4 +- 3.0e-5
+    with numpy's samplers.  An earlier study of 4e6 paired trials put it
+    within 0.83 paired standard errors (at most 9.5e-5) of 0 at orders 4
+    and 16, at ``alpha`` 2.2, 2.5 and 6, on a noise-limited link and at
+    order 16 with ``alpha`` 2.2.  The standard error at 1e6 trials is
+    about 5e-4.  The mean alone in place of the draw biases it by
+    -3.4e-3 at order 1.
 
     A chunk draws its ``(m, 4)`` Exp(1) distances (:func:`_exponentials`)
     from substream ``(seed, 2, chunk, 0)``, those of one ``(m, 4)``

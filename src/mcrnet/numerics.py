@@ -17,10 +17,13 @@ imports no scipy:
   ladder of first parameters, and :func:`log_gamma_ratio`, the log of a
   ratio of Gamma functions: the weights of the delivery stage's coverage
   series.
-- :func:`binomial_tails`, the two tails of a binomial count, the small
-  one from a continued fraction and the other 1 minus it: the mid-p
+- :func:`binomial_tails`, the two tails of a binomial count: the mid-p
   z-score by which ``validate`` holds each closed form to its
   Monte-Carlo oracle.
+
+The ladder's top rung and the binomial tails are one incomplete Beta
+function, and one continued fraction with one side rule computes both:
+the small tail from the fraction and the other 1 minus it.
 
 Each is as general as its callers need and no more.
 """
@@ -257,24 +260,27 @@ def log_gamma_ratio(z, s):
             + _stirling_remainder(z + s) - _stirling_remainder(z))
 
 
-# each continued fraction of the incomplete Beta function stops once a
-# step changes it by less than this share; it takes at most about
-# sqrt(a + b) steps (4250 at a + b = 1e9 for _beta_fraction_below_mean),
-# and raises NumericsError after _MAX_CF_STEPS
+# the continued fraction of the incomplete Beta function stops once a
+# step changes it by less than this share; at a, b >= 1 it takes at most
+# about sqrt(a + b) steps (142 at the top rung of order 16384, about
+# 4500 at a + b = 1e9), and raises NumericsError after _MAX_CF_STEPS
 _CF_TOL = 3e-16
 _MAX_CF_STEPS = 100_000
-_CF_TINY = 1e-300
 
 
 def beta_ladder(a, b, n, theta):
     """``I_x(a + j, b)`` for ``j = 0..n-1`` at ``x = theta / (1 + theta)``.
 
-    ``I_x`` is the regularised incomplete Beta function, ``a, b > 0`` and
-    ``theta > 0`` the odds of ``x``.  ``x`` and ``y = 1 - x`` are never
-    subtracted: both come from ``theta``, so a ``theta`` up to the
-    largest float keeps every digit.  The top rung ``I_x(a + n - 1, b)``
-    is one continued fraction (:func:`_beta_top`); every rung below adds
-    one positive step to the rung above::
+    ``I_x`` is the regularised incomplete Beta function, ``a > 0``,
+    ``b >= 1`` and ``theta > 0`` the odds of ``x``.  ``x`` and
+    ``y = 1 - x`` are never subtracted: both come from ``theta``, so a
+    ``theta`` up to the largest float keeps every digit.  The top rung
+    ``I_x(a + n - 1, b)`` comes from :func:`_beta_tails`, the continued
+    fraction that also serves :func:`binomial_tails`.  A top rung below
+    1 is one step down from ``I_x(a + 1, b)``: at so small a first
+    parameter the fraction needs about ``a^-1/2`` steps just above the
+    mean (1.4e4 at ``a = 5e-7``).  Every rung below the top adds one
+    positive step to the rung above::
 
         I_x(c, b) = I_x(c + 1, b) + x^c y^b / (c B(c, b))
 
@@ -286,10 +292,11 @@ def beta_ladder(a, b, n, theta):
     largest underflow.  The ladder has no cancellation; its relative
     error grows by a few ``eps`` per rung from the largest step.
     """
+    if n == 1 and a < 1.0:
+        return beta_ladder(a, b, 2, theta)[:1]
     x, y = theta / (1.0 + theta), 1.0 / (1.0 + theta)
     top = a + (n - 1)
-    ladder = [_beta_top(top, b, x, y,
-                        math.exp(_log_beta_power(top, b, x, y)))] * n
+    ladder = [_beta_tails(top, b, x, y)[0]] * n
     if n > 1:
         # the rung of the largest step: the first at or above the peak
         rise = x * b - 1.0
@@ -313,25 +320,18 @@ def binomial_tails(n, p, j):
 
     For an integer ``0 < j <= n`` and ``0 < p < 1``, ``P(X >= j)`` is the
     regularised incomplete Beta function ``I_p(j, n - j + 1)`` and
-    ``P(X < j)`` is ``I_q(n - j + 1, j)``, ``q = 1 - p``.  Both share the
-    front factor ``p^j q^(n-j+1) / B(j, n - j + 1)``, from
-    :func:`_log_beta_power`.  The tail on the far side of ``j`` from the
-    mean is that factor times one continued fraction
-    (:func:`_beta_fraction_below_mean`), at most about 0.64, and the
-    other tail is 1 minus it.  So a small tail is never a difference: it
-    keeps its relative precision down to the smallest normal float and
-    underflows to 0 only below it.
+    ``P(X < j)`` is ``I_q(n - j + 1, j)``, ``q = 1 - p``: the pair of
+    :func:`_beta_tails`, the continued fraction that also serves
+    :func:`beta_ladder`.  The tail on the far side of ``j`` from the mean
+    comes from the fraction and the other is 1 minus it, so a small tail
+    is never a difference: it keeps its relative precision down to the
+    smallest normal float and underflows to 0 only below it.
     """
     if not (0.0 < p < 1.0 and 0 < j <= n):
         raise ValueError(
             f"need 0 < p < 1 and 0 < j <= n (got n={n!r}, p={p!r}, j={j!r})")
-    a, b, q = float(j), float(n - j + 1), 1.0 - p
-    front = math.exp(_log_beta_power(a, b, p, q))
-    if p * (a + b) <= a:
-        at_least = front * _beta_fraction_below_mean(a, b, p, q)
-        return 1.0 - at_least, at_least
-    below = front * _beta_fraction_below_mean(b, a, q, p)
-    return below, 1.0 - below
+    at_least, below = _beta_tails(float(j), float(n - j + 1), p, 1.0 - p)
+    return below, at_least
 
 
 def _log_beta_power(a, b, x, y):
@@ -356,40 +356,21 @@ def _log_beta_power(a, b, x, y):
             - _stirling_remainder(b))
 
 
-def _beta_top(a, b, x, y, front):
-    """``I_x(a, b)`` by its continued fraction, with ``y = 1 - x`` and
-    ``front = x^a y^b / B(a, b)``.
+def _beta_tails(a, b, x, y):
+    """``(I_x(a, b), I_y(b, a))`` for ``a, b >= 1``, ``0 < x < 1`` and
+    ``y = 1 - x``.
 
-    The fraction converges fast for ``x < (a + 1) / (a + b + 2)``;
-    above that it gives ``I_y(b, a) = 1 - I_x(a, b)`` instead.
+    The tail on the far side of ``x`` from the mean ``a / (a + b)`` is
+    the front factor ``x^a y^b / B(a, b)`` (:func:`_log_beta_power`)
+    times the continued fraction :func:`_beta_fraction_below_mean`, at
+    most about 0.64, and the other tail is 1 minus it.
     """
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_fraction(a, b, x) / a
-    return 1.0 - front * _beta_fraction(b, a, y) / b
-
-
-def _beta_fraction(a, b, x):
-    """The continued fraction of ``I_x(a, b)`` by the modified Lentz
-    method (Press et al., "Numerical Recipes", 3rd ed., section 6.4)."""
-
-    # each step of d and c is kept off 0 by _CF_TINY, as Lentz does
-    d = 1.0 - (a + b) * x / (a + 1.0)
-    c, d = 1.0, 1.0 / (d if abs(d) >= _CF_TINY else _CF_TINY)
-    h = d
-    for m in range(1, _MAX_CF_STEPS + 1):
-        for coeff in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
-                      -(a + m) * (a + b + m) * x
-                      / ((a + 2 * m) * (a + 2 * m + 1))):
-            d = 1.0 + coeff * d
-            d = 1.0 / (d if abs(d) >= _CF_TINY else _CF_TINY)
-            c = 1.0 + coeff / c
-            c = c if abs(c) >= _CF_TINY else _CF_TINY
-            h *= d * c
-        if abs(d * c - 1.0) < _CF_TOL:
-            return h
-    raise NumericsError(
-        f"incomplete Beta continued fraction did not converge in "
-        f"{_MAX_CF_STEPS} steps (a={a!r}, b={b!r}, x={x!r})")
+    front = math.exp(_log_beta_power(a, b, x, y))
+    if x * (a + b) <= a:
+        small = front * _beta_fraction_below_mean(a, b, x, y)
+        return small, 1.0 - small
+    small = front * _beta_fraction_below_mean(b, a, y, x)
+    return 1.0 - small, small
 
 
 def _beta_fraction_below_mean(a, b, x, y):
@@ -401,8 +382,9 @@ def _beta_fraction_below_mean(a, b, x, y):
     ``lambda = a - (a + b) x = (a + b) y - b``, from ``x`` where
     ``a <= b`` and from ``y = 1 - x`` otherwise, so ``lambda`` is off by
     about ``eps min(a, b)``; no term is a difference from 1.  The
-    fraction of :func:`_beta_fraction` is not used here: where ``x`` is
-    near 1, its first steps cancel to about ``y`` and lose ``eps / y``
+    modified Lentz form of the classic fraction (Press et al.,
+    "Numerical Recipes", 3rd ed., section 6.4) would not do: where ``x``
+    is near 1, its first steps cancel to about ``y`` and lose ``eps / y``
     of relative precision, about 3e-10 for a count of mean 3 in 1e7
     trials.
     """

@@ -18,8 +18,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mcrnet
-from mcrnet import (cli, latency, montecarlo, multipath, optimizer,
-                    popularity, scenario)
+from mcrnet import (cli, latency, montecarlo, multipath, numerics,
+                    optimizer, popularity, scenario)
 from mcrnet.cli import main
 from mcrnet.energy import ENERGY_KEYS, load_energy_model, system_energy
 from mcrnet.multipath import MULTIPATH, SCHEMES, SINGLE_PATH
@@ -1082,6 +1082,23 @@ def test_unreachable_stage_is_named_error(capsys, param, stage):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and f"{stage} stage" in err
+
+
+def test_unconverged_beta_fraction_is_a_named_error(monkeypatch, capsys):
+    # one step is too few for the delivery stage's continued fraction: a
+    # sweep holds the error in its row, optimize stops on it
+    monkeypatch.setattr(numerics, "_MAX_CF_STEPS", 1)
+    clear_memos()
+    message = "incomplete Beta continued fraction did not converge"
+    code, out, _ = run_cli(capsys, "sweep", "theta2_db", "--values", "0",
+                           "--targets", "deli_delay")
+    assert code == 0
+    [row] = parse_csv(out)
+    assert math.isnan(float(row["deli_delay"])) and message in row["error"]
+    code, out, err = run_cli(capsys, "optimize")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
 
 
 # at large thresholds the uplink and access stages integrate past the knee

@@ -211,12 +211,40 @@ def ladder(order, theta, alpha):
     return numerics.beta_ladder(1.0 - s, order + s, max(order - 1, 1), theta)
 
 
+def side_rule_thetas(order, alpha):
+    """The odds ``a / b`` at which the continued fraction switches sides,
+    and the two neighbouring floats that lie on either side of the
+    switch as it is rounded.  The fraction runs at the top rung's first
+    parameter ``a`` (at orders 1 and 2, where that is below 1, one rung
+    above it) and switches where ``x (a + b) = a``."""
+    s = 2.0 / alpha
+    a, b = (1.0 - s) + (max(order - 1, 2) - 1), order + s
+
+    def below_mean(theta):
+        return theta / (1.0 + theta) * (a + b) <= a
+
+    theta = a / b
+    while below_mean(theta):
+        theta = math.nextafter(theta, math.inf)
+    while not below_mean(theta):
+        theta = math.nextafter(theta, 0.0)
+    return [a / b, theta, math.nextafter(theta, math.inf)]
+
+
 @pytest.mark.parametrize("order", SPECIAL_ORDERS)
 @pytest.mark.parametrize("alpha", LADDER_ALPHAS)
 def test_beta_ladder_matches_scipy(order, alpha):
     for theta in LADDER_THETAS:
         assert_close_to_reference(ladder(order, theta, alpha),
                                   ladder_reference(order, theta, alpha), order)
+    tops = []
+    for theta in side_rule_thetas(order, alpha):
+        value = ladder(order, theta, alpha)
+        assert_close_to_reference(value, ladder_reference(order, theta, alpha),
+                                  order)
+        tops.append(value[-1])
+    # the top rung is continuous across the switch
+    assert max(tops) - min(tops) <= 1e-13 * max(tops)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -227,6 +255,16 @@ def test_beta_ladder_matches_scipy_property(order, theta_db, alpha):
     theta = 10.0 ** (theta_db / 10.0)
     assert_close_to_reference(ladder(order, theta, alpha),
                               ladder_reference(order, theta, alpha), order)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("alpha", [2.0 + 1e-9, 2.0 + 1e-12])
+def test_beta_ladder_near_alpha_two_matches_scipy(order, alpha):
+    # a top rung whose first parameter 1 - 2/alpha is near 0: just above
+    # the mean, the fraction there would need about a^-1/2 steps
+    for theta in [*LADDER_THETAS, *side_rule_thetas(order, alpha)]:
+        assert_close_to_reference(ladder(order, theta, alpha),
+                                  ladder_reference(order, theta, alpha), order)
 
 
 def test_beta_ladder_rises_to_one_at_the_largest_threshold():
@@ -316,6 +354,19 @@ def test_binomial_tails_property(n, log_q, upper, z):
         assert all(0.0 <= t <= 1.0 for t in tails)
         assert abs(sum(tails) - 1.0) <= 2.0 * EPS
     assert below <= next_below
+
+
+@pytest.mark.parametrize("fn,args,message", [
+    # the fraction's own arguments: the far side from the mean
+    (numerics.beta_ladder, (0.4, 4.6, 3, 1.0), "a=4.6, b=2.4, x=0.5"),
+    (numerics.binomial_tails, (100, 0.3, 20), "a=81.0, b=20.0, x=0.7"),
+    (numerics.binomial_tails, (100, 0.3, 40), "a=40.0, b=61.0, x=0.3")])
+def test_unconverged_beta_fraction_is_a_named_error(monkeypatch, fn, args,
+                                                    message):
+    monkeypatch.setattr(numerics, "_MAX_CF_STEPS", 1)
+    with pytest.raises(NumericsError, match=re.escape(
+            f"did not converge in 1 steps ({message})")):
+        fn(*args)
 
 
 @pytest.mark.parametrize("n,p,j", [(10, 0.0, 3), (10, 1.0, 3), (10, 0.5, 0),
