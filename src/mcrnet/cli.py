@@ -617,8 +617,32 @@ def cmd_validate(args):
 
 
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reads a token that starts with "-" as an option unless
+        # it is one negative number, so a --values list whose first value
+        # is negative ("-20,-19.5") is joined to its option, or to an
+        # abbreviation of it, as if given as --values=-20,-19.5
+        joined = []
+        for arg in sys.argv[1:] if args is None else args:
+            if (joined and len(joined[-1]) > 2
+                    and "--values".startswith(joined[-1])
+                    and _leads_with_number(arg)):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
     def error(self, message):
         raise UsageError(message)
+
+
+def _leads_with_number(text):
+    """Whether the first comma-separated field of ``text`` is a float."""
+    try:
+        float(text.partition(",")[0])
+    except ValueError:
+        return False
+    return True
 
 
 def _parse_kv(raw):

@@ -32,17 +32,12 @@ numpy's ``standard_gamma``.
 Randomness comes from SFC64 streams keyed by ``(seed, stream path)``:
 each oracle draws from its own stream family, and every chunk of trials
 (and every simulator path) owns an independent substream within it.
-The chunks run on a process-wide thread pool, one worker per available
-CPU (numpy's draws and array operations release the interpreter lock),
-and their results are combined in chunk order, so every estimate is
-bit-reproducible and does not depend on the worker count or on the order
-the chunks finish in.
+The chunks run one after another in the calling thread and their results
+are combined in chunk order, so every estimate is bit-reproducible: the
+chunk sizes, not the machine, fix every stream.
 """
 
-import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +46,9 @@ from . import multipath, numerics
 from .multipath import MULTIPATH
 from .scenario import ScenarioError
 
+# trials per chunk of the uplink, access and shadowing oracles and of
+# nearest_distances: each chunk owns a substream, so this fixes every
+# stream, and it bounds the arrays a chunk holds
 _CHUNK = 50_000
 # gains per draw block (64 KiB): 8192 uplink or access trials, or
 # 8192 // _DELI_POINTS delivery trials
@@ -60,10 +58,10 @@ _DRAW_BLOCK = 8192
 # about 1.5e-4 (at order 1), under a third of its standard error at 1e6
 # trials
 _DELI_POINTS = 4
-# delivery trials per chunk, not derived from _DELI_POINTS: 1e5 trials
-# make four full chunks and a short one, which keep two workers busy to
-# the end; chunks of 5e6 draws (1.25e6 trials at 4 cells) would hold
-# them all in one and leave the other worker idle
+# delivery trials per chunk, not derived from _DELI_POINTS: each chunk
+# owns its two substreams, so this value, with _DELI_BLOCK, fixes every
+# stream (1e5 trials make four full chunks and a short one); a chunk's
+# arrays hold the shorter of the chunk and one pass of _DELI_PASS blocks
 _DELI_CHUNK = 24_752
 # delivery trials per draw block: each block takes its gains and then its
 # far-field draws from the gains substream, so this constant and
@@ -82,10 +80,6 @@ _GAMMA_PRODUCT_MAX = 5
 # the smallest nonzero one, 2**-53, so it moves only the draw at U = 0,
 # which would otherwise be exactly 0
 _DRAW_FLOOR = 2.0 ** -110
-# CPUs this process may run on
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-_POOL_LOCK = threading.Lock()
 # numpy's negative_binomial(n, p) refuses (1 - p) / p * (n + 10 sqrt(n)),
 # the reach of the Poisson mean it draws through, above this bound
 _SLOTS_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
@@ -110,33 +104,6 @@ def substream(seed, *path):
     """Independent SFC64 generator for ``(seed, path)``."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
     return np.random.Generator(np.random.SFC64(ss))
-
-
-def _pool():
-    """The process-wide worker pool, created on first use."""
-    with _POOL_LOCK:
-        return _pool_of(os.getpid())
-
-
-@functools.cache
-def _pool_of(pid):
-    # keyed by process: a forked child has none of its parent's workers.
-    # The local import keeps concurrent.futures, and the logging it
-    # imports, off the package's own import path.
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max_workers=_WORKERS,
-                              thread_name_prefix="mcrnet-montecarlo")
-
-
-def _pool_map(fn, tasks):
-    """``[fn(*args) for args in tasks]``, spread over the worker pool.
-
-    Each task draws from its own substream and writes nothing another
-    task reads, so the results equal the serial ones, in task order.
-    """
-    if _WORKERS == 1 or len(tasks) < 2:
-        return [fn(*args) for args in tasks]
-    return list(_pool().map(lambda args: fn(*args), tasks))
 
 
 def _exponentials(rng, out):
@@ -167,8 +134,7 @@ def _gammas(rng, order, out):
     """
     if order > _GAMMA_PRODUCT_MAX:
         return rng.standard_gamma(order, out=out)
-    # one draw of every factor: few numpy calls, each over many values,
-    # so the pool's workers rarely wait on the interpreter lock
+    # one draw of every factor: few numpy calls, each over many values
     factors = rng.random((order,) + out.shape)
     np.subtract(1.0, factors, out=factors)
     np.prod(factors, axis=0, out=out)
@@ -183,10 +149,10 @@ def _check_trials(trials):
 
 
 def _map_chunks(fn, trials, chunk):
-    """``fn(chunk_idx, m)`` over the ``chunk``-sized pieces of ``trials``."""
-    return _pool_map(fn, [(chunk_idx, min(chunk, trials - start))
-                          for chunk_idx, start
-                          in enumerate(range(0, trials, chunk))])
+    """``fn(chunk_idx, m)`` over the ``chunk``-sized pieces of ``trials``,
+    a list in chunk order."""
+    return [fn(chunk_idx, min(chunk, trials - start))
+            for chunk_idx, start in enumerate(range(0, trials, chunk))]
 
 
 def _proportion_estimate(successes, trials):
@@ -493,7 +459,8 @@ def simulate_backhaul(s, scheme=MULTIPATH, trials=1000, seed=0):
     """
     plan = multipath.build_plan(s, multipath.path_count(s, scheme))
     _check_trials(trials)
-    packets = multipath.split_packets(plan.shares, multipath.buffer_packets(s))
+    packets = multipath.split_packets(plan.shares, multipath.buffer_packets(s),
+                                      "the simulator")
     # per path: (crossings, per-slot success) of its first and relay hops
     legs = [((int(n), plan.p_first), (int(n) * (int(h) - 1), plan.p_relay))
             for n, h in zip(packets, plan.hops)]
@@ -512,14 +479,11 @@ def simulate_backhaul(s, scheme=MULTIPATH, trials=1000, seed=0):
                 f"count holds")
 
     slots = np.zeros((trials, plan.b), dtype=np.int64)
-
-    def draw(path):
+    for path, path_legs in enumerate(legs):
         rng = substream(seed, 4, path)
-        for n, p in legs[path]:
+        for n, p in path_legs:
             if n:
                 slots[:, path] += n + rng.negative_binomial(n, p, size=trials)
-
-    _pool_map(draw, [(path,) for path in range(plan.b)])
     # in slots, scaled once: the squared deviations stay finite at any
     # slot length
     est = mean_estimate(slots.max(axis=1))

@@ -136,7 +136,7 @@ def buffer_packets(s):
     return math.ceil(s.buffer_omega / s.packet_l)
 
 
-def split_packets(shares, total):
+def split_packets(shares, total, model):
     """Whole packets per path: ``total`` apportioned by ``shares`` with
     the largest remainders (Hamilton's method), an int array summing to
     ``total``.
@@ -144,13 +144,14 @@ def split_packets(shares, total):
     Raises
     ------
     ValueError
-        When a path's share is more packets than an int64 count holds.
+        When a path's share is more packets than an int64 count holds;
+        the message names ``model``, the model that sends the packets.
     """
     raw = shares * total
     # 2**63 is the first count an int64 cannot hold
     if not raw.max() < 2.0 ** 63:
         raise ValueError(
-            f"backhaul stage can never complete in the simulator: a buffer "
+            f"backhaul stage can never complete in {model}: a buffer "
             f"of {total:.6g} packets needs more packets on a path than an "
             f"int64 count holds")
     base = np.floor(raw).astype(int)
@@ -265,7 +266,8 @@ def multipath_backhaul_delay(s, mode=CONTINUOUS, b=None, lambda_e=None):
     of ``n_i * tau * (1 / p_first + (h_i - 1) / p_relay)``, whose first
     hop leaves the edge node at its own transmit power, with the whole
     packet counts ``n_i`` of :func:`split_packets` that the packet
-    simulator sends (so a path count above an int64 is a ``ValueError``).
+    simulator sends (so a path count above an int64 is a ``ValueError``
+    that names the integer-hop model).
     """
     if mode == CONTINUOUS:
         b, lam = _plan_paths(s, b, lambda_e)
@@ -274,7 +276,9 @@ def multipath_backhaul_delay(s, mode=CONTINUOUS, b=None, lambda_e=None):
     if mode != EXACT_CEIL:
         raise ValueError(f"unknown hop mode {mode!r}")
     plan = build_plan(s, b, lambda_e)
-    per_path = split_packets(plan.shares, buffer_packets(s)) * (
+    packets = split_packets(plan.shares, buffer_packets(s),
+                            "the integer-hop model")
+    per_path = packets * (
         s.tau_mmw * (1.0 / plan.p_first + (plan.hops - 1) / plan.p_relay))
     return float(per_path.max())
 

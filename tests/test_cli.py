@@ -119,6 +119,29 @@ def test_sweep_names_a_nan_grid_value(capsys, param, values):
     assert err == f"error: --values holds {nan!r}, which is not a number\n"
 
 
+@pytest.mark.parametrize("option", ["--values", "--val"])
+@pytest.mark.parametrize("values", ["-20,-19.5", "-20", "-inf,0", "-.5,1e3"])
+def test_sweep_values_may_start_negative_as_a_separate_token(capsys, option,
+                                                             values):
+    # a list that starts with "-" is a value, not an option, and reads as
+    # its --values=... form does, after the option or an abbreviation
+    argv = ["theta2_db", "--targets", "deli_delay"]
+    separate = run_cli(capsys, "sweep", option, values, *argv)
+    joined = run_cli(capsys, "sweep", f"--values={values}", *argv)
+    assert separate == joined
+    code, out, err = separate
+    assert (code, err) == (0, "")
+    assert [float(row["theta2_db"]) for row in parse_csv(out)] == [
+        float(v) for v in values.split(",")]
+
+
+def test_sweep_values_still_needs_a_value_before_the_next_option(capsys):
+    code, out, err = run_cli(capsys, "sweep", "theta2_db", "--values",
+                             "--targets", "deli_delay")
+    assert (code, out) == (1, "")
+    assert err == "error: argument --values: expected one argument\n"
+
+
 def test_jobs_flag_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "sweep", "psi", "--values", "10,100",
                              "--targets", "fiber_link_delay", "--jobs", "2")

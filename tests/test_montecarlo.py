@@ -1,10 +1,10 @@
 import math
-import multiprocessing
 import os
+import pathlib
+import subprocess
 import sys
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from mcrnet import latency, montecarlo, multipath
+from mcrnet import cli, latency, montecarlo, multipath
 from mcrnet.montecarlo import (McEstimate, estimate_access_success,
                                estimate_deli_success, estimate_kth_nearest,
                                estimate_shadowing_success,
@@ -764,7 +764,8 @@ def _serial_simulate_backhaul(s, scheme, trials, seed):
     plan = multipath.build_plan(s, s.b_paths if scheme == MULTIPATH else 1)
     hops = plan.hops.astype(int)
     packets = multipath.split_packets(plan.shares,
-                                      multipath.buffer_packets(s))
+                                      multipath.buffer_packets(s),
+                                      "the simulator")
     slots = np.zeros((trials, plan.b), dtype=np.int64)
     for path in range(plan.b):
         rng = substream(seed, 4, path)
@@ -780,6 +781,18 @@ def _serial_simulate_backhaul(s, scheme, trials, seed):
     se = float(worst.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return McEstimate(mean=float(worst.mean()) * s.tau_mmw,
                       std_error=se * s.tau_mmw, n_samples=trials)
+
+
+def _serial_nearest_distances(lam, k, trials, seed):
+    # per chunk: its k rows of Exp(1) draws in turn, summed down the rows
+    chunks, chunk = [], montecarlo._CHUNK
+    for chunk_idx, start in enumerate(range(0, trials, chunk)):
+        m = min(chunk, trials - start)
+        rng = substream(seed, 0, chunk_idx)
+        rows = np.cumsum([_exponentials(rng, np.empty(m)) for _ in range(k)],
+                         axis=0)
+        chunks.append(np.sqrt(rows / (math.pi * lam)))
+    return np.concatenate(chunks, axis=1)
 
 
 def _serial_threshold_successes(lam, order, threshold_scale, alpha, trials,
@@ -816,6 +829,16 @@ def test_threshold_oracles_equal_serial_reference(overrides, trials):
     assert access == _serial_threshold_successes(
         s.lambda_s, s.nt_s * s.nr_u, s.theta3 * s.nt_s / s.p_s, s.alpha2,
         trials, SEED, 6)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_nearest_distances_equal_serial_reference(monkeypatch, k):
+    # thirty full chunks and a short last one of 17 trials
+    monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
+    lam = load_scenario().lambda_e
+    got = _without_warnings(nearest_distances, lam, k, 30_017, SEED)
+    assert got.tobytes() == _serial_nearest_distances(
+        lam, k, 30_017, SEED).tobytes()
 
 
 def _without_warnings(fn, *args, **kwargs):
@@ -904,78 +927,35 @@ def _every_oracle(s):
             simulate_backhaul(s, trials=300, seed=SEED))
 
 
-def test_one_worker_equals_pool(monkeypatch):
-    s = load_scenario()
+def test_oracles_and_validate_start_no_thread(monkeypatch, capsys):
+    # every chunk and simulator path draws in the calling thread
     threads = set()
 
     def recording_substream(*key):
-        threads.add(threading.current_thread().name)
+        threads.add(threading.current_thread())
         return substream(*key)
 
     monkeypatch.setattr(montecarlo, "substream", recording_substream)
-    monkeypatch.setattr(montecarlo, "_WORKERS", max(2, montecarlo._WORKERS))
-    pooled = _without_warnings(_every_oracle, s)
-    assert any(name.startswith("mcrnet-montecarlo") for name in threads)
-
-    threads.clear()
-    monkeypatch.setattr(montecarlo, "_WORKERS", 1)
-    monkeypatch.setattr(montecarlo, "_pool", lambda: pytest.fail(
-        "the pool was used with one worker"))
-    assert _without_warnings(_every_oracle, s) == pooled
-    assert threads == {threading.current_thread().name}
+    before = threading.active_count()
+    _without_warnings(_every_oracle, load_scenario())
+    assert cli.main(["validate", "--trials", "2000"]) == 0
+    capsys.readouterr()
+    assert threading.active_count() == before
+    assert threads == {threading.current_thread()}
 
 
-def test_oversubscribed_pool_equals_serial(monkeypatch):
-    # far more workers than cores and a short switch interval, so tasks
-    # interleave as much as they can; each writes only its own slice of
-    # the distances or its own column of the simulator's slot counts
-    s = load_scenario(overrides={"b_paths": 7})
-    monkeypatch.setattr(montecarlo, "_CHUNK", 1000)
-    monkeypatch.setattr(montecarlo, "_DELI_CHUNK", 495)
-
-    def run():
-        return (nearest_distances(s.lambda_e, 3, 30_017, SEED)[-1].tolist(),
-                estimate_deli_success(s, 3000, SEED),
-                simulate_backhaul(s, trials=200, seed=SEED))
-
-    monkeypatch.setattr(montecarlo, "_WORKERS", 1)
-    serial = run()
-    workers = 4 * (os.cpu_count() or 1)
-    result = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        monkeypatch.setattr(montecarlo, "_pool", lambda: pool)
-        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            caller = threading.Thread(
-                target=lambda: result.update(value=run()))
-            caller.start()
-            caller.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not caller.is_alive()
-    assert result["value"] == serial
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="needs the fork start method")
-def test_forked_child_builds_its_own_pool(monkeypatch):
-    # a child forked while the parent's pool runs has none of its workers
-    monkeypatch.setattr(montecarlo, "_WORKERS", max(2, montecarlo._WORKERS))
-    s = load_scenario()
-    trials = 2 * montecarlo._CHUNK + 3
-    expected = estimate_uplink_success(s, trials, SEED)
-
-    def check():
-        assert estimate_uplink_success(s, trials, SEED) == expected
-
-    child = multiprocessing.get_context("fork").Process(target=check)
-    child.start()
-    child.join(timeout=60)
-    hung = child.is_alive()
-    if hung:
-        child.kill()
-        child.join()
-    assert not hung
-    assert child.exitcode == 0
+def test_validate_never_imports_concurrent_futures():
+    # a fresh interpreter: nothing else of the process has imported it
+    src = str(pathlib.Path(montecarlo.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import os, sys, threading\n"
+            "from mcrnet import cli\n"
+            "assert cli.main(['validate', '--trials', '2000',"
+            " '--out', os.devnull]) == 0\n"
+            "print(threading.active_count(),"
+            " 'concurrent.futures' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code],
+                            env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "1 False\n"

@@ -295,8 +295,23 @@ def _whole_packets(shares, total):
     ([0.4, 0.35, 0.25], 3, [1, 1, 1]), ([0.25] * 4, 2, [1, 1, 0, 0]),
     ([0.45, 0.3, 0.25], 7, [3, 2, 2])])
 def test_split_packets_by_largest_remainders(shares, total, counts):
-    got = split_packets(np.array(shares), total)
+    got = split_packets(np.array(shares), total, "the simulator")
     assert got.tolist() == counts == _whole_packets(np.array(shares), total)
+
+
+@pytest.mark.parametrize("overrides", [{"buffer_omega_mb": 1e300},
+                                       {"packet_l": 1e-300}])
+def test_integer_hop_delay_names_its_model_at_an_int64_packet_count(
+        overrides):
+    # the closed form sends the simulator's whole packets, so it refuses
+    # the same counts, but in its own name
+    s = load_scenario(overrides=overrides)
+    with pytest.raises(ValueError) as err:
+        multipath_backhaul_delay(s, EXACT_CEIL)
+    assert str(err.value) == (
+        f"backhaul stage can never complete in the integer-hop model: a "
+        f"buffer of {buffer_packets(s):.6g} packets needs more packets on "
+        f"a path than an int64 count holds")
 
 
 def test_backhaul_exact_ceil_is_max_over_paths():
