@@ -15,9 +15,12 @@ SEED = 11
 TRIALS = 150_000
 
 print("=== k-th nearest edge node distance (10 per km^2) ===")
-for p in (1, 2, 3):
+# one ordered draw: row p - 1 holds the p-th nearest distance of each
+# trial, the same values a draw at k = p gives
+rows = montecarlo.nearest_distances(1e-5, 3, TRIALS, SEED)
+for p, row in enumerate(rows, start=1):
     ref = multipath.mean_kth_edc_distance(1e-5, p)
-    est = montecarlo.estimate_kth_nearest(1e-5, p, trials=TRIALS, seed=SEED)
+    est = montecarlo.mean_estimate(row)
     print(f"  p={p}: closed form {ref:7.2f} m, sampled {est.mean:7.2f} "
           f"+/- {est.std_error:.2f} m  (z = {est.z_score(ref):+.2f})")
 

@@ -57,10 +57,6 @@ def _p_hit(ctx):
         zipf(ctx.scenario.beta, ctx.scenario.k_total), ctx.psi)
 
 
-def _fiber_miss(ctx):
-    return latency.fiber_delay(ctx.scenario) * (1.0 - _p_hit(ctx))
-
-
 def _backhaul(ctx, b=None):
     return multipath.multipath_backhaul_delay(ctx.scenario, b=b,
                                               lambda_e=ctx.lambda_e)
@@ -111,7 +107,8 @@ def _see(ctx, scheme):
     budget = optimizer.reduced_delay_budget(s)
     pair = optimizer.critical_edc_density(s, ctx.psi, budget, scheme)
     if pair is None:
-        raise _no_density(s, ctx.psi, budget, _fiber_miss(ctx))
+        raise _no_density(s, ctx.psi, budget,
+                          optimizer._fiber_terms(s, ctx.psi))
     return system_energy(s, ctx.energy, ctx.psi,
                          lambda_e=pair.lambda_e_crit).total
 
@@ -145,7 +142,9 @@ _SEE = (_SCENARIO_FIELDS | _ENERGY_FIELDS | {"psi"}) - {"lambda_e"}
 TARGETS = {
     "p_in_edc": (_p_hit, _HIT),
     "fiber_delay": (lambda ctx: latency.fiber_delay(ctx.scenario), _FIBER),
-    "fiber_link_delay": (_fiber_miss, _FIBER | _HIT),
+    "fiber_link_delay":
+        (lambda ctx: optimizer._fiber_terms(ctx.scenario, ctx.psi),
+         _FIBER | _HIT),
     "uplink_delay":
         (lambda ctx: latency.uplink_request_delay(ctx.scenario), _UPLINK),
     "deli_delay": (lambda ctx: latency.deli_delay(ctx.scenario), _DELIVERY),
@@ -208,7 +207,7 @@ def _see_cells(ctx, target):
         # what _see raises at every size it would solve
         cells = [(math.nan, str(exc))] * np.count_nonzero(solved)
     else:
-        fiber_miss = _fiber_miss(ctx)[solved].tolist()
+        fiber_miss = optimizer._fiber_terms(s, psi[solved]).tolist()
         cells = [(math.nan, str(_no_density(s, p, budget, f)))
                  if st == optimizer._SKIPPED else (e, None)
                  for p, f, st, e in zip(psi[solved].tolist(), fiber_miss,

@@ -1,10 +1,10 @@
-"""Lifecycle energy per unit area and its delay-gated service variant.
+"""Lifecycle energy per unit area.
 
 Each tier contributes density * (operation power * lifetime + embodied
 energy); edge data centers additionally pay a storage energy per cached
-content.  Service effective energy multiplies the areal system energy by
-a hard delay-QoS indicator, so an infeasible operating point scores zero
-and must be excluded from minimisation rather than preferred.
+content.  The paper's service effective energy gates this system energy
+by a hard delay-QoS indicator; the optimiser scores only operating
+points that meet the delay budget, where the two are equal.
 """
 
 import math
@@ -62,13 +62,6 @@ def load_energy_model(text=None, overrides=None):
                        text, overrides)
 
 
-def qos_indicator(d_total, d_max):
-    """1 if the delay meets the budget (inclusive), else 0."""
-    if d_total < 0 or d_max < 0:
-        raise ValueError("delays must be >= 0")
-    return 1 if d_total <= d_max else 0
-
-
 @dataclass(frozen=True)
 class SystemEnergy:
     """Areal energy (J/m^2) split by tier; ``total`` is their sum."""
@@ -106,11 +99,3 @@ def system_energy(s, em, psi, lambda_e=None):
         total = mbs + sbs + edc + storage
     return SystemEnergy(mbs=mbs, sbs=sbs, edc=edc, storage=storage,
                         total=total)
-
-
-def service_effective_energy(e_sys, qos):
-    """Areal energy gated by the QoS indicator."""
-    if qos not in (0, 1):
-        raise ValueError(f"qos must be 0 or 1, got {qos!r}")
-    return e_sys * qos
-

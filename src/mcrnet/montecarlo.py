@@ -240,13 +240,6 @@ def nearest_distances(lambda_e, k, trials, seed=0):
     return out
 
 
-def estimate_kth_nearest(lambda_e, k, trials, seed=0):
-    """Mean distance to the k-th nearest edge node, sampled: the last row
-    of :func:`nearest_distances`, whose ``pi * lambda_e * r**2`` is a
-    Gamma(k, 1) variable.  Holds ``k * trials`` floats."""
-    return mean_estimate(nearest_distances(lambda_e, k, trials, seed)[-1])
-
-
 def _nearest_threshold_successes(lam, order, threshold_scale, alpha,
                                  trials, seed, family):
     """Trials where a Gamma(order, 1) gain beats a distance-based threshold.

@@ -87,13 +87,12 @@ def reduced_delay_budget(s):
             - latency.access_delay(s))
 
 
-def _fiber_terms(s, psi=None):
-    # fiber-miss delay of each cache size in the int array psi (default
-    # every size); the running sum gives each the bits of
-    # popularity.hit_probability, so sweep targets agree with it
-    cum = zipf(s.beta, s.k_total).cum
-    return latency.fiber_delay(s) * (1.0 - (cum if psi is None
-                                            else cum[psi - 1]))
+def _fiber_terms(s, psi):
+    # fiber-miss delay of cache size psi (an int or an int array, each
+    # entry on its own): the fiber delay of the requests its cache misses,
+    # the full delay at psi 0
+    return latency.fiber_delay(s) * (
+        1.0 - hit_probability(zipf(s.beta, s.k_total), psi))
 
 
 def _critical_densities(s, scheme, fiber_terms, budget):
@@ -162,10 +161,8 @@ def critical_edc_density(s, psi, budget, scheme=MULTIPATH):
     """
     if not 1 <= psi <= s.k_total:
         raise ValueError(f"psi {psi} outside [1, {s.k_total}]")
-    fiber_term = latency.fiber_delay(s) * (
-        1.0 - hit_probability(zipf(s.beta, s.k_total), psi))
-    lam, residual, status = _critical_densities(s, scheme, fiber_term,
-                                                budget)
+    lam, residual, status = _critical_densities(
+        s, scheme, _fiber_terms(s, psi), budget)
     if status == _SKIPPED:
         return None
     return FeasiblePair(psi=psi, lambda_e_crit=float(lam),

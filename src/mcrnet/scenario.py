@@ -354,11 +354,6 @@ def load_scenario(text=None, overrides=None):
                        text, overrides)
 
 
-def scenario_to_config(s):
-    """SI key/value mapping; feeding it back reproduces ``s`` exactly."""
-    return {name: getattr(s, name) for name in _FIELD_NAMES}
-
-
 class _FieldText(dict):
     """``{value: "name=value"}`` of one hash field, the value as ``.17g``.
 

@@ -1,7 +1,9 @@
 """Reference routines that only the tests use.
 
 ``find_root_monotone`` is the bracketing oracle for the optimiser's
-closed-form critical density; ``scipy_proportion_z`` is the mid-p
+closed-form critical density, and ``see_referee`` the grid minimum of
+the paper's service effective energy that its optimum is held to;
+``scipy_proportion_z`` is the mid-p
 z-score through ``scipy.special``, and ``binomial_grid`` the binomial
 counts on which the tests hold the library's tails and z-score to
 scipy's; ``integrate_semi_infinite`` is a
@@ -26,9 +28,11 @@ import mpmath
 import numpy as np
 from scipy import integrate, optimize, special
 
-from mcrnet import multipath, scenario
+from mcrnet import latency, multipath, scenario
+from mcrnet.energy import system_energy
 from mcrnet.multipath import CONTINUOUS
 from mcrnet.numerics import NumericsError
+from mcrnet.popularity import hit_probability, zipf
 from mcrnet.scenario import MAX_GAIN_ORDER, MAX_K_TOTAL, ScenarioError
 
 
@@ -81,6 +85,42 @@ def find_root_monotone(g, lo, hi, tol=1e-12):
         raise NumericsError(
             f"no sign change on [{lo}, {hi}]: g(lo)={g_lo!r}, g(hi)={g_hi!r}")
     return optimize.brentq(g, lo, hi, xtol=tol)
+
+
+def see_referee(s, em, scheme, n):
+    """Least service effective energy over a grid of operating points.
+
+    The grid crosses every cache size ``1..k_total`` (a column) with
+    ``n >= 2`` geometrically spaced edge densities from ``lo`` to just
+    below ``hi`` of ``multipath.density_bracket(s)`` (a row).  Each point
+    takes its delay from ``latency.total_latency``, with the scheme's
+    continuous-hop backhaul delay, and its energy from
+    ``energy.system_energy``, both broadcast over the grid; the
+    optimiser is never called.  A point's service effective energy is
+    its system energy where the delay-QoS indicator ``total <= d_max``
+    (inclusive) is 1, and inf, not the paper's 0, where it is 0, so the
+    minimum excludes it.
+
+    Returns ``(minimum, ratio)``: inf where no point meets the budget
+    (every point of an empty bracket), and the largest ratio of
+    neighbouring densities.  The delay falls with the density and the
+    energy is affine in it with a non-negative intercept, so a cache
+    size's cheapest grid point lies within one step above its critical
+    density and costs at most ``ratio`` times the energy there: the
+    minimum lies in ``[e_sys_min, e_sys_min * ratio]``.
+    """
+    lo, hi = multipath.density_bracket(s)
+    lam = np.geomspace(lo, math.nextafter(hi, 0.0), n)
+    ratio = float((lam[1:] / lam[:-1]).max())
+    if not lo < hi:
+        return math.inf, ratio
+    psi = np.arange(1, s.k_total + 1)[:, None]
+    d_bh = multipath.multipath_backhaul_delay(
+        s, b=multipath.path_count(s, scheme), lambda_e=lam)
+    total = latency.total_latency(
+        s, hit_probability(zipf(s.beta, s.k_total), psi), d_bh).total
+    e = system_energy(s, em, psi, lambda_e=lam).total
+    return float(np.where(total <= s.d_max, e, np.inf).min()), ratio
 
 
 def binomial_grid(cases=3000, seed=31):

@@ -187,7 +187,7 @@ def test_sweep_see_is_the_curve_optimize_minimises(capsys, d_max_ms, scheme,
     assert code == 0
     s = load_scenario(overrides={"d_max_ms": d_max_ms})
     budget = optimizer.reduced_delay_budget(s)
-    fiber = optimizer._fiber_terms(s)
+    fiber = optimizer._fiber_terms(s, np.arange(1, s.k_total + 1))
     lo, hi = multipath.density_bracket(s)
     for psi, row in enumerate(parse_csv(out), start=1):
         if psi in e_sys:
@@ -1309,11 +1309,12 @@ def test_validate_reads_one_rare_failure_by_its_binomial_mid_p(capsys):
 
 
 def test_geometry_rows_share_one_ordered_draw(capsys, monkeypatch):
-    # one draw at k = 3 serves all three rows; its j-th row is the
-    # sample estimate_kth_nearest draws at k = j
+    # one draw at k = 3 serves all three rows; its j-th row is the last
+    # row of a draw at k = j
     s = load_scenario()
-    expected = [montecarlo.estimate_kth_nearest(s.lambda_e, p, 3000, 9)
-                for p in (1, 2, 3)]
+    expected = [montecarlo.mean_estimate(
+        montecarlo.nearest_distances(s.lambda_e, p, 3000, 9)[-1])
+        for p in (1, 2, 3)]
     calls = []
     draw = montecarlo.nearest_distances
 

@@ -1,16 +1,29 @@
+import math
+
 import pytest
 
-from mcrnet.energy import (EnergyModel, load_energy_model, qos_indicator,
-                           service_effective_energy, system_energy)
+from mcrnet import latency, multipath
+from mcrnet.energy import EnergyModel, load_energy_model, system_energy
+from mcrnet.optimizer import critical_edc_density
+from mcrnet.popularity import hit_probability, zipf
 from mcrnet.scenario import SECONDS_PER_YEAR, ScenarioError, load_scenario
 
 
 def test_qos_boundary_semantics():
-    assert qos_indicator(0.02, 0.02) == 1
-    assert qos_indicator(0.02 + 1e-15, 0.02) == 0
-    assert qos_indicator(0.0, 0.02) == 1
-    with pytest.raises(ValueError):
-        qos_indicator(-1e-9, 0.02)
+    # the optimiser's delay-QoS gate is inclusive: a budget that the
+    # sparsest deployment meets exactly clamps psi 144 to that density,
+    # and one ulp less needs a root above it
+    s = load_scenario()
+    lo = multipath.density_bracket(s)[0]
+    budget = (multipath.continuous_backhaul_delay(s, lo, s.b_paths)
+              + latency.fiber_delay(s)
+              * (1.0 - hit_probability(zipf(s.beta, s.k_total), 144)))
+    met = critical_edc_density(s, 144, budget)
+    assert met.at_lower_bound
+    assert met.lambda_e_crit == lo
+    missed = critical_edc_density(s, 144, math.nextafter(budget, 0.0))
+    assert not missed.at_lower_bound
+    assert missed.lambda_e_crit > lo
 
 
 def test_energy_defaults_from_table():
@@ -92,12 +105,3 @@ def test_psi_bounds_checked():
         system_energy(s, em, psi=501)
     with pytest.raises(ValueError):
         system_energy(s, em, psi=-1)
-
-
-def test_service_effective_energy_gate():
-    assert service_effective_energy(5e6, 0) == 0.0
-    assert service_effective_energy(5e6, 1) == 5e6
-    assert service_effective_energy(3.3226e6, 1) == pytest.approx(3.3226e6)
-    with pytest.raises(ValueError):
-        service_effective_energy(1.0, 0.5)
-

@@ -15,7 +15,7 @@ from scipy import special, stats
 
 from mcrnet import cli, latency, montecarlo, multipath
 from mcrnet.montecarlo import (McEstimate, estimate_access_success,
-                               estimate_deli_success, estimate_kth_nearest,
+                               estimate_deli_success,
                                estimate_shadowing_success,
                                estimate_uplink_success, mean_estimate,
                                nearest_distances, proportion_z,
@@ -33,7 +33,7 @@ GAMMA_ORDERS = range(1, montecarlo._GAMMA_PRODUCT_MAX + 2)
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_kth_nearest_matches_closed_form(k):
-    est = estimate_kth_nearest(1e-5, k, trials=100_000, seed=SEED)
+    est = mean_estimate(nearest_distances(1e-5, k, 100_000, SEED)[-1])
     ref = multipath.mean_kth_edc_distance(1e-5, k)
     assert abs(est.z_score(ref)) <= 3.0
 
@@ -50,9 +50,10 @@ def test_kth_nearest_distribution_ks():
 
 
 def test_kth_nearest_reproducible():
-    a = estimate_kth_nearest(1e-5, 3, trials=20_000, seed=SEED)
-    b = estimate_kth_nearest(1e-5, 3, trials=20_000, seed=SEED)
-    assert a == b
+    a = nearest_distances(1e-5, 3, 20_000, SEED)
+    b = nearest_distances(1e-5, 3, 20_000, SEED)
+    assert a.tobytes() == b.tobytes()
+    assert mean_estimate(a[-1]) == mean_estimate(b[-1])
 
 
 def _disc_sq_radii(rng, lam, radius, trials):
@@ -96,8 +97,6 @@ def test_nearest_distances_are_an_ordered_prefix(trials):
     for j in range(1, k + 1):
         prefix = nearest_distances(lam, j, trials, SEED)
         assert prefix.tobytes() == rows[:j].tobytes(), j
-        assert (estimate_kth_nearest(lam, j, trials, SEED)
-                == mean_estimate(rows[j - 1]))
     assert (np.diff(rows, axis=0) >= 0.0).all()
 
 
@@ -437,7 +436,7 @@ def test_deli_oracle_names_noise_overflow():
 
 def test_kth_nearest_validates_args():
     with pytest.raises(ValueError):
-        estimate_kth_nearest(1e-5, 0, 100)
+        nearest_distances(1e-5, 0, 100)
 
 
 def _mid_p_z(k, n, p):
@@ -674,13 +673,12 @@ def test_simulator_rejects_transfer_that_never_completes():
 @pytest.mark.parametrize("trials", [0, -5])
 @pytest.mark.parametrize("oracle", [
     lambda s, n: nearest_distances(s.lambda_e, 2, n, SEED),
-    lambda s, n: estimate_kth_nearest(s.lambda_e, 2, n, SEED),
     lambda s, n: estimate_uplink_success(s, n, SEED),
     lambda s, n: estimate_access_success(s, n, SEED),
     lambda s, n: estimate_deli_success(s, n, SEED),
     lambda s, n: estimate_shadowing_success(s, n, SEED),
     lambda s, n: simulate_backhaul(s, trials=n, seed=SEED),
-], ids=["nearest", "kth", "uplink", "access", "deli", "shadowing",
+], ids=["nearest", "uplink", "access", "deli", "shadowing",
         "simulator"])
 def test_oracles_reject_fewer_than_one_trial(monkeypatch, oracle, trials):
     # one named error before any draw, never a negative sample count, a

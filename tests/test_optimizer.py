@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from mcrnet.optimizer import (FeasiblePair, NoFeasiblePairError,
                               reduced_delay_budget)
 from mcrnet.popularity import hit_probability, zipf
 from mcrnet.scenario import load_scenario
-from oracles import find_root_monotone
+from oracles import find_root_monotone, see_referee
 
 # frozen root for psi = 144 at the documented defaults
 CRIT_DENSITY_PSI144 = 1.3727228646865123e-05
@@ -213,6 +214,59 @@ def test_toy_model_brute_force(energy):
     assert outcome.best_pair.psi == best[1]
 
 
+# --- the grid referee -------------------------------------------------------
+
+# densities on the referee's grid: a ratio of 1.019 between neighbours at
+# the defaults, the bound on how far above e_sys_min its minimum may read
+REFEREE_DENSITIES = 120
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("d_max_ms", [12, 20, 100])
+def test_optimum_is_the_see_grid_minimum(energy, d_max_ms, scheme):
+    # oracle: the least delay-gated system energy over every cache size
+    # and a density grid, scored without the optimiser.  No feasible grid
+    # point costs less than the optimum, and the one a grid step above
+    # the optimum's density costs at most one grid ratio more
+    s = load_scenario(overrides={"d_max_ms": d_max_ms})
+    outcome = optimize_cache_density(s, energy, scheme=scheme)
+    referee, ratio = see_referee(s, energy, scheme, REFEREE_DENSITIES)
+    assert ratio == pytest.approx(1.0194, abs=1e-4)
+    assert outcome.e_sys_min <= referee <= outcome.e_sys_min * ratio
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("d_max", [1e-3, 4.5e-3])
+def test_see_grid_is_empty_where_optimize_raises(scenario, energy, d_max,
+                                                 scheme):
+    # a budget below the fixed stages, and a positive one that no density
+    # meets: no grid point passes the delay gate either
+    s = scenario.with_params(d_max=d_max)
+    with pytest.raises(NoFeasiblePairError):
+        optimize_cache_density(s, energy, scheme=scheme)
+    assert see_referee(s, energy, scheme, REFEREE_DENSITIES)[0] == math.inf
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(beta=st.floats(0.0, 2.0), d_max_ms=st.floats(4.0, 120.0),
+       b_paths=st.integers(1, 7), k_total=st.integers(1, 60),
+       n=st.sampled_from([7, 30, 120]), scheme=st.sampled_from(SCHEMES))
+def test_optimum_is_the_see_grid_minimum_property(energy, beta, d_max_ms,
+                                                  b_paths, k_total, n,
+                                                  scheme):
+    # the referee reads inf exactly where the optimiser raises, and
+    # otherwise within one grid ratio above its optimum
+    s = load_scenario(overrides={"beta": beta, "d_max_ms": d_max_ms,
+                                 "b_paths": b_paths, "k_total": k_total})
+    referee, ratio = see_referee(s, energy, scheme, n)
+    try:
+        outcome = optimize_cache_density(s, energy, scheme=scheme)
+    except NoFeasiblePairError:
+        assert referee == math.inf
+        return
+    assert outcome.e_sys_min <= referee <= outcome.e_sys_min * ratio
+
+
 def test_pairs_hold_python_scalars(scenario, energy):
     # rows are serialised with json/csv, which must not see numpy scalars;
     # at this budget small caches need a root and large ones are clamped
@@ -335,7 +389,7 @@ def test_lone_solve_is_the_array_entry_bit_for_bit(scheme, budget_of):
     # the Cardano inverse) fails the test through the warning filters
     d_max_ms = budget_of.partition("d_max_ms=")[2]
     s = load_scenario(overrides={"d_max_ms": d_max_ms} if d_max_ms else {})
-    fiber_terms = optimizer._fiber_terms(s)
+    fiber_terms = optimizer._fiber_terms(s, np.arange(1, s.k_total + 1))
     budget = reduced_delay_budget(s) if d_max_ms else {
         "zero": 0.0, "negative": -1e-3, "all_clamped": 10.0,
         "fiber_only": float(fiber_terms[143])}[budget_of]
@@ -421,7 +475,9 @@ def test_memo_hit_is_the_cold_solve_bit_for_bit_property(
     for scen, p in ((s, psi), (twin, psi2)):
         bits = _pair_bits(critical_edc_density(scen, p, budget, scheme))
         lam, residual, status = optimizer._critical_densities(
-            scen, scheme, optimizer._fiber_terms(scen), budget)
+            scen, scheme,
+            optimizer._fiber_terms(scen, np.arange(1, scen.k_total + 1)),
+            budget)
         i = p - 1
         array_bits = None if status[i] == optimizer._SKIPPED else (
             p, float(lam[i]).hex(), float(residual[i]).hex(),

@@ -14,7 +14,7 @@ from mcrnet.scenario import (MAX_GAIN_ORDER, MAX_K_TOTAL, MEGABYTE,
                              SCENARIO_KEYS, NetworkScenario,
                              ScenarioError, db_to_linear, dbm_to_watt,
                              linear_to_db, load_scenario, min_edge_density,
-                             scenario_hash, scenario_to_config, watt_to_dbm)
+                             scenario_hash, watt_to_dbm)
 from oracles import scenario_hash_payload, validate_scenario
 
 
@@ -274,7 +274,8 @@ def test_assumed_defaults_flagged_and_cleared():
 def test_config_round_trip_is_identical():
     s = load_scenario("lambda_e_per_km2 = 12.5\ntheta2_db = 2.5\n"
                       "p_m_dbm = 41\nbuffer_omega_mb = 2")
-    cfg = scenario_to_config(s)
+    cfg = {f.name: getattr(s, f.name) for f in dataclasses.fields(s)
+           if f.name != "assumed_defaults"}
     text = "\n".join(f"{k} = {v!r}" for k, v in cfg.items())
     s2 = load_scenario(text)
     for name in cfg:
@@ -321,7 +322,8 @@ def scenarios(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(s=scenarios())
 def test_config_round_trip_property(s):
-    cfg = scenario_to_config(s)
+    cfg = {f.name: getattr(s, f.name) for f in dataclasses.fields(s)
+           if f.name != "assumed_defaults"}
     assert load_scenario(overrides=cfg) == s
     text = "\n".join(f"{k} = {v!r}" for k, v in cfg.items())
     assert load_scenario(text) == s
